@@ -183,16 +183,14 @@ def is_unimodular(m):
 def w_valued_certificate(m, w):
     """Nonzero integral f with f * M = w, or None.
 
-    Rational elimination decides existence over the rationals first; an
-    integral solution is then produced by the Hermite-normal-form lattice
-    solve. The returned certificate is the canonical one (kernel-row
+    The Hermite-normal-form lattice solve decides integral solvability
+    directly (a system with no rational solution has no integral one
+    either). The returned certificate is the canonical one (kernel-row
     coefficients zero), re-verified before returning.
     """
     w = tuple(int(x) for x in w)
     if len(w) != m.cols:
         raise UsageError("w length must equal the column count")
-    if linsolve.solve_left_rational(m, w) is None:
-        return None
     f = linsolve.solve_left_integer(m, w)
     if f is None:
         return None

@@ -9,6 +9,7 @@ default. Exit status: 0 = property holds / success, 1 = property fails,
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -54,6 +55,7 @@ def _int_list(text):
     return [int(x) for x in text.replace(",", " ").split()]
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(prog="tumax",
                                 description="exact TU-matrix and unimodular-"
@@ -350,7 +352,10 @@ def _classify(args):
 
 def run(argv):
     """Parse and execute; returns a CommandReport (no printing)."""
-    args = _parser().parse_args(argv)
+    return _execute(_parser().parse_args(argv))
+
+
+def _execute(args):
     if args.command == "check":
         return _check(args)
     if args.command == "gen":
@@ -374,7 +379,8 @@ def _human_lines(report):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        report = run(argv)
+        args = _parser().parse_args(argv)
+        report = _execute(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -384,27 +390,14 @@ def main(argv=None):
     except TumaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    chosen = _format_for(argv, report)
-    if chosen == "artifact":
-        sys.stdout.write(report.artifact_text)
-    elif chosen == "json":
+    fmt = args.format or ("text" if report.artifact_text else "json")
+    if fmt == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
+    elif report.artifact_text:
+        sys.stdout.write(report.artifact_text)
     else:
         sys.stdout.write(_human_lines(report))
     return report.exit_status
-
-
-def _format_for(argv, report):
-    explicit = None
-    if "--format" in argv:
-        explicit = argv[argv.index("--format") + 1]
-    if explicit == "json":
-        return "json"
-    if explicit == "text" and report.artifact_text:
-        return "artifact"
-    if explicit == "text":
-        return "text"
-    return "artifact" if report.artifact_text else "json"
 
 
 if __name__ == "__main__":

@@ -1,19 +1,14 @@
 """Backend selection for the exact-arithmetic hot kernels.
 
-The compiled extension is preferred when importable; setting
-``TUMAX_PURE=1`` forces the pure-Python fallback. Both backends share
-the semantics documented in :mod:`tumax._pykernels`.
+The compiled extension is used when it imports, the pure-Python fallback
+otherwise. Both backends share the semantics documented in
+:mod:`tumax._pykernels`.
 """
 
-import os
-
-if os.environ.get("TUMAX_PURE") == "1":
+try:
+    from tumax import _ckernels as _impl  # type: ignore[attr-defined]
+except ImportError:
     from tumax import _pykernels as _impl
-else:
-    try:
-        from tumax import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from tumax import _pykernels as _impl
 
 BACKEND = _impl.BACKEND_NAME
 

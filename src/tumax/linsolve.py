@@ -1,12 +1,12 @@
-"""Exact linear solvers: rational elimination and Hermite-normal-form lattice solves.
+"""Exact linear algebra over the integers, all through one row Hermite
+normal form.
 
 All routines are deterministic: pivots are chosen leftmost-first and the
 HNF is the canonical one (positive pivots, entries above a pivot reduced
-into [0, pivot)). Row covector conventions match the certification
-module: we solve f * M = w for a row vector f.
+into [0, pivot)). The pivot columns are the greedy leftmost independent
+columns. Row covector conventions match the certification module: we
+solve f * M = w for a row vector f.
 """
-
-from fractions import Fraction
 
 from .errors import UsageError
 from .matrix import IntMatrix
@@ -70,43 +70,6 @@ def row_hnf(m):
             tuple(pivots))
 
 
-def solve_left_rational(m, w):
-    """Some rational row vector f with f * m = w, or None.
-
-    Plain Fraction Gaussian elimination on the transposed system; used as
-    the existence stage before the integral lattice solve.
-    """
-    if len(w) != m.cols:
-        raise UsageError("target length must equal the column count")
-    n, rows = m.cols, m.rows
-    aug = [[Fraction(m.entries[i][j]) for i in range(rows)] + [Fraction(w[j])]
-           for j in range(n)]
-    r = 0
-    pivots = []
-    for c in range(rows):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                fac = aug[i][c]
-                aug[i] = [x - fac * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][rows] != 0:
-            return None
-    f = [Fraction(0)] * rows
-    for k, c in enumerate(pivots):
-        f[c] = aug[k][rows]
-    return f
-
-
 def solve_left_integer(m, w):
     """Canonical integer row vector f with f * m = w, or None.
 
@@ -152,24 +115,16 @@ def left_kernel_vector(m):
 
 
 def invert_unimodular(m):
-    """Exact integer inverse of a square matrix with determinant +-1."""
+    """Exact integer inverse of a square matrix with determinant +-1.
+
+    The HNF of a matrix with determinant +-1 is the identity, so the HNF
+    transform U (with U * m = I) is the inverse.
+    """
     if not m.is_square():
         raise UsageError("inverse requires a square matrix")
-    n = m.rows
-    a = [[Fraction(m.entries[i][j]) for j in range(n)] +
-         [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise UsageError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                fac = a[i][c]
-                a[i] = [x - fac * y for x, y in zip(a[i], a[c])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
+    h, u, pivots = row_hnf(m)
+    if len(pivots) < m.rows:
+        raise UsageError("matrix is singular")
+    if any(h.entries[k][k] != 1 for k in range(m.rows)):
         raise UsageError("matrix is not unimodular; inverse is not integral")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in out])
+    return u

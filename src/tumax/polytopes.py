@@ -4,7 +4,6 @@ low-dimensional classification over the 0/1 cube.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
 
@@ -195,37 +194,16 @@ def affine_lattice_coordinates(ps):
 
 
 def _leftmost_affine_frame(points, d):
-    """Indices of the leftmost affinely independent (d+1)-subsequence."""
-    frame = [0]
-    rows = []
+    """Indices of the leftmost affinely independent (d+1)-subsequence:
+    point 0 plus the HNF pivots of the difference vectors."""
     base = points[0]
-    for i in range(1, len(points)):
-        cand = rows + [[points[i][k] - base[k] for k in range(len(base))]]
-        flat = [x for row in cand for x in row]
-        if kernels.rank_entries(flat, len(cand), len(base)) == len(cand):
-            rows = cand
-            frame.append(i)
-            if len(frame) == d + 1:
-                return frame
-    return None
-
-
-def _fraction_inverse(cols):
-    n = len(cols)
-    a = [[Fraction(cols[j][i]) for j in range(n)]
-         + [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [[a[i][n + j] for j in range(n)] for i in range(n)]
+    diffs = IntMatrix.from_columns(
+        [[p[k] - base[k] for k in range(len(base))] for p in points[1:]],
+        rows=len(base))
+    pivots = linsolve.row_hnf(diffs)[2]
+    if len(pivots) < d:
+        return None
+    return [0] + [j + 1 for j in pivots[:d]]
 
 
 def lattice_isomorphic(p, q):
@@ -249,12 +227,15 @@ def lattice_isomorphic(p, q):
         raise AssertionError("embedded set lost full dimensionality")
     p0 = pe.points[p_frame[0]]
     p_cols = [[pe.points[i][k] - p0[k] for k in range(d)] for i in p_frame[1:]]
-    # P_frame^{-1} = p_adj / p_det with p_adj the integral adjugate
+    # P_frame^{-1} = p_adj / p_det with p_adj the integral adjugate:
+    # p_adj[t][c] is the cofactor of P_frame at row c, column t
     p_det = kernels.det_entries([x for col in p_cols for x in col], d)
-    p_adj = [[int(x * p_det) for x in row]
-             for row in _fraction_inverse(p_cols)]
-    p_set = set(pe.points)
+    p_adj = [[(-1) ** (t + c) * kernels.det_entries(
+                  [p_cols[s][k] for k in range(d) if k != c
+                   for s in range(d) if s != t], d - 1)
+              for c in range(d)] for t in range(d)]
     q_pts = qe.points
+    q_set = set(q_pts)
 
     def try_map(frame):
         q0 = q_pts[frame[0]]
@@ -274,11 +255,11 @@ def lattice_isomorphic(p, q):
             return False
         shift = [q0[r] - sum(lin_int[r][c] * p0[c] for c in range(d))
                  for r in range(d)]
-        image = set()
-        for pt in p_set:
-            image.add(tuple(sum(lin_int[r][c] * pt[c] for c in range(d))
-                            + shift[r] for r in range(d)))
-        return image == set(q_pts)
+        # L is injective and |P| = |Q|, so P -> Q is a bijection as soon
+        # as every image lies in Q
+        return all(tuple(sum(lin_int[r][c] * pt[c] for c in range(d))
+                         + shift[r] for r in range(d)) in q_set
+                   for pt in pe.points)
 
     n = len(q_pts)
 
@@ -517,11 +498,12 @@ class NormalizeResult:
 def normalize_standard_form(m):
     """Left-multiply by the inverse of the leftmost basis columns.
 
-    Requires a polytopal unimodular matrix of full row rank. The selected
-    columns form a lattice basis (their determinant is +-1 by
-    unimodularity); they are permuted to the front, so the output has the
-    shape (I | B) with all column sums 1, and both B and (I|B) are TU
-    (re-certified before returning).
+    Requires a polytopal unimodular matrix of full row rank. The basis
+    columns are the pivots of the row HNF U * M = H; they form a lattice
+    basis (their determinant is +-1 by unimodularity), so H is the identity
+    on them and U is their inverse. They are permuted to the front, so the
+    output has the shape (I | B) with all column sums 1, and both B and
+    (I|B) are TU (re-certified before returning).
     """
     if m.rank() != m.rows:
         raise PreconditionError("normalization requires full row rank")
@@ -529,22 +511,11 @@ def normalize_standard_form(m):
         raise PreconditionError("matrix is not polytopal")
     if not is_unimodular(m):
         raise PreconditionError("matrix is not unimodular")
-    frame = []
-    rows = []
-    for j in range(m.cols):
-        cand = rows + [[m.entries[i][j] for i in range(m.rows)]]
-        flat = [x for row in cand for x in row]
-        if kernels.rank_entries(flat, len(cand), m.rows) == len(cand):
-            rows = cand
-            frame.append(j)
-            if len(frame) == m.rows:
-                break
+    hnf, _, frame = linsolve.row_hnf(m)
     transform = m.submatrix(range(m.rows), frame)
-    inverse = linsolve.invert_unimodular(transform)
     rest = [j for j in range(m.cols) if j not in frame]
-    perm = tuple(frame + rest)
-    permuted = IntMatrix.from_columns([m.col(j) for j in perm], rows=m.rows)
-    out = inverse.matmul(permuted)
+    perm = frame + tuple(rest)
+    out = IntMatrix.from_columns([hnf.col(j) for j in perm], rows=m.rows)
     if out.submatrix(range(m.rows), range(m.rows)) != IntMatrix.identity(m.rows):
         raise AssertionError("basis columns did not normalize to the identity")
     if any(sum(out.col(j)) != 1 for j in range(out.cols)):

@@ -191,3 +191,34 @@ def permute_mask(mask, perm):
         if mask >> i & 1:
             image |= 1 << j
     return image
+
+
+def inverse_fractions(rows_data):
+    """Inverse over the rationals by Gauss-Jordan elimination, or None
+    when the square matrix is singular."""
+    n = len(rows_data)
+    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows_data)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
+def greedy_independent_columns(rows_data, ncols):
+    """Leftmost columns, each independent of the ones chosen before it."""
+    chosen = []
+    for j in range(ncols):
+        cand = chosen + [j]
+        sub = [[row[k] for k in cand] for row in rows_data]
+        if rank_fractions(sub) == len(cand):
+            chosen = cand
+    return chosen

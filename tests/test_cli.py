@@ -178,6 +178,19 @@ def test_main_prints_artifact_text_for_gen(capsys):
     assert json.loads(out)["result"]["cols"] == 10
 
 
+def test_main_takes_format_from_parsed_options(capsys):
+    """``--format=json`` is the same option as ``--format json``."""
+    for argv in (["--format=json", "gen", "ex4"],
+                 ["--format", "json", "gen", "ex4"]):
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["command"] == "gen ex4"
+    assert main(["--format=text", "gen", "ex4"]) == EXIT_OK
+    assert parse_matrix_text(capsys.readouterr().out).rows == 4
+    assert main(["--format=text", "verify", "extralemma", "--max", "30"]) \
+        == EXIT_OK
+    assert capsys.readouterr().out.startswith("verify extralemma: exit 0\n")
+
+
 def test_cli_subprocess_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "tumax", "verify", "extralemma", "--max", "30"],
