@@ -17,7 +17,6 @@ from .matrix import IntMatrix
 
 MINOR_SIZE_BUDGET = 16  # rows + cols admitted to full minor enumeration
 GH_ROW_BUDGET = 20  # row count admitted to the 2^m subset enumeration
-ORDER_M_MINOR_BUDGET = 5_000_000  # C(n, m) cap for is_unimodular
 
 METHOD_MINORS = "minor-enumeration"
 METHOD_GH = "ghouila-houri"
@@ -160,24 +159,26 @@ def ghouila_houri_check(m):
 
 
 def is_unimodular(m):
-    """All order-m minors in {-1,0,1}; requires full row rank."""
-    if m.rank() != m.rows:
-        raise PreconditionError(
-            f"is_unimodular requires full row rank ({m.rank()} < {m.rows})")
-    if m.rows == 0:
-        return True
-    from math import comb
+    """All order-m minors in {-1,0,1}; requires full row rank.
 
-    if comb(m.cols, m.rows) > ORDER_M_MINOR_BUDGET:
-        raise BudgetExceeded("too many order-m minors to enumerate")
-    flat = m.flat()
-    all_rows = tuple(range(m.rows))
-    for cset in combinations(range(m.cols), m.rows):
-        sub = [flat[i * m.cols + j] for i in all_rows for j in cset]
-        d = kernels.det_entries(sub, m.rows)
-        if d < -1 or d > 1:
-            return False
-    return True
+    The row HNF U * M = H has the leftmost basis B of M on its pivot
+    columns, with |det B| the product of the pivots. When every pivot is 1,
+    H = B^-1 M is the identity on the pivot columns and N on the others,
+    and each order-m minor of M is +-det B times a minor of N, so M is
+    unimodular exactly when N is TU. The TU budgets apply to N (or N^T,
+    whichever has fewer rows).
+    """
+    hnf, _, pivots = linsolve.row_hnf(m)
+    if len(pivots) != m.rows:
+        raise PreconditionError(
+            f"is_unimodular requires full row rank ({len(pivots)} < {m.rows})")
+    if any(hnf.entries[k][p] != 1 for k, p in enumerate(pivots)):
+        return False
+    n = hnf.submatrix(range(m.rows),
+                      [j for j in range(m.cols) if j not in pivots])
+    if n.rows > n.cols:
+        n = n.transpose()
+    return is_totally_unimodular(n).is_tu
 
 
 def w_valued_certificate(m, w):

@@ -211,9 +211,9 @@ def lattice_isomorphic(p, q):
 
     Both sets are first re-coordinatized to full dimension. One affinely
     independent frame of P is fixed (the leftmost in stored order); every
-    ordered affinely independent frame of Q is tried as its image, and
-    the unique affine map is accepted when it is integral, has
-    determinant +-1, and maps the point sets bijectively.
+    ordered frame of Q with the same simplex volume is tried as its image,
+    and the unique affine map is accepted when it is integral and maps the
+    point sets bijectively.
     """
     pe = affine_lattice_coordinates(p)
     qe = affine_lattice_coordinates(q)
@@ -229,7 +229,7 @@ def lattice_isomorphic(p, q):
     p_cols = [[pe.points[i][k] - p0[k] for k in range(d)] for i in p_frame[1:]]
     # P_frame^{-1} = p_adj / p_det with p_adj the integral adjugate:
     # p_adj[t][c] is the cofactor of P_frame at row c, column t
-    p_det = kernels.det_entries([x for col in p_cols for x in col], d)
+    p_det = _simplex_det(pe.points, p_frame)
     p_adj = [[(-1) ** (t + c) * kernels.det_entries(
                   [p_cols[s][k] for k in range(d) if k != c
                    for s in range(d) if s != t], d - 1)
@@ -240,7 +240,8 @@ def lattice_isomorphic(p, q):
     def try_map(frame):
         q0 = q_pts[frame[0]]
         q_cols = [[q_pts[i][k] - q0[k] for k in range(d)] for i in frame[1:]]
-        # L = Q_frame * P_frame^{-1}; build as rows of the linear map
+        # L = Q_frame * P_frame^{-1}; build as rows of the linear map. Its
+        # determinant is +-1 since the frames have equal |det|.
         lin_int = []
         for r in range(d):
             row = []
@@ -250,9 +251,6 @@ def lattice_isomorphic(p, q):
                     return False
                 row.append(s // p_det)
             lin_int.append(row)
-        det = kernels.det_entries([x for row in lin_int for x in row], d)
-        if det not in (1, -1):
-            return False
         shift = [q0[r] - sum(lin_int[r][c] * p0[c] for c in range(d))
                  for r in range(d)]
         # L is injective and |P| = |Q|, so P -> Q is a bijection as soon
@@ -261,27 +259,21 @@ def lattice_isomorphic(p, q):
                          + shift[r] for r in range(d)) in q_set
                    for pt in pe.points)
 
-    n = len(q_pts)
+    # a lattice isomorphism keeps simplex volumes, so only the (d+1)-subsets
+    # of Q with P's frame volume can be the frame's image
+    return any(try_map(frame)
+               for sub in combinations(range(len(q_pts)), d + 1)
+               if abs(_simplex_det(q_pts, sub)) == abs(p_det)
+               for frame in permutations(sub))
 
-    def extend(frame, rows):
-        if len(frame) == d + 1:
-            return try_map(frame)
-        base = q_pts[frame[0]] if frame else None
-        for i in range(n):
-            if i in frame:
-                continue
-            if not frame:
-                if extend([i], []):
-                    return True
-                continue
-            cand = rows + [[q_pts[i][k] - base[k] for k in range(d)]]
-            flat = [x for row in cand for x in row]
-            if kernels.rank_entries(flat, len(cand), d) == len(cand):
-                if extend(frame + [i], cand):
-                    return True
-        return False
 
-    return extend([], [])
+def _simplex_det(pts, sub):
+    """Determinant of the difference vectors from pts[sub[0]] to the
+    other points of ``sub``; +-(d! times the simplex volume)."""
+    base = pts[sub[0]]
+    d = len(base)
+    return kernels.det_entries(
+        [pts[i][k] - base[k] for i in sub[1:] for k in range(d)], d)
 
 
 def fingerprint(ps):
@@ -307,9 +299,7 @@ def fingerprint(ps):
     per_vertex = [0] * len(pts)
     if d > 0:
         for sub in combinations(range(len(pts)), d + 1):
-            base = pts[sub[0]]
-            flat = [pts[i][k] - base[k] for i in sub[1:] for k in range(d)]
-            if kernels.det_entries(flat, d) != 0:
+            if _simplex_det(pts, sub) != 0:
                 indep_total += 1
                 for i in sub:
                     per_vertex[i] += 1
@@ -503,7 +493,8 @@ def normalize_standard_form(m):
     basis (their determinant is +-1 by unimodularity), so H is the identity
     on them and U is their inverse. They are permuted to the front, so the
     output has the shape (I | B) with all column sums 1, and both B and
-    (I|B) are TU (re-certified before returning).
+    (I|B) are TU (B by the unimodularity check, (I|B) re-certified before
+    returning).
     """
     if m.rank() != m.rows:
         raise PreconditionError("normalization requires full row rank")
@@ -520,7 +511,6 @@ def normalize_standard_form(m):
         raise AssertionError("basis columns did not normalize to the identity")
     if any(sum(out.col(j)) != 1 for j in range(out.cols)):
         raise AssertionError("normalized columns do not sum to 1")
-    b = out.submatrix(range(m.rows), range(m.rows, out.cols))
-    if not is_totally_unimodular(b).is_tu or not is_totally_unimodular(out).is_tu:
+    if not is_totally_unimodular(out).is_tu:
         raise AssertionError("normalized matrix failed TU re-certification")
     return NormalizeResult(out, transform, perm)

@@ -107,10 +107,6 @@ def _index_perms(cands, m):
     return perms
 
 
-def _branch_args(m, flat, ncand, incremental, perms, stop_at, budget, first):
-    return (m, flat, ncand, incremental, perms, stop_at, budget, first)
-
-
 def _run_branch(args):
     m, flat, ncand, incremental, perms, stop_at, budget, first = args
     return kernels.max_tu_subset(m, flat, ncand, use_incremental=incremental,
@@ -137,8 +133,8 @@ def _search(m, mode, fast, node_budget, workers, incremental, reverse_order):
     if workers and workers > 1 and budget < 0 and ncand:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [_branch_args(m, flat, ncand, incremental, perms, stop_at,
-                             budget, first) for first in range(ncand)]
+        args = [(m, flat, ncand, incremental, perms, stop_at, budget, first)
+                for first in range(ncand)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             branch_results = list(pool.map(_run_branch, args))
         best, witness, nodes, complete = 0, [], 0, True
@@ -157,12 +153,34 @@ def _search(m, mode, fast, node_budget, workers, incremental, reverse_order):
     return cands, best, witness, nodes, complete
 
 
-def _resolve_knobs(node_budget, workers):
+def _max_columns(m, kind, min_m, mode, node_budget, workers, max_m,
+                 incremental, reverse_order):
+    """Run one search and wrap it as a SearchResult. Every kind but heller
+    searches beside an implicit identity block, which the witness and the
+    column count include."""
+    limit = DEFAULT_MAX_M[kind] if max_m is None else max_m
+    if not min_m <= m <= limit:
+        raise UsageError(f"m must be in [{min_m}, {limit}]")
+    if mode not in ("verify", "fast"):
+        raise UsageError("mode must be 'verify' or 'fast'")
     if node_budget is None:
         node_budget = _env_int("TUMAX_BUDGET_NODES")
     if workers is None:
         workers = _env_int("TUMAX_THREADS") or 1
-    return node_budget, workers
+    start = time.perf_counter()
+    cands, best, witness, nodes, complete = _search(
+        m, kind, mode == "fast", node_budget, workers, incremental,
+        reverse_order)
+    elapsed = time.perf_counter() - start
+    matrix = IntMatrix.from_columns([cands[i] for i in witness], rows=m)
+    if kind != "heller":
+        matrix = IntMatrix.identity(m).hstack(matrix)
+        best += m
+    expected = (h(m) if kind == "polytopal"
+                else m * m + m + 1 if kind == "heller" else None)
+    matches = (best == expected) if complete and expected is not None else None
+    return SearchResult(m, kind, best, matrix, nodes, complete, elapsed,
+                        expected, matches)
 
 
 def max_polytopal_tu_columns(m, mode="verify", node_budget=None, workers=None,
@@ -173,62 +191,20 @@ def max_polytopal_tu_columns(m, mode="verify", node_budget=None, workers=None,
     reduction and the proven bound as a stopping target. The result
     records the bound h(m) and whether the search reproduced it.
     """
-    limit = DEFAULT_MAX_M["polytopal"] if max_m is None else max_m
-    if not 2 <= m <= limit:
-        raise UsageError(f"m must be in [2, {limit}]")
-    if mode not in ("verify", "fast"):
-        raise UsageError("mode must be 'verify' or 'fast'")
-    node_budget, workers = _resolve_knobs(node_budget, workers)
-    start = time.perf_counter()
-    cands, best, witness, nodes, complete = _search(
-        m, "polytopal", mode == "fast", node_budget, workers, incremental,
-        reverse_order)
-    elapsed = time.perf_counter() - start
-    chosen = [cands[i] for i in witness]
-    matrix = IntMatrix.identity(m).hstack(IntMatrix.from_columns(chosen, rows=m))
-    expected = h(m)
-    return SearchResult(m, "polytopal", m + best, matrix, nodes, complete,
-                        elapsed, expected,
-                        (m + best == expected) if complete else None)
+    return _max_columns(m, "polytopal", 2, mode, node_budget, workers, max_m,
+                        incremental, reverse_order)
 
 
 def max_tu_columns(m, mode="verify", node_budget=None, workers=None,
                    max_m=None, incremental=True, reverse_order=False):
     """Maximum number of pairwise distinct columns of a TU matrix with m rows."""
-    limit = DEFAULT_MAX_M["heller"] if max_m is None else max_m
-    if not 1 <= m <= limit:
-        raise UsageError(f"m must be in [1, {limit}]")
-    if mode not in ("verify", "fast"):
-        raise UsageError("mode must be 'verify' or 'fast'")
-    node_budget, workers = _resolve_knobs(node_budget, workers)
-    start = time.perf_counter()
-    cands, best, witness, nodes, complete = _search(
-        m, "heller", mode == "fast", node_budget, workers, incremental,
-        reverse_order)
-    elapsed = time.perf_counter() - start
-    chosen = [cands[i] for i in witness]
-    matrix = IntMatrix.from_columns(chosen, rows=m)
-    expected = m * m + m + 1
-    return SearchResult(m, "heller", best, matrix, nodes, complete, elapsed,
-                        expected, (best == expected) if complete else None)
+    return _max_columns(m, "heller", 1, mode, node_budget, workers, max_m,
+                        incremental, reverse_order)
 
 
 def max_odd_sum_tu_columns(m, mode="verify", node_budget=None, workers=None,
                            max_m=None, incremental=True, reverse_order=False):
     """Maximum column count of (I_m | M') with distinct positive-odd-sum
     columns; reported without asserting any bound."""
-    limit = DEFAULT_MAX_M["odd-sums"] if max_m is None else max_m
-    if not 1 <= m <= limit:
-        raise UsageError(f"m must be in [1, {limit}]")
-    if mode not in ("verify", "fast"):
-        raise UsageError("mode must be 'verify' or 'fast'")
-    node_budget, workers = _resolve_knobs(node_budget, workers)
-    start = time.perf_counter()
-    cands, best, witness, nodes, complete = _search(
-        m, "odd-sums", mode == "fast", node_budget, workers, incremental,
-        reverse_order)
-    elapsed = time.perf_counter() - start
-    chosen = [cands[i] for i in witness]
-    matrix = IntMatrix.identity(m).hstack(IntMatrix.from_columns(chosen, rows=m))
-    return SearchResult(m, "odd-sums", m + best, matrix, nodes, complete,
-                        elapsed, None, None)
+    return _max_columns(m, "odd-sums", 1, mode, node_budget, workers, max_m,
+                        incremental, reverse_order)

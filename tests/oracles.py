@@ -6,7 +6,7 @@ test. Inputs are plain lists.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def det_cofactor(rows):
@@ -222,3 +222,64 @@ def greedy_independent_columns(rows_data, ncols):
         if rank_fractions(sub) == len(cand):
             chosen = cand
     return chosen
+
+
+def is_unimodular_maximal_minors(rows_data, ncols):
+    """Every order-m minor (m = row count) in {-1, 0, 1}, by cofactor
+    expansion over every m-column subset."""
+    m = len(rows_data)
+    return all(
+        -1 <= det_cofactor([[row[j] for j in cset] for row in rows_data]) <= 1
+        for cset in combinations(range(ncols), m))
+
+
+def lattice_isomorphic_bruteforce(p_points, q_points):
+    """Affine lattice isomorphism of two full-dimensional point sets in the
+    same dimension.
+
+    Fixes the greedy leftmost affine frame of P and tries every ordered
+    (d+1)-tuple of Q as its image: the linear part L = Q_frame P_frame^-1
+    is solved over Fractions when its determinant det Q_frame / det P_frame
+    is +-1, and accepted when it is integral and the affine map sends P
+    onto Q.
+    """
+    if len(p_points) != len(q_points):
+        return False
+    d = len(p_points[0])
+    if len(q_points[0]) != d:
+        return False
+    base = p_points[0]
+    diffs = [[x - b for x, b in zip(pt, base)] for pt in p_points]
+    chosen = []
+    for i in range(1, len(p_points)):
+        cand = chosen + [i]
+        if rank_fractions([diffs[j] for j in cand]) == len(cand):
+            chosen = cand
+    if len(chosen) != d:
+        raise ValueError("P is not full-dimensional")
+    # columns of P_frame are the frame's difference vectors
+    p_frame = [[diffs[j][k] for j in chosen] for k in range(d)]
+    p_det = abs(det_cofactor(p_frame))
+    # integral entries as ints: unimodular frames then need no Fraction
+    # arithmetic per tuple
+    p_inv = [[int(x) if x.denominator == 1 else x for x in row]
+             for row in inverse_fractions(p_frame)]
+    q_set = set(map(tuple, q_points))
+    for frame in permutations(range(len(q_points)), d + 1):
+        q0 = q_points[frame[0]]
+        q_frame = [[q_points[j][k] - q0[k] for j in frame[1:]]
+                   for k in range(d)]
+        # det L = det Q_frame / det P_frame must be +-1
+        if abs(det_cofactor(q_frame)) != p_det:
+            continue
+        lin = [[sum(q_frame[r][t] * p_inv[t][c] for t in range(d))
+                for c in range(d)] for r in range(d)]
+        if any(x.denominator != 1 for row in lin for x in row):
+            continue
+        lin = [[int(x) for x in row] for row in lin]
+        image = {tuple(q0[r] + sum(lin[r][c] * (pt[c] - base[c])
+                                   for c in range(d)) for r in range(d))
+                 for pt in p_points}
+        if image == q_set:
+            return True
+    return False

@@ -19,8 +19,12 @@ from tumax.errors import BudgetExceeded, PreconditionError
 from tumax.families import ex4_matrix, sporadic_5x10
 from tumax.matrix import IntMatrix
 
-from helpers import random_sign_matrix, random_tu_matrix
-from oracles import rational_row_solution
+from helpers import random_network_tu, random_sign_matrix, random_tu_matrix
+from oracles import (
+    is_unimodular_maximal_minors,
+    rank_fractions,
+    rational_row_solution,
+)
 
 
 def test_sporadic_5x10_is_tu_by_both_methods():
@@ -152,6 +156,71 @@ def test_tu_full_rank_implies_unimodular():
             continue
         assert is_unimodular(m)
         checked += 1
+
+
+def _random_unimodular_transform(rng, n):
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+    return IntMatrix.from_rows(mat)
+
+
+def test_is_unimodular_matches_maximal_minor_oracle():
+    """R (I | N) P with random sign N; one row doubled in some cases, which
+    makes every pivot product of the leftmost basis at least 2."""
+    rng = random.Random(47)
+    seen = {"pivot>1": 0, "basis ok, N not TU": 0, "unimodular": 0,
+            "N taller than wide": 0, "square": 0}
+    for _ in range(120):
+        m = rng.randint(1, 5)
+        k = rng.randint(0, 5)
+        ident_n = IntMatrix.identity(m).hstack(random_sign_matrix(rng, m, k))
+        rows = ident_n.to_lists()
+        doubled = rng.random() < 0.2
+        if doubled:
+            i = rng.randrange(m)
+            rows[i] = [2 * x for x in rows[i]]
+        full = _random_unimodular_transform(rng, m).matmul(
+            IntMatrix.from_rows(rows)).to_lists()
+        perm = list(range(m + k))
+        rng.shuffle(perm)
+        full = [[row[j] for j in perm] for row in full]
+        expected = is_unimodular_maximal_minors(full, m + k)
+        assert is_unimodular(IntMatrix.from_rows(full)) == expected, full
+        if doubled:
+            seen["pivot>1"] += 1
+            assert not expected
+        elif not expected:
+            seen["basis ok, N not TU"] += 1
+        else:
+            seen["unimodular"] += 1
+        seen["N taller than wide"] += 0 < k < m
+        seen["square"] += k == 0
+    assert all(seen.values()), seen
+    for n in (0, 3, 20):
+        assert is_unimodular(IntMatrix(0, n, ()))
+        assert is_unimodular_maximal_minors([], n)
+    # (I | TU) is unimodular; C(30, 12) = 86 493 225 order-12 minors are
+    # beyond the oracle, the (I | N) form leaves a 12 x 18 TU check
+    network = random_network_tu(random.Random(49), 12, 18)
+    assert is_unimodular(IntMatrix.identity(12).hstack(network))
+
+
+def test_is_unimodular_random_integer_matrices():
+    rng = random.Random(48)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        n = rng.randint(m, 7)
+        rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(n)]
+                for _ in range(m)]
+        if rank_fractions(rows) < m:
+            with pytest.raises(PreconditionError):
+                is_unimodular(IntMatrix.from_rows(rows))
+            continue
+        assert (is_unimodular(IntMatrix.from_rows(rows))
+                == is_unimodular_maximal_minors(rows, n)), rows
 
 
 def test_polytopal_certificate_examples():

@@ -9,8 +9,9 @@ import pytest
 
 from tumax.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run
 from tumax.errors import FormatError, UsageError
-from tumax.matrix import parse_matrix_text
+from tumax.matrix import IntMatrix, parse_matrix_text
 
+from helpers import random_network_tu
 from specgen import random_spec
 
 
@@ -111,6 +112,15 @@ def test_exit_code_contract_corpus(tmp_path):
     assert len(corpus) >= 20
     for argv, expected in corpus:
         assert main(argv) == expected, f"{argv} expected exit {expected}"
+
+
+def test_check_unimodular_past_the_order_m_minor_count(tmp_path):
+    """A 12 x 30 (I | network) matrix has C(30, 12) order-12 minors; the
+    verdict comes from the 12 x 18 TU check instead."""
+    network = random_network_tu(random.Random(49), 12, 18)
+    m = IntMatrix.identity(12).hstack(network)
+    path = _write(tmp_path, "wide.txt", m.to_text())
+    assert main(["check", "unimodular", path]) == EXIT_OK
 
 
 def test_network_build_matches_module(tmp_path):

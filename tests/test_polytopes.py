@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tumax import polytopes
 from tumax.errors import BudgetExceeded, PreconditionError, StructureError
 from tumax.families import ex4_matrix, h, sporadic_5x10
 from tumax.matrix import IntMatrix
@@ -21,6 +22,8 @@ from tumax.polytopes import (
     vertex_bound_check,
     vertex_hull,
 )
+
+from oracles import lattice_isomorphic_bruteforce
 
 
 def simplex(d):
@@ -117,6 +120,10 @@ def test_lattice_isomorphic_basics():
     assert not lattice_isomorphic(PointSet.from_points([(-1,), (1,)]),
                                   PointSet.from_points([(0,), (1,)]))
     assert not lattice_isomorphic(s, simplex(2))
+    # equal area 3/2, but one edge of the first triangle has lattice length 3
+    assert not lattice_isomorphic(
+        PointSet.from_points([(3, 1), (0, 2), (3, 2)]),
+        PointSet.from_points([(0, 1), (0, 2), (3, 0)]))
 
 
 def test_lattice_isomorphic_random_transforms():
@@ -137,6 +144,83 @@ def test_lattice_isomorphic_random_transforms():
         moved = PointSet.from_points(pts)
         assert lattice_isomorphic(base, moved)
         assert fingerprint(moved) == fingerprint(base)
+
+
+def _classification_pairs(monkeypatch, d):
+    """Every (class representative, candidate) pair that
+    classify_unimodular(d) hands to lattice_isomorphic."""
+    pairs = []
+    real = polytopes.lattice_isomorphic
+
+    def recording(p, q):
+        pairs.append((p, q))
+        return real(p, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytopes, "lattice_isomorphic", recording)
+        classify_unimodular(d)
+    return pairs
+
+
+def test_lattice_isomorphic_matches_oracle_on_classified_pairs(monkeypatch):
+    pairs3 = _classification_pairs(monkeypatch, 3)
+    pairs4 = [(p, q) for p, q in _classification_pairs(monkeypatch, 4)
+              if len(p) <= 7]
+    verdicts = {}
+    for p, q in pairs3 + pairs4:
+        expected = lattice_isomorphic_bruteforce(p.points, q.points)
+        assert lattice_isomorphic(p, q) == expected, (p.points, q.points)
+        key = (p.dim, len(p), expected)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # the fingerprint does not separate one pair of 6-point classes in d = 3
+    assert verdicts.get((3, 6, False))
+    assert verdicts.get((4, 7, True)) and verdicts.get((4, 7, False))
+
+
+def test_lattice_isomorphic_matches_oracle_on_random_images():
+    """Random point sets in a small box (so frames of volume > 1 occur)
+    against a unimodular image of themselves, that image with one point
+    moved, or an unrelated set."""
+    rng = random.Random(71)
+    verdicts = []
+
+    def random_points(d, k):
+        while True:
+            pts = list({tuple(rng.randint(0, 3) for _ in range(d))
+                        for _ in range(k)})
+            if len(pts) == k and PointSet.from_points(pts).affine_rank() == d:
+                return pts
+
+    for _ in range(90):
+        d = rng.choice((1, 2, 2, 3, 3, 4))
+        pts = random_points(d, rng.randint(d + 1, d + 3))
+        kind = rng.randrange(3)
+        if kind == 2:
+            image = random_points(d, len(pts))
+        else:
+            mat = [[int(i == j) for j in range(d)] for i in range(d)]
+            for _ in range(2 * d if d > 1 else 0):
+                i, j = rng.sample(range(d), 2)
+                c = rng.choice((-1, 1))
+                mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+            shift = [rng.randint(-2, 2) for _ in range(d)]
+            image = [tuple(sum(mat[r][c] * p[c] for c in range(d)) + shift[r]
+                           for r in range(d)) for p in pts]
+            rng.shuffle(image)
+        if kind == 1:
+            i = rng.randrange(len(image))
+            moved = list(image[i])
+            moved[rng.randrange(d)] += rng.choice((-1, 1))
+            if tuple(moved) not in image:
+                image[i] = tuple(moved)
+        q = PointSet.from_points(image)
+        if q.affine_rank() < d:
+            continue
+        expected = lattice_isomorphic_bruteforce(pts, image)
+        assert lattice_isomorphic(PointSet.from_points(pts), q) == expected, \
+            (pts, image)
+        verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_normalize_identity_and_sporadic_are_fixed_points():
