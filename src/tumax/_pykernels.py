@@ -173,6 +173,8 @@ class _PackedMinors:
     fixed i the map R - i -> R is a shift by 2**i fields, so the whole new
     block is a sum of masked shifts of the table: a few big-int operations
     per nonzero entry of v check every minor through v at once.
+
+    ``table[c]`` is the (pos, neg) pair of the first c chosen columns.
     """
 
     def __init__(self, m):
@@ -193,8 +195,7 @@ class _PackedMinors:
         self._even = even
         self._odd = odd
         self._levels = []
-        self.pos = [1]
-        self.neg = [0]
+        self.table = [(1, 0)]
 
     def _level(self, c):
         """Sign masks, all-ones and top-bit constants for 2**c blocks."""
@@ -213,12 +214,12 @@ class _PackedMinors:
         """(row, entry, shift in bits) for the nonzero entries of ``col``."""
         return [(i, e, self.w << i) for i, e in enumerate(col) if e]
 
-    def try_extend(self, c, terms):
-        """Append a column after the first c chosen ones, if all minors
-        through it are in {-1, 0, 1}; returns whether it was appended."""
+    def probe(self, c, terms):
+        """The (pos, neg) pair after appending a column to the first c
+        chosen ones, or None when a minor through it is outside
+        {-1, 0, 1}. The table itself is not changed."""
         even, odd, ones, hi = self._level(c)
-        p = self.pos[c]
-        n = self.neg[c]
+        p, n = self.table[c]
         sp = 0
         sn = 0
         for i, e, sh in terms:
@@ -231,13 +232,17 @@ class _PackedMinors:
         kones = ones * self.k
         q = sp + kones - sn
         if q & hi or (sn + kones - sp) & hi:
-            return False
+            return None
         # q - (k - 1) is 0, 1 or 2 in each field for a minor of -1, 0, 1
         q -= kones - ones
         off = self.w << (c + self.m)
-        self.pos[c + 1:] = [p | (((q >> 1) & ones) << off)]
-        self.neg[c + 1:] = [n | ((ones & ~(q | (q >> 1))) << off)]
-        return True
+        return (p | (((q >> 1) & ones) << off),
+                n | ((ones & ~(q | (q >> 1))) << off))
+
+    def push(self, c, level):
+        """Make ``level``, a pair from ``probe(c, ...)``, the table entry of
+        the first c + 1 chosen columns."""
+        self.table[c + 1:] = [level]
 
 
 def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
@@ -250,6 +255,14 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
     among maximum subsets. Pair-incompatibility (a 2x2 minor outside
     {-1,0,1}) prunes branches in both check modes.
 
+    A node is one subset test, counted whether or not it runs a minor
+    check. TU is hereditary, so the answers are kept per chosen prefix:
+    the test of chosen + [t] reuses the test of chosen[:k] + [t] for the
+    longest such prefix that was already tested with t, and fails
+    without a check when that one failed. Each (prefix, t) pair is thus
+    checked at most once, while the walk, the node count and the witness
+    are those of testing every node afresh.
+
     perms       optional candidate-index permutations; a subset is skipped
                 when some permutation maps it to a lex-smaller one.
     stop_at     stop as soon as a subset of this size is found (>=0).
@@ -261,7 +274,9 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
     """
     cand = [tuple(cand_flat[j * m:(j + 1) * m]) for j in range(ncand)]
     ok1 = [all(-1 <= e <= 1 for e in c) for c in cand]
-    compat = [[False] * ncand for _ in range(ncand)]
+    # compat[i]: bitmask of the later candidates j > i that pass the 2x2
+    # minors beside i
+    compat = [0] * ncand
     for i in range(ncand):
         if not ok1[i]:
             continue
@@ -279,7 +294,9 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
                     if d < -1 or d > 1:
                         good = False
                         break
-            compat[i][j] = compat[j][i] = good
+            if good:
+                compat[i] |= 1 << j
+    ok1_mask = sum(1 << j for j in range(ncand) if ok1[j])
 
     best = 0
     witness = []
@@ -288,29 +305,43 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
     target_hit = False
     chosen = []
 
-    def chosen_flat():
-        return [cand[idx][r] for r in range(m) for idx in chosen]
-
     packed = use_incremental and m <= _PACKED_MAX_ROWS
+    packed_depth = _PACKED_MAX_LOG_FIELDS - m - 1
     minors = _PackedMinors(m) if packed else None
     terms = {}
 
-    def node_ok(j):
-        if use_incremental:
-            k = len(chosen)
-            if packed and k + 1 + m <= _PACKED_MAX_LOG_FIELDS:
-                if j not in terms:
-                    terms[j] = minors.terms(cand[j])
-                return minors.try_extend(k, terms[j])
-            flat = chosen_flat()
-            return extension_violation(flat, m, k, list(cand[j])) is None
-        trial = chosen + [j]
-        flat = [cand[idx][r] for r in range(m) for idx in trial]
-        return tu_violation(flat, m, len(trial)) is None
+    def check(t, k):
+        """Is chosen[:k] + [t] TU, given that chosen[:k] is? A falsy
+        result means no; a TU answer is the packed table pair of
+        chosen[:k] + [t], or True past the table."""
+        if not use_incremental:
+            trial = chosen[:k] + [t]
+            flat = [cand[idx][r] for r in range(m) for idx in trial]
+            return tu_violation(flat, m, k + 1) is None
+        if packed and k <= packed_depth:
+            if t not in terms:
+                terms[t] = minors.terms(cand[t])
+            return minors.probe(k, terms[t])
+        flat = [cand[idx][r] for r in range(m) for idx in chosen[:k]]
+        return extension_violation(flat, m, k, list(cand[t])) is None
+
+    # known[k][t] is check(t, k) for the current chosen[:k]; known[k + 1]
+    # is reset whenever chosen[k] changes
+    known = [{}]
+
+    def test(t, k):
+        memo = known[k]
+        if t in memo:
+            return memo[t]
+        # TU is hereditary: when chosen[:k-1] + [t] is not TU, neither is
+        # chosen[:k] + [t]. Every t reaching test is a column in
+        # {-1, 0, 1} and compatible with each chosen column, so the tests
+        # below level 2 pass.
+        ok = (k < 3 or test(t, k - 1)) and check(t, k)
+        memo[t] = ok
+        return ok
 
     def canonical(sub):
-        if not perms:
-            return True
         for p in perms:
             t = sorted(p[i] for i in sub)
             if t < sub:
@@ -325,29 +356,37 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
             budget_hit = True
             return
         nodes += 1
-        if not canonical(chosen + [j]):
+        if perms and not canonical(chosen + [j]):
             return
-        if not node_ok(j):
+        k = len(chosen)
+        ok = test(j, k)
+        if not ok:
             return
+        if ok is not True:  # a packed table pair
+            minors.push(k, ok)
         chosen.append(j)
+        known[k + 1:] = [{}]
         if len(chosen) > best:
             best = len(chosen)
             witness = list(chosen)
             if stop_at >= 0 and best >= stop_at:
                 target_hit = True
         if not target_hit:
-            child = [allowed[t] and compat[j][t] for t in range(ncand)]
-            for t in range(j + 1, ncand):
-                if child[t]:
-                    visit(t, child)
+            # children in increasing index order, lowest bit first
+            child = allowed & compat[j]
+            rest = child
+            while rest:
+                low = rest & -rest
+                visit(low.bit_length() - 1, child)
                 if budget_hit or target_hit:
                     break
+                rest ^= low
         chosen.pop()
 
     roots = [fixed_first] if fixed_first >= 0 else range(ncand)
     for j in roots:
         if ok1[j]:
-            visit(j, ok1)
+            visit(j, ok1_mask)
         if budget_hit or target_hit:
             break
     return best, witness, nodes, not budget_hit

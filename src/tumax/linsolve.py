@@ -70,6 +70,37 @@ def row_hnf(m):
             tuple(pivots))
 
 
+def left_integer_solver(m):
+    """The function w -> solve_left_integer(m, w), with the row HNF of
+    ``m`` computed once for every right-hand side."""
+    h, u, pivots = row_hnf(m)
+
+    def solve(w):
+        if len(w) != m.cols:
+            raise UsageError("target length must equal the column count")
+        resid = list(w)
+        coeffs = [0] * m.rows
+        for k, p in enumerate(pivots):
+            q, rem = divmod(resid[p], h.entries[k][p])
+            if rem:
+                return None
+            coeffs[k] = q
+            if q:
+                hk = h.entries[k]
+                resid = [resid[j] - q * hk[j] for j in range(m.cols)]
+        if any(resid):
+            return None
+        f = [0] * m.rows
+        for k in range(len(pivots)):
+            if coeffs[k]:
+                uk = u.entries[k]
+                for i in range(m.rows):
+                    f[i] += coeffs[k] * uk[i]
+        return tuple(f)
+
+    return solve
+
+
 def solve_left_integer(m, w):
     """Canonical integer row vector f with f * m = w, or None.
 
@@ -77,28 +108,7 @@ def solve_left_integer(m, w):
     HNF; coefficients of the kernel rows are fixed to zero, which makes
     the returned solution deterministic.
     """
-    if len(w) != m.cols:
-        raise UsageError("target length must equal the column count")
-    h, u, pivots = row_hnf(m)
-    resid = list(w)
-    coeffs = [0] * m.rows
-    for k, p in enumerate(pivots):
-        q, rem = divmod(resid[p], h.entries[k][p])
-        if rem:
-            return None
-        coeffs[k] = q
-        if q:
-            hk = h.entries[k]
-            resid = [resid[j] - q * hk[j] for j in range(m.cols)]
-    if any(resid):
-        return None
-    f = [0] * m.rows
-    for k in range(len(pivots)):
-        if coeffs[k]:
-            uk = u.entries[k]
-            for i in range(m.rows):
-                f[i] += coeffs[k] * uk[i]
-    return tuple(f)
+    return left_integer_solver(m)(w)
 
 
 def left_kernel_vector(m):

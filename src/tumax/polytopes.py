@@ -184,9 +184,10 @@ def affine_lattice_coordinates(ps):
         basis_rows = [tuple(1 if j == i else 0 for j in range(ps.dim))
                       for i in range(ps.dim)]
     basis = IntMatrix.from_rows(basis_rows)
+    solve = linsolve.left_integer_solver(basis)
     coords = [(0,) * basis.rows]
     for diff in diffs:
-        c = linsolve.solve_left_integer(basis, diff)
+        c = solve(diff)
         if c is None:
             raise AssertionError("difference not in the saturated lattice")
         coords.append(c)

@@ -13,6 +13,7 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Optional
 
 from . import kernels
@@ -102,8 +103,9 @@ def _index_perms(cands, m):
     for sigma in permutations(range(m)):
         if sigma == tuple(range(m)):
             continue
-        perms.append([index[tuple(c[sigma[k]] for k in range(m))]
-                      for c in cands])
+        # sigma has m >= 2 entries here, so ``permuted`` returns a tuple
+        permuted = itemgetter(*sigma)
+        perms.append([index[permuted(c)] for c in cands])
     return perms
 
 

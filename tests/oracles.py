@@ -26,21 +26,83 @@ def det_cofactor(rows):
     return total
 
 
-def all_minor_values(rows_data):
-    """Every square minor value of a rectangular matrix (list)."""
+def minors_in_scan_order(rows_data):
+    """(rows, cols, det) of every square minor of a rectangular matrix
+    (list): ascending order, then row index sets, then column index sets,
+    each in lexicographic order."""
     r = len(rows_data)
     c = len(rows_data[0]) if r else 0
-    values = []
     for k in range(1, min(r, c) + 1):
         for rset in combinations(range(r), k):
             for cset in combinations(range(c), k):
                 sub = [[rows_data[i][j] for j in cset] for i in rset]
-                values.append(det_cofactor(sub))
-    return values
+                yield rset, cset, det_cofactor(sub)
+
+
+def first_violating_minor(rows_data):
+    """The first minor outside {-1, 0, 1} in scan order, as (rows, cols,
+    det), or None."""
+    return next((minor for minor in minors_in_scan_order(rows_data)
+                 if not -1 <= minor[2] <= 1), None)
 
 
 def is_tu_bruteforce(rows_data):
-    return all(-1 <= v <= 1 for v in all_minor_values(rows_data))
+    return first_violating_minor(rows_data) is None
+
+
+def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,
+                            node_budget=-1, fixed_first=-1):
+    """Lexicographic DFS for a largest TU subset of the length-m columns
+    ``cands``, every trial checked with ``is_tu_bruteforce``.
+
+    A node is one trial subset, counted before it is tested. Children of
+    an accepted subset are the later candidates with entries in
+    {-1, 0, 1} that form a TU pair with each chosen column. A trial is
+    skipped untested when some index permutation in ``perms`` maps it to
+    a lexicographically smaller sorted subset. The walk stops at the
+    first subset of size ``stop_at`` (>= 0), or when a node is due after
+    ``node_budget`` nodes (>= 0), which marks it incomplete;
+    ``fixed_first`` (>= 0) is the only root. Returns (best size, witness
+    indices, nodes, complete).
+    """
+    n = len(cands)
+
+    def columns(subset):
+        return [[cands[j][r] for j in subset] for r in range(m)]
+
+    usable = [all(-1 <= e <= 1 for e in c) for c in cands]
+    best, witness, nodes = 0, [], 0
+    stopped = None
+
+    def visit(chosen, t):
+        nonlocal best, witness, nodes, stopped
+        if 0 <= node_budget <= nodes:
+            stopped = "budget"
+            return
+        nodes += 1
+        trial = chosen + [t]
+        if any(sorted(p[i] for i in trial) < trial for p in perms or ()):
+            return
+        if not is_tu_bruteforce(columns(trial)):
+            return
+        if len(trial) > best:
+            best, witness = len(trial), trial
+            if 0 <= stop_at <= best:
+                stopped = "target"
+                return
+        for u in range(t + 1, n):
+            if usable[u] and all(is_tu_bruteforce(columns([c, u]))
+                                 for c in trial):
+                visit(trial, u)
+                if stopped:
+                    return
+
+    for j in [fixed_first] if fixed_first >= 0 else range(n):
+        if usable[j]:
+            visit([], j)
+        if stopped:
+            break
+    return best, witness, nodes, stopped != "budget"
 
 
 def rank_fractions(rows_data):

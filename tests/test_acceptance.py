@@ -113,6 +113,16 @@ def test_criterion2_stretch_m6():
     # reported either way; with the compiled kernels the search finishes
     # and reproduces the bound
     assert res.max_columns == 12 == h(6)
+    # the walk itself is pinned: the same subset tests in the same order,
+    # ending on the lexicographically least maximum subset
+    assert res.nodes == 857389
+    assert res.witness.to_lists() == [
+        [1, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 0],
+        [0, 1, 0, 0, 0, 0, -1, -1, 0, 0, 0, -1],
+        [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0],
+        [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1],
+        [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1]]
     _report("criterion-2-stretch", "1h", started,
             f"m=6 verify-mode -> {res.max_columns} ({res.nodes} nodes)")
 

@@ -10,8 +10,10 @@ import pytest
 from tumax import _pykernels as pure
 from tumax import kernels
 from tumax.polytopes import _cube_symmetry_index_perms
+from tumax.search import candidate_columns
 
-from oracles import canonical_masks_bruteforce, permute_mask
+from oracles import (canonical_masks_bruteforce, first_violating_minor,
+                     max_tu_subset_reference, permute_mask)
 
 try:
     from tumax import _ckernels as compiled
@@ -69,6 +71,19 @@ def test_tu_violation_agreement_including_witness():
         assert compiled.tu_violation(flat, r, c) == pure.tu_violation(flat, r, c)
 
 
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+def test_tu_violation_witness_matches_oracle(backend):
+    # the first violating minor in the documented scan order, not just any
+    rng = random.Random(48)
+    for _ in range(300):
+        r = rng.randint(0, 5)
+        c = rng.randint(0, 6)
+        rows = [[rng.choice((-1, 0, 1, 1, 0, -1, 2, -2)) if rng.random() < 0.1
+                 else rng.randint(-1, 1) for _ in range(c)] for _ in range(r)]
+        flat = [x for row in rows for x in row]
+        assert backend.tu_violation(flat, r, c) == first_violating_minor(rows)
+
+
 @needs_compiled
 def test_extension_violation_agreement():
     rng = random.Random(43)
@@ -91,6 +106,13 @@ def _sum_one_candidates(m):
     return out
 
 
+def _coordinate_perms(cands, m):
+    """Candidate-index permutations induced by permuting coordinates."""
+    idx = {tuple(c): i for i, c in enumerate(cands)}
+    return [[idx[tuple(c[p[i]] for i in range(m))] for c in cands]
+            for p in permutations(range(m)) if p != tuple(range(m))]
+
+
 @needs_compiled
 def test_max_tu_subset_agreement():
     for m in (3, 4):
@@ -109,13 +131,7 @@ def test_max_tu_subset_agreement_with_perms_and_budget():
     cands = _sum_one_candidates(m)
     n = len(cands)
     flat = [x for c in cands for x in c]
-    # index permutations induced by coordinate permutations
-    idx = {c: i for i, c in enumerate(cands)}
-    perms = []
-    for p in permutations(range(m)):
-        if p == tuple(range(m)):
-            continue
-        perms.append([idx[tuple(c[p[i]] for i in range(m))] for c in cands])
+    perms = _coordinate_perms(cands, m)
     full_c = compiled.max_tu_subset(m, flat, n, perms=perms)
     full_p = pure.max_tu_subset(m, flat, n, perms=perms)
     assert full_c == full_p
@@ -136,6 +152,59 @@ def test_max_tu_subset_incremental_matches_full_check(backend):
         flat = [rng.choice((-1, -1, 0, 0, 1, 1, 2)) for _ in range(m * n)]
         assert (backend.max_tu_subset(m, flat, n, use_incremental=True)
                 == backend.max_tu_subset(m, flat, n, use_incremental=False))
+
+
+def _search_cases():
+    """(m, candidates, options) of the search families, m <= 4."""
+    cases = []
+    for mode, ms in (("polytopal", (2, 3, 4)), ("heller", (1, 2, 3)),
+                     ("odd-sums", (1, 2, 3, 4))):
+        for m in ms:
+            cands = candidate_columns(m, mode)
+            perms = _coordinate_perms(cands, m)
+            n = len(cands)
+            cases += [(m, cands, {"node_budget": 400} if n > 20 else {}),
+                      (m, cands[::-1], {"node_budget": 250}),
+                      (m, cands, {"perms": perms, "node_budget": 400}),
+                      (m, cands, {"perms": perms, "stop_at": m + 2}),
+                      (m, cands, {"stop_at": 3}),
+                      (m, cands, {"node_budget": 7})]
+            cases += [(m, cands, {"fixed_first": first, "node_budget": 300})
+                      for first in sorted({0, n // 3, n - 1}) if n]
+    return cases
+
+
+def _random_cases(rng, count):
+    cases = []
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        n = rng.randint(0, 11)
+        cands = [[rng.choice((-1, -1, 0, 0, 1, 1, 2)) for _ in range(m)]
+                 for _ in range(n)]
+        opts = {}
+        if n and rng.random() < 0.3:
+            opts["perms"] = [rng.sample(range(n), n)
+                             for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            opts["stop_at"] = rng.randint(0, 5)
+        if rng.random() < 0.3:
+            opts["node_budget"] = rng.randint(0, 60)
+        if n and rng.random() < 0.3:
+            opts["fixed_first"] = rng.randrange(n)
+        cases.append((m, cands, opts))
+    return cases
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+def test_max_tu_subset_matches_reference_dfs(backend):
+    # best size, witness, node count and completeness of the whole walk
+    for m, cands, opts in (_search_cases()
+                           + _random_cases(random.Random(49), 150)):
+        flat = [x for c in cands for x in c]
+        got = backend.max_tu_subset(m, flat, len(cands), **opts)
+        want = max_tu_subset_reference(m, cands, **opts)
+        assert (got[0], list(got[1]), got[2], bool(got[3])) == want, (
+            m, cands, opts)
 
 
 def test_pure_max_tu_subset_past_packed_table(monkeypatch):
