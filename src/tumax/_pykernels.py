@@ -1,9 +1,6 @@
-"""Pure-Python implementations of the exact-arithmetic hot kernels.
+"""The exact-arithmetic hot kernels, re-exported by :mod:`tumax.kernels`.
 
-The compiled extension ``tumax._ckernels`` exposes the same functions with
-the same semantics; :mod:`tumax.kernels` picks whichever is available.
-All kernels work on flat row-major lists of Python ints so that the two
-backends stay interchangeable.
+All kernels work on flat row-major lists of Python ints.
 
 Storage contract: every *stored* intermediate value must fit a signed
 64-bit integer; a value leaving that range raises
@@ -13,8 +10,6 @@ Storage contract: every *stored* intermediate value must fit a signed
 from itertools import combinations
 
 from .errors import ArithmeticOverflow
-
-BACKEND_NAME = "pure-python"
 
 _LIMIT = 1 << 63
 
@@ -245,15 +240,15 @@ class _PackedMinors:
         self.table[c + 1:] = [level]
 
 
-def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
-                  stop_at=-1, node_budget=-1, fixed_first=-1):
+def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
+                  node_budget=-1, fixed_first=-1):
     """Depth-first search for a maximum candidate subset forming a TU matrix.
 
     Candidates are length-m columns, candidate j at
     ``cand_flat[j*m:(j+1)*m]``. Subsets are explored in lexicographic
     index order, so the reported witness is the lexicographically least
     among maximum subsets. Pair-incompatibility (a 2x2 minor outside
-    {-1,0,1}) prunes branches in both check modes.
+    {-1,0,1}) prunes branches before any other check.
 
     A node is one subset test, counted whether or not it runs a minor
     check. TU is hereditary, so the answers are kept per chosen prefix:
@@ -305,7 +300,7 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
     target_hit = False
     chosen = []
 
-    packed = use_incremental and m <= _PACKED_MAX_ROWS
+    packed = m <= _PACKED_MAX_ROWS
     packed_depth = _PACKED_MAX_LOG_FIELDS - m - 1
     minors = _PackedMinors(m) if packed else None
     terms = {}
@@ -314,10 +309,6 @@ def max_tu_subset(m, cand_flat, ncand, use_incremental=True, perms=None,
         """Is chosen[:k] + [t] TU, given that chosen[:k] is? A falsy
         result means no; a TU answer is the packed table pair of
         chosen[:k] + [t], or True past the table."""
-        if not use_incremental:
-            trial = chosen[:k] + [t]
-            flat = [cand[idx][r] for r in range(m) for idx in trial]
-            return tu_violation(flat, m, k + 1) is None
         if packed and k <= packed_depth:
             if t not in terms:
                 terms[t] = minors.terms(cand[t])

@@ -1,21 +1,11 @@
-"""Backend selection for the exact-arithmetic hot kernels.
+"""The exact-arithmetic hot kernels; their semantics are documented in
+:mod:`tumax._pykernels`, which holds the only implementation."""
 
-The compiled extension is used when it imports, the pure-Python fallback
-otherwise. Both backends share the semantics documented in
-:mod:`tumax._pykernels`.
-"""
+# The code stays in _pykernels because perfbench/spans.py wraps these names
+# but not that module, so a kernel's calls to another (det_entries inside
+# tu_violation) stay that kernel's time.
+from ._pykernels import (canonical_masks, det_entries, extension_violation,
+                         max_tu_subset, rank_entries, tu_violation,
+                         unimodular_violation)
 
-try:
-    from tumax import _ckernels as _impl  # type: ignore[attr-defined]
-except ImportError:
-    from tumax import _pykernels as _impl
-
-BACKEND = _impl.BACKEND_NAME
-
-det_entries = _impl.det_entries
-rank_entries = _impl.rank_entries
-tu_violation = _impl.tu_violation
-extension_violation = _impl.extension_violation
-max_tu_subset = _impl.max_tu_subset
-unimodular_violation = _impl.unimodular_violation
-canonical_masks = _impl.canonical_masks
+BACKEND = "pure-python"

@@ -110,16 +110,13 @@ def _index_perms(cands, m):
 
 
 def _run_branch(args):
-    m, flat, ncand, incremental, perms, stop_at, budget, first = args
-    return kernels.max_tu_subset(m, flat, ncand, use_incremental=incremental,
-                                 perms=perms, stop_at=stop_at,
+    m, flat, ncand, perms, stop_at, budget, first = args
+    return kernels.max_tu_subset(m, flat, ncand, perms=perms, stop_at=stop_at,
                                  node_budget=budget, fixed_first=first)
 
 
-def _search(m, mode, fast, node_budget, workers, incremental, reverse_order):
+def _search(m, mode, fast, node_budget, workers):
     cands = candidate_columns(m, mode)
-    if reverse_order:
-        cands = list(reversed(cands))
     ncand = len(cands)
     flat = [x for c in cands for x in c]
     perms = None
@@ -135,7 +132,7 @@ def _search(m, mode, fast, node_budget, workers, incremental, reverse_order):
     if workers and workers > 1 and budget < 0 and ncand:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(m, flat, ncand, incremental, perms, stop_at, budget, first)
+        args = [(m, flat, ncand, perms, stop_at, budget, first)
                 for first in range(ncand)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             branch_results = list(pool.map(_run_branch, args))
@@ -150,13 +147,12 @@ def _search(m, mode, fast, node_budget, workers, incremental, reverse_order):
                 break
         return cands, best, witness, nodes, complete
     best, witness, nodes, complete = kernels.max_tu_subset(
-        m, flat, ncand, use_incremental=incremental, perms=perms,
-        stop_at=stop_at, node_budget=budget, fixed_first=-1)
+        m, flat, ncand, perms=perms, stop_at=stop_at, node_budget=budget,
+        fixed_first=-1)
     return cands, best, witness, nodes, complete
 
 
-def _max_columns(m, kind, min_m, mode, node_budget, workers, max_m,
-                 incremental, reverse_order):
+def _max_columns(m, kind, min_m, mode, node_budget, workers, max_m):
     """Run one search and wrap it as a SearchResult. Every kind but heller
     searches beside an implicit identity block, which the witness and the
     column count include."""
@@ -171,8 +167,7 @@ def _max_columns(m, kind, min_m, mode, node_budget, workers, max_m,
         workers = _env_int("TUMAX_THREADS") or 1
     start = time.perf_counter()
     cands, best, witness, nodes, complete = _search(
-        m, kind, mode == "fast", node_budget, workers, incremental,
-        reverse_order)
+        m, kind, mode == "fast", node_budget, workers)
     elapsed = time.perf_counter() - start
     matrix = IntMatrix.from_columns([cands[i] for i in witness], rows=m)
     if kind != "heller":
@@ -186,27 +181,24 @@ def _max_columns(m, kind, min_m, mode, node_budget, workers, max_m,
 
 
 def max_polytopal_tu_columns(m, mode="verify", node_budget=None, workers=None,
-                             max_m=None, incremental=True, reverse_order=False):
+                             max_m=None):
     """Maximum column count of a prepared TU matrix (I_m | M') with m rows.
 
     ``verify`` explores the full candidate space; ``fast`` adds symmetry
     reduction and the proven bound as a stopping target. The result
     records the bound h(m) and whether the search reproduced it.
     """
-    return _max_columns(m, "polytopal", 2, mode, node_budget, workers, max_m,
-                        incremental, reverse_order)
+    return _max_columns(m, "polytopal", 2, mode, node_budget, workers, max_m)
 
 
 def max_tu_columns(m, mode="verify", node_budget=None, workers=None,
-                   max_m=None, incremental=True, reverse_order=False):
+                   max_m=None):
     """Maximum number of pairwise distinct columns of a TU matrix with m rows."""
-    return _max_columns(m, "heller", 1, mode, node_budget, workers, max_m,
-                        incremental, reverse_order)
+    return _max_columns(m, "heller", 1, mode, node_budget, workers, max_m)
 
 
 def max_odd_sum_tu_columns(m, mode="verify", node_budget=None, workers=None,
-                           max_m=None, incremental=True, reverse_order=False):
+                           max_m=None):
     """Maximum column count of (I_m | M') with distinct positive-odd-sum
     columns; reported without asserting any bound."""
-    return _max_columns(m, "odd-sums", 1, mode, node_budget, workers, max_m,
-                        incremental, reverse_order)
+    return _max_columns(m, "odd-sums", 1, mode, node_budget, workers, max_m)

@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and kernel adapters for the test suite.
 
 TU positives are produced through the BFS path oracle in ``oracles`` so
 they do not depend on the package's own network-matrix construction.
@@ -6,6 +6,7 @@ they do not depend on the package's own network-matrix construction.
 
 import random
 
+from tumax import kernels
 from tumax.matrix import IntMatrix
 
 from oracles import network_column_bfs, random_tree_arcs
@@ -37,3 +38,12 @@ def random_tu_matrix(rng, rows, cols):
             for i in range(rows):
                 data[i][j] = -data[i][j]
     return IntMatrix.from_rows(data)
+
+
+def max_tu_subset_walk(m, cands, **opts):
+    """kernels.max_tu_subset on a list of candidate columns, shaped like
+    the result of ``oracles.max_tu_subset_reference``."""
+    flat = [x for c in cands for x in c]
+    best, witness, nodes, complete = kernels.max_tu_subset(
+        m, flat, len(cands), **opts)
+    return best, list(witness), nodes, bool(complete)

@@ -17,8 +17,8 @@ from tumax.search import (
     max_tu_columns,
 )
 
-from helpers import random_tu_matrix
-from oracles import is_tu_bruteforce
+from helpers import max_tu_subset_walk, random_tu_matrix
+from oracles import is_tu_bruteforce, max_tu_subset_reference
 
 
 def test_candidate_columns_examples():
@@ -95,27 +95,33 @@ def test_odd_sums_reported_not_asserted():
 
 
 def test_search_invariant_under_candidate_ordering():
-    for m in (3, 4):
-        a = max_polytopal_tu_columns(m)
-        b = max_polytopal_tu_columns(m, reverse_order=True)
-        assert a.max_columns == b.max_columns
-    a = max_tu_columns(2)
-    b = max_tu_columns(2, reverse_order=True)
-    assert a.max_columns == b.max_columns
-    a = max_odd_sum_tu_columns(4)
-    b = max_odd_sum_tu_columns(4, reverse_order=True)
-    assert a.max_columns == b.max_columns
+    for search, m, mode in ((max_polytopal_tu_columns, 3, "polytopal"),
+                            (max_polytopal_tu_columns, 4, "polytopal"),
+                            (max_tu_columns, 2, "heller"),
+                            (max_odd_sum_tu_columns, 4, "odd-sums")):
+        cands = candidate_columns(m, mode)[::-1]
+        walk = max_tu_subset_walk(m, cands)
+        assert walk == max_tu_subset_reference(m, cands)
+        identity_block = 0 if mode == "heller" else m
+        assert walk[0] + identity_block == search(m).max_columns
 
 
 def test_pruning_soundness_incremental_vs_full():
-    for m in (3, 4):
-        inc = max_polytopal_tu_columns(m, incremental=True)
-        full = max_polytopal_tu_columns(m, incremental=False)
-        assert inc.max_columns == full.max_columns
-        assert inc.witness == full.witness
-    inc = max_tu_columns(2, incremental=True)
-    full = max_tu_columns(2, incremental=False)
-    assert inc.max_columns == full.max_columns
+    # the incremental walk against one that re-checks every minor of each
+    # trial subset, and the public searches against that walk
+    for search, m, mode in ((max_polytopal_tu_columns, 3, "polytopal"),
+                            (max_polytopal_tu_columns, 4, "polytopal"),
+                            (max_tu_columns, 2, "heller")):
+        cands = candidate_columns(m, mode)
+        best, witness, nodes, complete = max_tu_subset_reference(m, cands)
+        assert (max_tu_subset_walk(m, cands)
+                == (best, witness, nodes, complete))
+        res = search(m)
+        identity_block = 0 if mode == "heller" else m
+        assert res.max_columns == best + identity_block
+        assert res.nodes == nodes and res.complete == complete
+        assert res.witness.columns()[identity_block:] == [
+            cands[j] for j in witness]
 
 
 def test_fast_mode_matches_verify_mode():

@@ -22,3 +22,15 @@ def test_every_traced_function_resolves():
         assert callable(getattr(module, fname, None)), f"tumax.{mod}.{fname}"
     for mod in spans.MODULE_SELF:
         importlib.import_module("tumax." + mod)
+
+
+def test_traced_kernels_live_in_an_unwrapped_module():
+    # the tracer leaves the defining module of the kernels unwrapped, so a
+    # kernel's calls to another kernel stay that kernel's own time
+    spans = _spans_module()
+    kernels = importlib.import_module("tumax.kernels")
+    names = [fname for mod, fname in spans.TRACED if mod == "kernels"]
+    assert names
+    for fname in names:
+        assert (getattr(kernels, fname).__module__
+                in spans._BACKEND_MODULES), f"tumax.kernels.{fname}"
