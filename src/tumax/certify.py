@@ -214,10 +214,10 @@ def polytopal_certificate(m):
     return w_valued_certificate(m, (1,) * m.cols)
 
 
-def is_prepared(m, method="auto"):
+def is_prepared(m):
     """Polytopal TU matrix with pairwise distinct columns."""
     if not m.columns_distinct():
         return False
     if polytopal_certificate(m) is None:
         return False
-    return is_totally_unimodular(m, method).is_tu
+    return is_totally_unimodular(m).is_tu

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import certify, families, graphs, polytopes, search, sums
-from .errors import BudgetExceeded, TumaxError, UsageError
+from .errors import BudgetExceeded, FormatError, TumaxError, UsageError
 from .matrix import IntMatrix, parse_matrix_text
 
 EXIT_OK = 0
@@ -39,8 +39,13 @@ class CommandReport:
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_matrix(path):
@@ -253,7 +258,12 @@ def _network(args):
 
 
 def _sum(args):
-    spec = sums.SumSpec.from_json_dict(json.loads(_read(args.spec)))
+    try:
+        data = json.loads(_read(args.spec))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"SumSpec is not valid JSON: {exc.msg}",
+                          line=exc.lineno) from exc
+    spec = sums.SumSpec.from_json_dict(data)
     if args.what == "transport":
         res = sums.transport_functional(spec, tuple(_int_list(args.f)),
                                         tuple(_int_list(args.w)))
@@ -381,9 +391,6 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         report = _execute(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

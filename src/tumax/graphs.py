@@ -6,6 +6,7 @@ network matrix and digraph arcs fix its column order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import FormatError, StructureError, UsageError, WitnessMismatch
@@ -33,6 +34,12 @@ class ArcGraph:
 
     def is_tree(self):
         """Underlying undirected graph is a tree spanning all vertices."""
+        return self._spanning_tree
+
+    # The instance is immutable, so the tree test and the rooted
+    # orientation are computed on first use and kept with it.
+    @cached_property
+    def _spanning_tree(self):
         if len(self.arcs) != self.vertices - 1:
             return False
         if self.vertices <= 1:
@@ -54,14 +61,14 @@ class ArcGraph:
                     stack.append(w)
         return count == self.vertices
 
+    @cached_property
+    def _rooted(self):
+        return _rooted_orientation(self)
+
     def to_text(self):
         lines = [f"{self.vertices} {len(self.arcs)}"]
         lines.extend(f"{a} {b}" for a, b in self.arcs)
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text):
-        return parse_graph_text(text)
 
 
 def parse_graph_text(text):
@@ -140,7 +147,7 @@ def _rooted_orientation(tree):
                     psign[w] = -sign
                     depth[w] = depth[v] + 1
                     stack.append(w)
-    return parent, parc, psign, depth
+    return tuple(parent), tuple(parc), tuple(psign), tuple(depth)
 
 
 def network_matrix(tree, digraph):
@@ -154,7 +161,7 @@ def network_matrix(tree, digraph):
         raise StructureError("first argument must be a spanning directed tree")
     if digraph.vertices > tree.vertices:
         raise UsageError("digraph vertex set exceeds the tree's")
-    parent, parc, psign, depth = _rooted_orientation(tree)
+    parent, parc, psign, depth = tree._rooted
     nrows = len(tree.arcs)
     cols = []
     for (s, t) in digraph.arcs:
@@ -242,7 +249,7 @@ def edge_patterns(tree, paths):
     m = len(paths)
     if m > MAX_PATTERN_PATHS:
         raise UsageError(f"at most {MAX_PATTERN_PATHS} paths supported")
-    parent, parc, psign, depth = _rooted_orientation(tree)
+    parent, parc, psign, depth = tree._rooted
     masks = [0] * len(tree.arcs)
     for j, (s, t) in enumerate(paths):
         if not (0 <= s < tree.vertices and 0 <= t < tree.vertices):

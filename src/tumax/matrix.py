@@ -168,10 +168,6 @@ class IntMatrix:
         lines.extend(" ".join(str(e) for e in row) for row in self.entries)
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text):
-        return parse_matrix_text(text)
-
 
 def parse_matrix_text(text):
     """Parse the matrix text format: `rows cols` then one line per row."""
@@ -204,21 +200,3 @@ def parse_matrix_text(text):
         if lines[extra].strip():
             raise FormatError("trailing content after matrix", line=extra + 1)
     return IntMatrix.from_rows(data) if rows else IntMatrix(0, cols, ())
-
-
-# -- module-level aliases matching the operation names ---------------------
-
-def determinant(m):
-    return m.det()
-
-
-def minor(m, row_idx, col_idx):
-    return m.minor(row_idx, col_idx)
-
-
-def rank(m):
-    return m.rank()
-
-
-def columns_distinct(m):
-    return m.columns_distinct()

@@ -66,28 +66,37 @@ class HullResult:
     cube_points_in_hull: Optional[tuple]
 
 
-def vertex_hull(ps, cube_dim_limit=12):
+# vertex_hull lists the cube points in the hull of 0/1 input up to this
+# dimension; past it there are too many to test one LP each
+CUBE_DIM_LIMIT = 12
+
+
+def _nonvertices(points):
+    """The points inside the convex hull of the others, in point order
+    (one exact rational feasibility test per point)."""
+    for i, p in enumerate(points):
+        others = points[:i] + points[i + 1:]
+        if others and in_convex_hull(p, others):
+            yield p
+
+
+def vertex_hull(ps):
     """Split a point set into hull vertices and interior/boundary points.
 
     A point is a vertex exactly when it is outside the convex hull of the
-    other points (exact rational feasibility test). For 0/1 input the
-    full list of cube points inside the hull is returned as well, unless
-    the dimension exceeds ``cube_dim_limit``.
+    other points (exact rational feasibility test). For 0/1 input of
+    dimension at most ``CUBE_DIM_LIMIT`` the full list of cube points
+    inside the hull is returned as well.
     """
-    verts = []
-    nonverts = []
-    for i, p in enumerate(ps.points):
-        others = [q for j, q in enumerate(ps.points) if j != i]
-        if others and in_convex_hull(p, others):
-            nonverts.append(p)
-        else:
-            verts.append(p)
+    nonverts = tuple(_nonvertices(ps.points))
+    verts = tuple(p for p in ps.points if p not in nonverts)
     cube = None
     if (all(x in (0, 1) for p in ps.points for x in p)
-            and ps.dim <= cube_dim_limit):
+            and ps.dim <= CUBE_DIM_LIMIT):
+        chosen = set(ps.points)
         cube = tuple(q for q in product((0, 1), repeat=ps.dim)
-                     if q in set(ps.points) or in_convex_hull(q, ps.points))
-    return HullResult(PointSet(ps.dim, tuple(verts)), tuple(nonverts), cube)
+                     if q in chosen or in_convex_hull(q, ps.points))
+    return HullResult(PointSet(ps.dim, verts), nonverts, cube)
 
 
 @dataclass(frozen=True)
@@ -96,25 +105,30 @@ class UnimodularityVerdict:
     witness: Optional[tuple]  # ((d+1) point indices, determinant)
 
 
-def is_unimodular_polytope(ps, check_convex_position=True):
+def is_unimodular_polytope(ps):
     """Does every full-dimensional vertex simplex span a lattice basis?
 
     Requires a full-dimensional input in convex position (each point a
-    vertex); a violating (d+1)-subset is returned as witness otherwise.
+    vertex). The (d+1)-subset determinants decide: all in {-1, 0, 1} means
+    unimodular, and convex position then follows. Otherwise the first
+    violating (d+1)-subset is the witness, once an exact LP per point has
+    found no point inside the hull of the others.
     """
     if ps.affine_rank() != ps.dim:
         raise PreconditionError(
             f"point set is not full-dimensional (affine rank "
             f"{ps.affine_rank()} < {ps.dim})")
-    if check_convex_position:
-        hull = vertex_hull(ps, cube_dim_limit=0)
-        if hull.nonvertices:
-            raise PreconditionError(
-                f"point set is not in convex position: {hull.nonvertices[0]} "
-                f"is not a vertex")
     hit = kernels.unimodular_violation(ps.flat(), len(ps.points), ps.dim)
     if hit is None:
+        # a point in the hull of the others lies in a full-dimensional
+        # simplex of them (Caratheodory); a unimodular simplex holds no
+        # lattice point but its vertices, so the set is in convex position
         return UnimodularityVerdict(True, None)
+    nonvertex = next(_nonvertices(ps.points), None)
+    if nonvertex is not None:
+        raise PreconditionError(
+            f"point set is not in convex position: {nonvertex} "
+            f"is not a vertex")
     return UnimodularityVerdict(False, (tuple(hit[0]), hit[1]))
 
 

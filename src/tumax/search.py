@@ -62,16 +62,6 @@ def candidate_columns(m, mode):
     return out
 
 
-def is_extension_tu(mprime, column):
-    """Is (M'|v) TU, given that M' already is? Only minors through v are
-    enumerated."""
-    column = [int(x) for x in column]
-    if len(column) != mprime.rows:
-        raise UsageError("column length must equal the row count")
-    return kernels.extension_violation(
-        mprime.flat(), mprime.rows, mprime.cols, column) is None
-
-
 @dataclass(frozen=True)
 class SearchResult:
     m: int

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certify import Functional, is_totally_unimodular
-from .errors import HypothesisError, PreconditionError, UsageError
+from .errors import FormatError, HypothesisError, PreconditionError, UsageError
 from .matrix import IntMatrix
 
 KINDS = ("one-sum", "two-sum", "three-sum", "delta-sum")
@@ -49,22 +49,40 @@ class SumSpec:
 
     @staticmethod
     def from_json_dict(data):
+        """Read a decoded SumSpec JSON object; a missing matrix or an entry
+        that is not an integer raises FormatError."""
+        if not isinstance(data, dict):
+            raise FormatError("a SumSpec must be a JSON object")
+
+        def ints(name, values):
+            try:
+                return tuple(int(x) for x in values)
+            except (TypeError, ValueError):
+                raise FormatError(f"{name} must hold integers, got {values!r}")
+
         def vec(name):
-            return tuple(data[name]) if name in data else None
+            return ints(name, data[name]) if name in data else None
+
+        def mat(name):
+            if name not in data:
+                raise FormatError(f"a SumSpec needs the matrix {name!r}")
+            if not isinstance(data[name], list):
+                raise FormatError(f"{name} must be a list of rows")
+            return IntMatrix.from_rows([ints(name, row) for row in data[name]])
 
         kind = data.get("kind")
         if kind not in KINDS:
             raise UsageError(f"unknown sum kind {kind!r}")
         return SumSpec(
             kind=kind,
-            a=IntMatrix.from_rows(data["A"]),
-            b=IntMatrix.from_rows(data["B"]),
+            a=mat("A"),
+            b=mat("B"),
             u=vec("u"), v=vec("v"),
             u_prime=vec("u_prime"), v_prime=vec("v_prime"),
             u1=vec("u1"), u2=vec("u2"), u3=vec("u3"),
             v1=vec("v1"), v2=vec("v2"), v3=vec("v3"),
             x=data.get("x"),
-            c=IntMatrix.from_rows(data["C"]) if "C" in data else None,
+            c=mat("C") if "C" in data else None,
         )
 
 
@@ -99,8 +117,8 @@ def _require_vec(vec, length, name):
     return vec
 
 
-def _check_factor_tu(factor, what, tu_method):
-    verdict = is_totally_unimodular(factor, tu_method)
+def _check_factor_tu(factor, what):
+    verdict = is_totally_unimodular(factor)
     if not verdict.is_tu:
         raise PreconditionError(f"{what} is not totally unimodular")
     return True
@@ -134,7 +152,7 @@ def second_factor(spec):
     return top.vstack(bottom)
 
 
-def compose(spec, tu_method="auto"):
+def compose(spec):
     """Validate a SumSpec and build the composed matrix.
 
     Structural violations raise UsageError; factors failing the TU
@@ -154,8 +172,8 @@ def compose(spec, tu_method="auto"):
         u = _require_vec(spec.u, m1, "u")
         v = _require_vec(spec.v, n2, "v")
         spec = SumSpec("two-sum", a, b, u=u, v=v)
-        f1_tu = _check_factor_tu(first_factor(spec), "(A|u)", tu_method)
-        f2_tu = _check_factor_tu(second_factor(spec), "(v^T;B)", tu_method)
+        f1_tu = _check_factor_tu(first_factor(spec), "(A|u)")
+        f2_tu = _check_factor_tu(second_factor(spec), "(v^T;B)")
         matrix = _block(a, _outer(u, v), IntMatrix.zeros(m2, n1), b)
         return ComposeResult(matrix, ComposeReport("two-sum", f1_tu, f2_tu, None))
 
@@ -185,8 +203,8 @@ def compose(spec, tu_method="auto"):
                 raise UsageError(f"row {i} of C is not one of +-v1,v2,v3,0")
         spec = SumSpec("three-sum", a, b, u1=u1, u2=u2, u3=u3,
                        v1=v1, v2=v2, v3=v3, c=spec.c)
-        f1_tu = _check_factor_tu(first_factor(spec), "(A|u1|u2|u3)", tu_method)
-        f2_tu = _check_factor_tu(second_factor(spec), "(v1;v2;v3;B)", tu_method)
+        f1_tu = _check_factor_tu(first_factor(spec), "(A|u1|u2|u3)")
+        f2_tu = _check_factor_tu(second_factor(spec), "(v1;v2;v3;B)")
         nonzero_rows = {spec.c.row(i) for i in range(m1)} - {zero_v}
         shaped = bool(nonzero_rows) and any(
             nonzero_rows <= {w, _neg(w)} for w in nonzero_rows)
@@ -204,8 +222,8 @@ def compose(spec, tu_method="auto"):
     up = _require_vec(spec.u_prime, m1, "u_prime")
     vp = _require_vec(spec.v_prime, m2, "v_prime")
     spec = SumSpec("delta-sum", a, b, u=u, v=v, u_prime=up, v_prime=vp, x=spec.x)
-    f1_tu = _check_factor_tu(first_factor(spec), "(A u' u'; u^T 0 x)", tu_method)
-    f2_tu = _check_factor_tu(second_factor(spec), "(v^T 0 x; B v' v')", tu_method)
+    f1_tu = _check_factor_tu(first_factor(spec), "(A u' u'; u^T 0 x)")
+    f2_tu = _check_factor_tu(second_factor(spec), "(v^T 0 x; B v' v')")
     matrix = _block(a, _outer(up, v), _outer(vp, u), b)
     return ComposeResult(matrix, ComposeReport("delta-sum", f1_tu, f2_tu, None))
 
@@ -219,25 +237,24 @@ def one_sum(a, b):
     return compose(SumSpec("one-sum", a, b)).matrix
 
 
-def two_sum(a, u, v, b, tu_method="auto"):
+def two_sum(a, u, v, b):
     """(A uv^T; 0 B) from TU factors (A|u) and (v^T;B)."""
-    return compose(SumSpec("two-sum", a, b, u=tuple(u), v=tuple(v)),
-                   tu_method).matrix
+    return compose(SumSpec("two-sum", a, b, u=tuple(u), v=tuple(v))).matrix
 
 
-def three_sum(a, u1, u2, u3, v1, v2, v3, b, c, tu_method="auto"):
+def three_sum(a, u1, u2, u3, v1, v2, v3, b, c):
     """(A C; 0 B) with glue rows/columns drawn from the +-u/+-v sets."""
     return compose(SumSpec("three-sum", a, b,
                            u1=tuple(u1), u2=tuple(u2), u3=tuple(u3),
-                           v1=tuple(v1), v2=tuple(v2), v3=tuple(v3), c=c),
-                   tu_method).matrix
+                           v1=tuple(v1), v2=tuple(v2), v3=tuple(v3),
+                           c=c)).matrix
 
 
-def delta_sum(a, u, u_prime, v, v_prime, b, x, tu_method="auto"):
+def delta_sum(a, u, u_prime, v, v_prime, b, x):
     """(A u'v^T; v'u^T B) with x = +-1 in both factor matrices."""
     return compose(SumSpec("delta-sum", a, b, u=tuple(u), v=tuple(v),
-                           u_prime=tuple(u_prime), v_prime=tuple(v_prime), x=x),
-                   tu_method).matrix
+                           u_prime=tuple(u_prime), v_prime=tuple(v_prime),
+                           x=x)).matrix
 
 
 @dataclass(frozen=True)
@@ -253,7 +270,7 @@ class TransportResult:
     parts: tuple  # of TransportedFactor
 
 
-def transport_functional(spec, f, w, tu_method="auto"):
+def transport_functional(spec, f, w):
     """Push a w-valuedness certificate of the composed matrix to the factors.
 
     For a 2-sum the certificate lands on (v^T;B); for a 3-sum (requiring
@@ -264,7 +281,7 @@ def transport_functional(spec, f, w, tu_method="auto"):
     """
     if spec.kind == "one-sum":
         raise UsageError("no transport is defined for a one-sum")
-    composed = compose(spec, tu_method).matrix
+    composed = compose(spec).matrix
     w = tuple(int(x) for x in w)
     if len(w) != composed.cols:
         raise PreconditionError("w length must match the composed matrix")

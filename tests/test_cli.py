@@ -74,6 +74,13 @@ def test_exit_code_contract_corpus(tmp_path):
                       json.dumps(random_spec(rng, "two-sum").to_json_dict()))
     spec_delta = _write(tmp_path, "delta_spec.json",
                         json.dumps(random_spec(rng, "delta-sum").to_json_dict()))
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"1 1\n\xff\n")
+    bad_json = _write(tmp_path, "bad.json", "{bad")
+    no_blocks = _write(tmp_path, "noblocks.json", '{"kind": "one-sum"}')
+    bad_vec = json.loads((tmp_path / "two_spec.json").read_text(encoding="utf-8"))
+    bad_vec["v"] = ["x"]
+    bad_vec = _write(tmp_path, "badvec.json", json.dumps(bad_vec))
 
     corpus = [
         (["check", "tu", spor], EXIT_OK),
@@ -99,6 +106,11 @@ def test_exit_code_contract_corpus(tmp_path):
         (["sum", "two", spec_two], EXIT_OK),
         (["sum", "delta", spec_delta], EXIT_OK),
         (["sum", "one", spec_two], EXIT_USAGE),
+        (["check", "tu", str(tmp_path)], EXIT_USAGE),
+        (["check", "tu", str(not_utf8)], EXIT_USAGE),
+        (["sum", "one", bad_json], EXIT_USAGE),
+        (["sum", "one", no_blocks], EXIT_USAGE),
+        (["sum", "two", bad_vec], EXIT_USAGE),
         (["verify", "extralemma", "--max", "50"], EXIT_OK),
         (["verify", "heller-bound", "--m", "2"], EXIT_OK),
         (["verify", "polytopal-bound", "--m", "3"], EXIT_OK),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tumax import polytopes
+from tumax import kernels, polytopes
 from tumax.errors import BudgetExceeded, PreconditionError, StructureError
 from tumax.families import ex4_matrix, h, sporadic_5x10
 from tumax.matrix import IntMatrix
@@ -71,6 +71,49 @@ def test_is_unimodular_polytope_preconditions():
     not_convex = PointSet.from_points([(0,), (1,), (2,)])
     with pytest.raises(PreconditionError):
         is_unimodular_polytope(not_convex)
+    # the message names the first non-vertex in point order
+    not_convex = PointSet.from_points([(0,), (2,), (1,)])
+    with pytest.raises(PreconditionError, match=r"\(1,\) is not a vertex"):
+        is_unimodular_polytope(not_convex)
+
+
+def test_unimodular_simplices_imply_convex_position():
+    """A full-dimensional set whose (d+1)-subset determinants are all in
+    {-1, 0, 1} has no point in the hull of the others, so
+    is_unimodular_polytope needs no LP on positive inputs."""
+    rng = random.Random(5)
+    positives = 0
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, d + 5)
+        pts = dict.fromkeys(tuple(rng.randint(-2, 2) for _ in range(d))
+                            for _ in range(n))
+        ps = PointSet.from_points(pts)
+        if ps.affine_rank() != d:
+            continue
+        if kernels.unimodular_violation(ps.flat(), len(ps), d) is not None:
+            continue
+        positives += 1
+        assert vertex_hull(ps).nonvertices == ()
+    assert positives == 189
+
+
+def test_classify_survivors_pass_both_hull_filters():
+    """Every cube subset that passes classify's rank and determinant
+    filters is in convex position and meets the cube only in itself."""
+    survivors = {}
+    for d, pruned in ((1, False), (2, False), (3, False), (4, True)):
+        survivors[d] = 0
+        for subset in polytopes._candidate_subsets(d, pruned, False):
+            ps = PointSet(d, tuple(subset))
+            if ps.affine_rank() != d or kernels.unimodular_violation(
+                    ps.flat(), len(ps), d) is not None:
+                continue
+            survivors[d] += 1
+            hull = vertex_hull(ps)
+            assert hull.nonvertices == ()
+            assert hull.cube_points_in_hull == ps.points
+    assert survivors == {1: 1, 2: 2, 3: 7, 4: 81}
 
 
 def test_edge_polytope_k22_and_single_edge():
@@ -312,7 +355,8 @@ def test_prepared_full_rank_matrices_span_unimodular_polytopes():
         assert m.rank() == m.rows
         ps = affine_lattice_coordinates(PointSet.from_matrix_columns(m))
         assert ps.dim == m.rows - 1
-        verdict = is_unimodular_polytope(ps)  # also enforces convex position
+        # positive without an LP: unimodular simplices imply convex position
+        verdict = is_unimodular_polytope(ps)
         assert verdict.is_unimodular
         assert len(ps.points) == m.cols
 

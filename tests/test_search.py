@@ -5,13 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from tumax import kernels
 from tumax.certify import is_prepared, is_totally_unimodular
 from tumax.errors import UsageError
 from tumax.families import bipartite_extremal, h
 from tumax.matrix import IntMatrix
 from tumax.search import (
     candidate_columns,
-    is_extension_tu,
     max_odd_sum_tu_columns,
     max_polytopal_tu_columns,
     max_tu_columns,
@@ -149,18 +149,25 @@ def test_node_budget_flags_incomplete():
     assert res.nodes <= 50
 
 
+def _extends_tu(mprime, column):
+    return kernels.extension_violation(
+        mprime.flat(), mprime.rows, mprime.cols, list(column)) is None
+
+
 def test_is_extension_tu_examples():
+    # the search's extension check: is (M'|v) TU, given that M' already is?
     empty = IntMatrix(2, 0, ((), ()))
-    assert is_extension_tu(empty, (1, -1))
+    assert _extends_tu(empty, (1, -1))
     one_col = IntMatrix.from_columns([(1, 1)])
-    assert not is_extension_tu(one_col, (1, -1))
-    assert is_extension_tu(one_col, (1, 0))
+    assert not _extends_tu(one_col, (1, -1))
+    assert _extends_tu(one_col, (1, 0))
 
 
 def test_is_extension_tu_shadow_agreement():
+    # for a TU M', "no violation through v" is exactly "(M'|v) is TU"
     rng = random.Random(80)
     for _ in range(150):
         mprime = random_tu_matrix(rng, rng.randint(1, 4), rng.randint(0, 4))
         v = tuple(rng.randint(-1, 1) for _ in range(mprime.rows))
         extended = mprime.hstack(IntMatrix.from_columns([v]))
-        assert is_extension_tu(mprime, v) == is_totally_unimodular(extended).is_tu
+        assert _extends_tu(mprime, v) == is_totally_unimodular(extended).is_tu
