@@ -241,7 +241,7 @@ class _PackedMinors:
 
 
 def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
-                  node_budget=-1, fixed_first=-1):
+                  node_budget=-1):
     """Depth-first search for a maximum candidate subset forming a TU matrix.
 
     Candidates are length-m columns, candidate j at
@@ -263,7 +263,6 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
     stop_at     stop as soon as a subset of this size is found (>=0).
     node_budget abort after this many subset tests (>=0); result is then
                 flagged incomplete.
-    fixed_first explore only subsets whose smallest index is this value.
 
     Returns (best_size, witness_indices, nodes, complete).
     """
@@ -374,8 +373,7 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
                 rest ^= low
         chosen.pop()
 
-    roots = [fixed_first] if fixed_first >= 0 else range(ncand)
-    for j in roots:
+    for j in range(ncand):
         if ok1[j]:
             visit(j, ok1_mask)
         if budget_hit or target_hit:

@@ -129,7 +129,6 @@ def _parser():
         v = ver_sub.add_parser(name)
         v.add_argument("--m", type=int, required=True)
         v.add_argument("--mode", choices=("verify", "fast"), default="verify")
-        v.add_argument("--workers", type=int, default=None)
         v.add_argument("--budget-nodes", type=int, default=None)
         v.add_argument("--max-m", type=int, default=None)
     v = ver_sub.add_parser("transpose-bound")
@@ -311,7 +310,7 @@ def _verify(args):
                   "heller-bound": search.max_tu_columns,
                   "odd-bound": search.max_odd_sum_tu_columns}[what]
         res = runner(args.m, mode=args.mode, node_budget=args.budget_nodes,
-                     workers=args.workers, max_m=args.max_m)
+                     max_m=args.max_m)
         payload = {"search": res.to_json_dict(), "expected": res.expected,
                    "matches_expected": res.matches_expected}
         if not res.complete:
@@ -324,6 +323,10 @@ def _verify(args):
                              {"m": args.m, "mode": args.mode},
                              payload, status)
     if what == "transpose-bound":
+        if args.samples < 0:
+            raise UsageError("--samples must be >= 0")
+        if args.max_tree_edges < 1 or args.max_arcs < 1:
+            raise UsageError("--max-tree-edges and --max-arcs must be >= 1")
         rng = random.Random(args.seed)
         violations = 0
         checked = 0

@@ -244,6 +244,11 @@ def _path_arc_indices(tree, parent, parc, depth, s, t):
 
 def edge_patterns(tree, paths):
     """Distinct nonempty patterns of the given endpoint pairs on a tree."""
+    return {Pattern(mask, len(paths)) for mask in _edge_masks(tree, paths)}
+
+
+def _edge_masks(tree, paths):
+    """The distinct nonzero pattern masks of ``edge_patterns``."""
     if not tree.is_tree():
         raise StructureError("pattern analysis requires a tree")
     m = len(paths)
@@ -256,7 +261,7 @@ def edge_patterns(tree, paths):
             raise UsageError(f"path endpoint ({s},{t}) not a tree vertex")
         for idx in _path_arc_indices(tree, parent, parc, depth, s, t):
             masks[idx] |= 1 << j
-    return {Pattern(mask, m) for mask in masks if mask}
+    return set(masks) - {0}
 
 
 @dataclass(frozen=True)
@@ -281,9 +286,9 @@ def verify_pattern_bounds(tree, paths):
     fields are None.
     """
     m = len(paths)
-    patterns = edge_patterns(tree, paths)
-    count = len(patterns)
-    odd = sum(1 for p in patterns if p.is_odd())
+    masks = _edge_masks(tree, paths)
+    count = len(masks)
+    odd = sum(mask.bit_count() & 1 for mask in masks)
     bound = 3 * m - 3 if m >= 2 else None
     odd_bound = 3 * m - 5 if m >= 3 else None
     return PatternReport(

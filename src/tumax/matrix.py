@@ -1,9 +1,9 @@
 """Dense matrices of exact integers: the substrate for every other module.
 
 Matrices are immutable values; all operations return new matrices, so
-instances can be shared freely between concurrent workers. Entries are
-validated to fit a signed 64-bit word at construction, and all arithmetic
-is exact with checked overflow (see :mod:`tumax.kernels`).
+instances can be shared freely. Entries are validated to fit a signed
+64-bit word at construction, and all arithmetic is exact with checked
+overflow (see :mod:`tumax.kernels`).
 """
 
 from dataclasses import dataclass

@@ -370,7 +370,7 @@ def _cube_symmetry_index_perms(d):
     return pts, perms
 
 
-def _candidate_subsets(d, pruned, stretch):
+def _candidate_subsets(d, pruned):
     pts, perms = _cube_symmetry_index_perms(d)
     min_size = d + 1
     max_size = h(d + 1) if pruned else 1 << d
@@ -442,7 +442,7 @@ def classify_unimodular(d, pruned=True, stretch=False):
     classes = []
     examined = 0
     cube = set(product((0, 1), repeat=d))
-    for subset in _candidate_subsets(d, pruned, stretch):
+    for subset in _candidate_subsets(d, pruned):
         examined += 1
         ps = PointSet(d, tuple(subset))
         if ps.affine_rank() != d:

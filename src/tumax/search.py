@@ -9,7 +9,6 @@ being verified; ``fast`` mode adds symmetry reduction and stops once the
 target value is reached.
 """
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -24,16 +23,6 @@ from .matrix import IntMatrix
 DEFAULT_MAX_M = {"polytopal": 6, "heller": 3, "odd-sums": 5}
 
 MODES = ("polytopal", "heller", "odd-sums")
-
-
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}")
 
 
 def candidate_columns(m, mode):
@@ -99,96 +88,59 @@ def _index_perms(cands, m):
     return perms
 
 
-def _run_branch(args):
-    m, flat, ncand, perms, stop_at, budget, first = args
-    return kernels.max_tu_subset(m, flat, ncand, perms=perms, stop_at=stop_at,
-                                 node_budget=budget, fixed_first=first)
-
-
-def _search(m, mode, fast, node_budget, workers):
-    cands = candidate_columns(m, mode)
-    ncand = len(cands)
-    flat = [x for c in cands for x in c]
-    perms = None
-    stop_at = -1
-    if fast:
-        perms = _index_perms(cands, m) if m <= 7 else None
-        if mode == "polytopal":
-            stop_at = h(m) - m
-        elif mode == "heller":
-            stop_at = m * m + m + 1
-    budget = -1 if node_budget is None else node_budget
-
-    if workers and workers > 1 and budget < 0 and ncand:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(m, flat, ncand, perms, stop_at, budget, first)
-                for first in range(ncand)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            branch_results = list(pool.map(_run_branch, args))
-        best, witness, nodes, complete = 0, [], 0, True
-        for res in branch_results:
-            b, w, n, c = res
-            nodes += n
-            complete = complete and c
-            if b > best:
-                best, witness = b, w
-            if stop_at >= 0 and best >= stop_at:
-                break
-        return cands, best, witness, nodes, complete
-    best, witness, nodes, complete = kernels.max_tu_subset(
-        m, flat, ncand, perms=perms, stop_at=stop_at, node_budget=budget,
-        fixed_first=-1)
-    return cands, best, witness, nodes, complete
-
-
-def _max_columns(m, kind, min_m, mode, node_budget, workers, max_m):
+def _max_columns(m, kind, min_m, mode, node_budget, max_m):
     """Run one search and wrap it as a SearchResult. Every kind but heller
     searches beside an implicit identity block, which the witness and the
-    column count include."""
+    column count include. ``node_budget`` (>= 0, None for none) caps the
+    subset tests; a search that reaches it is reported incomplete."""
     limit = DEFAULT_MAX_M[kind] if max_m is None else max_m
     if not min_m <= m <= limit:
         raise UsageError(f"m must be in [{min_m}, {limit}]")
     if mode not in ("verify", "fast"):
         raise UsageError("mode must be 'verify' or 'fast'")
-    if node_budget is None:
-        node_budget = _env_int("TUMAX_BUDGET_NODES")
-    if workers is None:
-        workers = _env_int("TUMAX_THREADS") or 1
-    start = time.perf_counter()
-    cands, best, witness, nodes, complete = _search(
-        m, kind, mode == "fast", node_budget, workers)
-    elapsed = time.perf_counter() - start
-    matrix = IntMatrix.from_columns([cands[i] for i in witness], rows=m)
-    if kind != "heller":
-        matrix = IntMatrix.identity(m).hstack(matrix)
-        best += m
+    if node_budget is not None and node_budget < 0:
+        raise UsageError("node budget must be >= 0")
     expected = (h(m) if kind == "polytopal"
                 else m * m + m + 1 if kind == "heller" else None)
+    identity = 0 if kind == "heller" else m
+    start = time.perf_counter()
+    cands = candidate_columns(m, kind)
+    perms = None
+    stop_at = -1
+    if mode == "fast":
+        perms = _index_perms(cands, m) if m <= 7 else None
+        if expected is not None:
+            stop_at = expected - identity
+    budget = -1 if node_budget is None else node_budget
+    best, witness, nodes, complete = kernels.max_tu_subset(
+        m, [x for c in cands for x in c], len(cands), perms=perms,
+        stop_at=stop_at, node_budget=budget)
+    elapsed = time.perf_counter() - start
+    matrix = IntMatrix.from_columns([cands[i] for i in witness], rows=m)
+    if identity:
+        matrix = IntMatrix.identity(m).hstack(matrix)
+    best += identity
     matches = (best == expected) if complete and expected is not None else None
     return SearchResult(m, kind, best, matrix, nodes, complete, elapsed,
                         expected, matches)
 
 
-def max_polytopal_tu_columns(m, mode="verify", node_budget=None, workers=None,
-                             max_m=None):
+def max_polytopal_tu_columns(m, mode="verify", node_budget=None, max_m=None):
     """Maximum column count of a prepared TU matrix (I_m | M') with m rows.
 
     ``verify`` explores the full candidate space; ``fast`` adds symmetry
     reduction and the proven bound as a stopping target. The result
     records the bound h(m) and whether the search reproduced it.
     """
-    return _max_columns(m, "polytopal", 2, mode, node_budget, workers, max_m)
+    return _max_columns(m, "polytopal", 2, mode, node_budget, max_m)
 
 
-def max_tu_columns(m, mode="verify", node_budget=None, workers=None,
-                   max_m=None):
+def max_tu_columns(m, mode="verify", node_budget=None, max_m=None):
     """Maximum number of pairwise distinct columns of a TU matrix with m rows."""
-    return _max_columns(m, "heller", 1, mode, node_budget, workers, max_m)
+    return _max_columns(m, "heller", 1, mode, node_budget, max_m)
 
 
-def max_odd_sum_tu_columns(m, mode="verify", node_budget=None, workers=None,
-                           max_m=None):
+def max_odd_sum_tu_columns(m, mode="verify", node_budget=None, max_m=None):
     """Maximum column count of (I_m | M') with distinct positive-odd-sum
     columns; reported without asserting any bound."""
-    return _max_columns(m, "odd-sums", 1, mode, node_budget, workers, max_m)
+    return _max_columns(m, "odd-sums", 1, mode, node_budget, max_m)

@@ -51,7 +51,7 @@ def is_tu_bruteforce(rows_data):
 
 
 def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,
-                            node_budget=-1, fixed_first=-1):
+                            node_budget=-1):
     """Lexicographic DFS for a largest TU subset of the length-m columns
     ``cands``, every trial checked with ``is_tu_bruteforce``.
 
@@ -61,9 +61,8 @@ def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,
     skipped untested when some index permutation in ``perms`` maps it to
     a lexicographically smaller sorted subset. The walk stops at the
     first subset of size ``stop_at`` (>= 0), or when a node is due after
-    ``node_budget`` nodes (>= 0), which marks it incomplete;
-    ``fixed_first`` (>= 0) is the only root. Returns (best size, witness
-    indices, nodes, complete).
+    ``node_budget`` nodes (>= 0), which marks it incomplete. Returns
+    (best size, witness indices, nodes, complete).
     """
     n = len(cands)
 
@@ -97,7 +96,7 @@ def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,
                 if stopped:
                     return
 
-    for j in [fixed_first] if fixed_first >= 0 else range(n):
+    for j in range(n):
         if usable[j]:
             visit([], j)
         if stopped:

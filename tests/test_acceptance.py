@@ -310,31 +310,18 @@ def test_criterion6e_network_column_bound_sweep():
 
 
 def _unlabeled_trees(n):
-    """One representative per isomorphism class of trees on n vertices."""
+    """One representative per isomorphism class of trees on n vertices.
+
+    Every tree on n >= 2 vertices is a tree on n - 1 vertices with a leaf
+    attached, so the classes come from attaching vertex n - 1 to each
+    vertex of each representative on n - 1 vertices."""
     if n == 1:
         return [[]]
-    if n == 2:
-        return [[(0, 1)]]
     seen = {}
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        import heapq
-
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-        key = _ahu_certificate(n, edges)
-        if key not in seen:
-            seen[key] = edges
+    for edges in _unlabeled_trees(n - 1):
+        for v in range(n - 1):
+            grown = edges + [(v, n - 1)]
+            seen.setdefault(_ahu_certificate(n, grown), grown)
     return list(seen.values())
 
 
@@ -377,6 +364,8 @@ def test_criterion6f_transpose_and_pattern_bounds():
         assert rep.pos_ok in (True, None)
         assert rep.odd_ok in (True, None)
     # exhaustive pattern sweep: all trees with <= 7 edges, all path m-sets
+    assert [len(_unlabeled_trees(n)) for n in range(2, 9)] == [
+        1, 1, 2, 3, 6, 11, 23]
     trees_checked = 0
     sets_checked = 0
     for n in range(2, 9):

@@ -116,14 +116,27 @@ def test_exit_code_contract_corpus(tmp_path):
         (["verify", "polytopal-bound", "--m", "3"], EXIT_OK),
         (["verify", "polytopal-bound", "--m", "4", "--budget-nodes", "5"],
          EXIT_BUDGET),
+        (["verify", "heller-bound", "--m", "3", "--budget-nodes", "0"],
+         EXIT_BUDGET),
+        (["verify", "heller-bound", "--m", "3", "--budget-nodes", "-5"],
+         EXIT_USAGE),
+        (["verify", "polytopal-bound", "--m", "3", "--workers", "2"],
+         EXIT_USAGE),
         (["verify", "transpose-bound", "--samples", "40"], EXIT_OK),
+        (["verify", "transpose-bound", "--samples", "-4"], EXIT_USAGE),
+        (["verify", "transpose-bound", "--max-tree-edges", "0"], EXIT_USAGE),
+        (["verify", "transpose-bound", "--max-arcs", "0"], EXIT_USAGE),
         (["verify", "vertex-bound", ex4], EXIT_OK),
         (["classify", "--d", "2"], EXIT_OK),
         (["classify", "--d", "5"], EXIT_BUDGET),
     ]
     assert len(corpus) >= 20
     for argv, expected in corpus:
-        assert main(argv) == expected, f"{argv} expected exit {expected}"
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            status = exc.code
+        assert status == expected, f"{argv} expected exit {expected}"
 
 
 def test_check_unimodular_past_the_order_m_minor_count(tmp_path):

@@ -91,8 +91,6 @@ def _search_cases():
                       (m, cands, {"perms": perms, "stop_at": m + 2}),
                       (m, cands, {"stop_at": 3}),
                       (m, cands, {"node_budget": 7})]
-            cases += [(m, cands, {"fixed_first": first, "node_budget": 300})
-                      for first in sorted({0, n // 3, n - 1}) if n]
     return cases
 
 
@@ -111,8 +109,6 @@ def _random_cases(rng, count):
             opts["stop_at"] = rng.randint(0, 5)
         if rng.random() < 0.3:
             opts["node_budget"] = rng.randint(0, 60)
-        if n and rng.random() < 0.3:
-            opts["fixed_first"] = rng.randrange(n)
         cases.append((m, cands, opts))
     return cases
 

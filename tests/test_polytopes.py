@@ -104,7 +104,7 @@ def test_classify_survivors_pass_both_hull_filters():
     survivors = {}
     for d, pruned in ((1, False), (2, False), (3, False), (4, True)):
         survivors[d] = 0
-        for subset in polytopes._candidate_subsets(d, pruned, False):
+        for subset in polytopes._candidate_subsets(d, pruned):
             ps = PointSet(d, tuple(subset))
             if ps.affine_rank() != d or kernels.unimodular_violation(
                     ps.flat(), len(ps), d) is not None:

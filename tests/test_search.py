@@ -134,12 +134,16 @@ def test_fast_mode_matches_verify_mode():
     assert fast.max_columns == 13
 
 
-def test_parallel_matches_sequential():
-    seq = max_polytopal_tu_columns(4)
-    par = max_polytopal_tu_columns(4, workers=2)
-    assert par.max_columns == seq.max_columns
-    assert par.witness == seq.witness
-    assert par.complete
+def test_stray_environment_variables_change_nothing(monkeypatch):
+    # the search budget is node_budget alone; no environment variable
+    # reaches the walk
+    default = max_polytopal_tu_columns(4)
+    monkeypatch.setenv("TUMAX_THREADS", "2")
+    monkeypatch.setenv("TUMAX_BUDGET_NODES", "5")
+    res = max_polytopal_tu_columns(4)
+    assert res.complete and res.nodes == 58
+    assert res.witness == default.witness
+    assert res.max_columns == default.max_columns == 6
 
 
 def test_node_budget_flags_incomplete():
