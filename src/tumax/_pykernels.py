@@ -117,35 +117,9 @@ def tu_violation(flat, rows, cols):
     return None
 
 
-def extension_violation(flat, rows, cols, newcol):
-    """First violating minor of (M|v) that uses the appended column v.
-
-    ``flat`` holds M (rows x cols) which the caller guarantees to be TU,
-    so only minors through the new column are enumerated. Indices are
-    reported in (M|v), i.e. the new column has index ``cols``.
-    """
-    for i in range(rows):
-        e = newcol[i]
-        if e < -1 or e > 1:
-            return ((i,), (cols,), e)
-    for k in range(2, min(rows, cols + 1) + 1):
-        for rset in combinations(range(rows), k):
-            for cset in combinations(range(cols), k - 1):
-                sub = []
-                for i in rset:
-                    base = i * cols
-                    for j in cset:
-                        sub.append(flat[base + j])
-                    sub.append(newcol[i])
-                d = det_entries(sub, k)
-                if d < -1 or d > 1:
-                    return (rset, cset + (cols,), d)
-    return None
-
-
 # Bounds on the packed minor table of max_tu_subset: at most this many
-# rows, and at most 2**_PACKED_MAX_LOG_FIELDS fields. Past them, search
-# nodes fall back to enumerating minors with extension_violation.
+# rows, and at most 2**_PACKED_MAX_LOG_FIELDS fields. Past them, a search
+# node asks tu_violation, which scans every minor of its block.
 _PACKED_MAX_ROWS = 12
 _PACKED_MAX_LOG_FIELDS = 20
 
@@ -206,13 +180,18 @@ class _PackedMinors:
         return self._levels[c]
 
     def terms(self, col):
-        """(row, entry, shift in bits) for the nonzero entries of ``col``."""
+        """(row, entry, shift in bits) for the nonzero entries of ``col``,
+        whose entries must be in {-1, 0, 1}."""
         return [(i, e, self.w << i) for i, e in enumerate(col) if e]
 
     def probe(self, c, terms):
         """The (pos, neg) pair after appending a column to the first c
         chosen ones, or None when a minor through it is outside
-        {-1, 0, 1}. The table itself is not changed."""
+        {-1, 0, 1}. The table itself is not changed.
+
+        Only the sign of each entry is read, so a column with an entry
+        outside {-1, 0, 1} gets a wrong answer; max_tu_subset never
+        probes one, as its ``ok1`` filter drops such candidates."""
         even, odd, ones, hi = self._level(c)
         p, n = self.table[c]
         sp = 0
@@ -312,8 +291,8 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
             if t not in terms:
                 terms[t] = minors.terms(cand[t])
             return minors.probe(k, terms[t])
-        flat = [cand[idx][r] for r in range(m) for idx in chosen[:k]]
-        return extension_violation(flat, m, k, list(cand[t])) is None
+        flat = [cand[idx][r] for r in range(m) for idx in chosen[:k] + [t]]
+        return tu_violation(flat, m, k + 1) is None
 
     # known[k][t] is check(t, k) for the current chosen[:k]; known[k + 1]
     # is reset whenever chosen[k] changes

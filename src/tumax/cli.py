@@ -60,11 +60,20 @@ def _int_list(text):
     return [int(x) for x in text.replace(",", " ").split()]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError on a bad command line instead of exiting, so
+    ``run`` raises and ``main`` returns 2 like every other usage error.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser():
-    p = argparse.ArgumentParser(prog="tumax",
-                                description="exact TU-matrix and unimodular-"
-                                            "polytope toolkit")
+    p = _ArgumentParser(prog="tumax",
+                        description="exact TU-matrix and unimodular-"
+                                    "polytope toolkit")
     p.add_argument("--format", choices=("json", "text"), default=None,
                    help="override the command's default output format")
     sub = p.add_subparsers(dest="command", required=True)

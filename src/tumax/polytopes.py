@@ -336,15 +336,6 @@ class PolytopeClass:
     vertices: PointSet
     fingerprint: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, PolytopeClass):
-            return NotImplemented
-        return (self.fingerprint == other.fingerprint
-                and lattice_isomorphic(self.vertices, other.vertices))
-
-    def __hash__(self):
-        return hash(self.fingerprint)
-
     def to_json_dict(self):
         return {
             "dimension": self.dimension,
@@ -420,9 +411,14 @@ def classify_unimodular(d, pruned=True, stretch=False):
 
     Enumerates vertex subsets of the 0/1 cube (every unimodular polytope
     is isomorphic to one spanned by cube points) up to cube symmetry,
-    keeps the full-dimensional unimodular ones whose hull meets the cube
-    exactly in the chosen points, and merges the survivors under lattice
-    isomorphism.
+    keeps the full-dimensional ones whose (d+1)-subset determinants are
+    all in {-1, 0, 1}, and merges the survivors under lattice isomorphism.
+
+    No hull test is needed: a point in the hull of the others, or a cube
+    point in the hull of the subset, lies in a full-dimensional simplex
+    of the subset (Caratheodory), and a unimodular simplex holds no
+    lattice point but its vertices. So every survivor is in convex
+    position and its hull meets the cube exactly in the chosen points.
 
     ``pruned`` caps subset sizes at the proven vertex bound h(d+1); the
     unpruned mode (d <= 3) enumerates every size, keeping those checks
@@ -441,19 +437,12 @@ def classify_unimodular(d, pruned=True, stretch=False):
 
     classes = []
     examined = 0
-    cube = set(product((0, 1), repeat=d))
     for subset in _candidate_subsets(d, pruned):
         examined += 1
         ps = PointSet(d, tuple(subset))
         if ps.affine_rank() != d:
             continue
         if kernels.unimodular_violation(ps.flat(), len(subset), d) is not None:
-            continue
-        chosen = set(ps.points)
-        if any(in_convex_hull(p, [q for q in ps.points if q != p])
-               for p in ps.points):
-            continue
-        if any(in_convex_hull(q, ps.points) for q in cube - chosen):
             continue
         fp = fingerprint(ps)
         found = False

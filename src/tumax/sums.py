@@ -89,8 +89,6 @@ class SumSpec:
 @dataclass(frozen=True)
 class ComposeReport:
     kind: str
-    factor_one_tu: Optional[bool]
-    factor_two_tu: Optional[bool]
     two_sum_shaped: Optional[bool]
 
 
@@ -121,7 +119,6 @@ def _check_factor_tu(factor, what):
     verdict = is_totally_unimodular(factor)
     if not verdict.is_tu:
         raise PreconditionError(f"{what} is not totally unimodular")
-    return True
 
 
 def first_factor(spec):
@@ -166,16 +163,16 @@ def compose(spec):
 
     if spec.kind == "one-sum":
         matrix = _block(a, IntMatrix.zeros(m1, n2), IntMatrix.zeros(m2, n1), b)
-        return ComposeResult(matrix, ComposeReport("one-sum", None, None, None))
+        return ComposeResult(matrix, ComposeReport("one-sum", None))
 
     if spec.kind == "two-sum":
         u = _require_vec(spec.u, m1, "u")
         v = _require_vec(spec.v, n2, "v")
         spec = SumSpec("two-sum", a, b, u=u, v=v)
-        f1_tu = _check_factor_tu(first_factor(spec), "(A|u)")
-        f2_tu = _check_factor_tu(second_factor(spec), "(v^T;B)")
+        _check_factor_tu(first_factor(spec), "(A|u)")
+        _check_factor_tu(second_factor(spec), "(v^T;B)")
         matrix = _block(a, _outer(u, v), IntMatrix.zeros(m2, n1), b)
-        return ComposeResult(matrix, ComposeReport("two-sum", f1_tu, f2_tu, None))
+        return ComposeResult(matrix, ComposeReport("two-sum", None))
 
     if spec.kind == "three-sum":
         if m1 + n1 < 4 or m2 + n2 < 4:
@@ -203,14 +200,13 @@ def compose(spec):
                 raise UsageError(f"row {i} of C is not one of +-v1,v2,v3,0")
         spec = SumSpec("three-sum", a, b, u1=u1, u2=u2, u3=u3,
                        v1=v1, v2=v2, v3=v3, c=spec.c)
-        f1_tu = _check_factor_tu(first_factor(spec), "(A|u1|u2|u3)")
-        f2_tu = _check_factor_tu(second_factor(spec), "(v1;v2;v3;B)")
+        _check_factor_tu(first_factor(spec), "(A|u1|u2|u3)")
+        _check_factor_tu(second_factor(spec), "(v1;v2;v3;B)")
         nonzero_rows = {spec.c.row(i) for i in range(m1)} - {zero_v}
         shaped = bool(nonzero_rows) and any(
             nonzero_rows <= {w, _neg(w)} for w in nonzero_rows)
         matrix = _block(a, spec.c, IntMatrix.zeros(m2, n1), b)
-        return ComposeResult(matrix,
-                             ComposeReport("three-sum", f1_tu, f2_tu, shaped))
+        return ComposeResult(matrix, ComposeReport("three-sum", shaped))
 
     # delta-sum
     if m1 + n1 < 4 or m2 + n2 < 4:
@@ -222,10 +218,10 @@ def compose(spec):
     up = _require_vec(spec.u_prime, m1, "u_prime")
     vp = _require_vec(spec.v_prime, m2, "v_prime")
     spec = SumSpec("delta-sum", a, b, u=u, v=v, u_prime=up, v_prime=vp, x=spec.x)
-    f1_tu = _check_factor_tu(first_factor(spec), "(A u' u'; u^T 0 x)")
-    f2_tu = _check_factor_tu(second_factor(spec), "(v^T 0 x; B v' v')")
+    _check_factor_tu(first_factor(spec), "(A u' u'; u^T 0 x)")
+    _check_factor_tu(second_factor(spec), "(v^T 0 x; B v' v')")
     matrix = _block(a, _outer(up, v), _outer(vp, u), b)
-    return ComposeResult(matrix, ComposeReport("delta-sum", f1_tu, f2_tu, None))
+    return ComposeResult(matrix, ComposeReport("delta-sum", None))
 
 
 def _neg(vec):

@@ -122,6 +122,7 @@ def test_exit_code_contract_corpus(tmp_path):
          EXIT_USAGE),
         (["verify", "polytopal-bound", "--m", "3", "--workers", "2"],
          EXIT_USAGE),
+        (["verify", "polytopal-bound", "--m", "x"], EXIT_USAGE),
         (["verify", "transpose-bound", "--samples", "40"], EXIT_OK),
         (["verify", "transpose-bound", "--samples", "-4"], EXIT_USAGE),
         (["verify", "transpose-bound", "--max-tree-edges", "0"], EXIT_USAGE),
@@ -132,11 +133,16 @@ def test_exit_code_contract_corpus(tmp_path):
     ]
     assert len(corpus) >= 20
     for argv, expected in corpus:
-        try:
-            status = main(argv)
-        except SystemExit as exc:  # argparse rejects an unknown flag
-            status = exc.code
-        assert status == expected, f"{argv} expected exit {expected}"
+        assert main(argv) == expected, f"{argv} expected exit {expected}"
+
+
+def test_run_raises_usage_error_on_unknown_flag():
+    with pytest.raises(UsageError, match="unrecognized arguments: --workers"):
+        run(["verify", "polytopal-bound", "--m", "3", "--workers", "2"])
+    # --help is not an error: argparse still prints it and exits 0
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--help"])
+    assert exc.value.code == 0
 
 
 def test_check_unimodular_past_the_order_m_minor_count(tmp_path):

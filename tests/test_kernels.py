@@ -11,8 +11,7 @@ from tumax.search import candidate_columns
 
 from helpers import max_tu_subset_walk
 from oracles import (canonical_masks_bruteforce, det_cofactor,
-                     first_violating_minor, max_tu_subset_reference,
-                     minors_in_scan_order)
+                     first_violating_minor, max_tu_subset_reference)
 
 
 def test_selected_backend_reports_name():
@@ -29,21 +28,6 @@ def test_tu_violation_witness_matches_oracle():
                  else rng.randint(-1, 1) for _ in range(c)] for _ in range(r)]
         flat = [x for row in rows for x in row]
         assert kernels.tu_violation(flat, r, c) == first_violating_minor(rows)
-
-
-def test_extension_violation_matches_oracle():
-    # the first violating minor of (M|v) in scan order among those that
-    # use the appended column; M itself need not be TU
-    rng = random.Random(43)
-    for _ in range(400):
-        r = rng.randint(1, 5)
-        c = rng.randint(0, 5)
-        flat = [rng.randint(-1, 1) for _ in range(r * c)]
-        new = [rng.randint(-1, 1) for _ in range(r)]
-        rows = [flat[i * c:(i + 1) * c] + [new[i]] for i in range(r)]
-        want = next((minor for minor in minors_in_scan_order(rows)
-                     if c in minor[1] and not -1 <= minor[2] <= 1), None)
-        assert kernels.extension_violation(flat, r, c, new) == want
 
 
 def _sum_one_candidates(m):
@@ -122,7 +106,7 @@ def test_max_tu_subset_matches_reference_dfs():
 
 
 def test_pure_max_tu_subset_past_packed_table(monkeypatch):
-    # nodes past the packed minor table enumerate their minors instead
+    # nodes past the packed minor table ask tu_violation instead
     cands = _sum_one_candidates(4)
     monkeypatch.setattr(_pykernels, "_PACKED_MAX_LOG_FIELDS", 6)
     assert (max_tu_subset_walk(4, cands)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from tumax import kernels
+from tumax._pykernels import _PackedMinors
 from tumax.certify import is_prepared, is_totally_unimodular
 from tumax.errors import UsageError
 from tumax.families import bipartite_extremal, h
@@ -146,6 +146,19 @@ def test_stray_environment_variables_change_nothing(monkeypatch):
     assert res.max_columns == default.max_columns == 6
 
 
+def test_heller_m4_past_the_packed_table():
+    # the fast m = 4 search chooses 17 columns, more than the packed table
+    # holds for 4 rows, so its deepest nodes take the tu_violation path
+    res = max_tu_columns(4, mode="fast", max_m=4)
+    assert res.max_columns == 21 and res.nodes == 31
+    assert res.complete and res.matches_expected
+    assert res.witness.to_lists() == [
+        [-1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
+        [-1, -1, -1, -1, 0, 0, -1, -1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1],
+        [-1, -1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1],
+        [-1, 0, -1, 0, 0, 0, -1, 0, 0, -1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1]]
+
+
 def test_node_budget_flags_incomplete():
     res = max_tu_columns(3, node_budget=50)
     assert not res.complete
@@ -154,12 +167,18 @@ def test_node_budget_flags_incomplete():
 
 
 def _extends_tu(mprime, column):
-    return kernels.extension_violation(
-        mprime.flat(), mprime.rows, mprime.cols, list(column)) is None
+    """The search walk's extension check: push the columns of M' into the
+    packed minor table one by one, then probe v."""
+    minors = _PackedMinors(mprime.rows)
+    for c in range(mprime.cols):
+        level = minors.probe(c, minors.terms(mprime.col(c)))
+        assert level is not None, "M' must be TU"
+        minors.push(c, level)
+    return minors.probe(mprime.cols, minors.terms(column)) is not None
 
 
 def test_is_extension_tu_examples():
-    # the search's extension check: is (M'|v) TU, given that M' already is?
+    # is (M'|v) TU, given that M' already is?
     empty = IntMatrix(2, 0, ((), ()))
     assert _extends_tu(empty, (1, -1))
     one_col = IntMatrix.from_columns([(1, 1)])
