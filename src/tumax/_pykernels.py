@@ -7,6 +7,7 @@ Storage contract: every *stored* intermediate value must fit a signed
 :class:`~tumax.errors.ArithmeticOverflow` instead of wrapping.
 """
 
+from array import array
 from itertools import combinations
 
 from .errors import ArithmeticOverflow
@@ -191,7 +192,7 @@ class _PackedMinors:
 
         Only the sign of each entry is read, so a column with an entry
         outside {-1, 0, 1} gets a wrong answer; max_tu_subset never
-        probes one, as its ``ok1`` filter drops such candidates."""
+        probes one, as its ``ok1_mask`` filter drops such candidates."""
         even, odd, ones, hi = self._level(c)
         p, n = self.table[c]
         sp = 0
@@ -217,6 +218,49 @@ class _PackedMinors:
         """Make ``level``, a pair from ``probe(c, ...)``, the table entry of
         the first c + 1 chosen columns."""
         self.table[c + 1:] = [level]
+
+
+def _pair_masks(cand, m):
+    """(ok1_mask, compat) for length-m candidate columns.
+
+    ok1_mask has bit j set when candidate j has all entries in
+    {-1, 0, 1}; compat[i] is the bitmask of the later such candidates
+    j > i whose 2x2 minors beside candidate i are all in {-1, 0, 1}
+    (0 when candidate i itself is not such a column).
+
+    For such columns the minor on rows a < b, c_i[a] c_j[b] - c_i[b] c_j[a],
+    is +-2 exactly when c_i[a] c_i[b] and c_j[a] c_j[b] are nonzero with
+    opposite signs. So each row pair keeps a bitmask of the candidates
+    whose product there is +1 and one of those whose product is -1, and
+    a candidate's bad partners are the union, over its row pairs, of the
+    mask of the opposite sign: linear in the candidate count.
+    """
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    ok1_mask = 0
+    products = {}
+    plus = [0] * len(pairs)
+    minus = [0] * len(pairs)
+    for j, c in enumerate(cand):
+        if not all(-1 <= e <= 1 for e in c):
+            continue
+        bit = 1 << j
+        ok1_mask |= bit
+        products[j] = prods = [c[a] * c[b] for a, b in pairs]
+        for k, s in enumerate(prods):
+            if s > 0:
+                plus[k] |= bit
+            elif s < 0:
+                minus[k] |= bit
+    compat = [0] * len(cand)
+    for i, prods in products.items():
+        bad = 0
+        for k, s in enumerate(prods):
+            if s > 0:
+                bad |= minus[k]
+            elif s < 0:
+                bad |= plus[k]
+        compat[i] = ok1_mask & ~bad & ~((2 << i) - 1)
+    return ok1_mask, compat
 
 
 def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
@@ -246,30 +290,7 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
     Returns (best_size, witness_indices, nodes, complete).
     """
     cand = [tuple(cand_flat[j * m:(j + 1) * m]) for j in range(ncand)]
-    ok1 = [all(-1 <= e <= 1 for e in c) for c in cand]
-    # compat[i]: bitmask of the later candidates j > i that pass the 2x2
-    # minors beside i
-    compat = [0] * ncand
-    for i in range(ncand):
-        if not ok1[i]:
-            continue
-        ci = cand[i]
-        for j in range(i + 1, ncand):
-            if not ok1[j]:
-                continue
-            cj = cand[j]
-            good = True
-            for a in range(m):
-                if not good:
-                    break
-                for b in range(a + 1, m):
-                    d = ci[a] * cj[b] - ci[b] * cj[a]
-                    if d < -1 or d > 1:
-                        good = False
-                        break
-            if good:
-                compat[i] |= 1 << j
-    ok1_mask = sum(1 << j for j in range(ncand) if ok1[j])
+    ok1_mask, compat = _pair_masks(cand, m)
 
     best = 0
     witness = []
@@ -353,7 +374,7 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
         chosen.pop()
 
     for j in range(ncand):
-        if ok1[j]:
+        if ok1_mask >> j & 1:
             visit(j, ok1_mask)
         if budget_hit or target_hit:
             break
@@ -396,22 +417,29 @@ def canonical_masks(npoints, perms, min_size, max_size):
     ``p[i]``. Masks range over ``[0, 2**npoints)``, so only their low
     ``npoints`` bits are ever looked up: the table of the last, partial
     byte covers just the bit positions below ``npoints``.
+
+    Each permutation gets one table per byte of the mask, mapping the
+    byte's value to the image of its bits. The tables are ``array``s of
+    the smallest unsigned type that holds an ``npoints``-bit mask (a list
+    past 64 points), so they take a few hundred kB for the 383 cube
+    symmetries of d = 4 rather than megabytes of Python ints. Each is
+    filled by doubling: the values with top bit ``bit`` are those below
+    it with the image of that bit added.
     """
+    code = next((c for c in "BHILQ" if array(c).itemsize * 8 >= npoints),
+                None)
     nbytes = (npoints + 7) // 8
     tables = []
     for p in perms:
         per_byte = []
         for b in range(nbytes):
-            table = [0] * 256
-            for v in range(1 << min(8, npoints - 8 * b)):
-                pm = 0
-                x = v
-                while x:
-                    low = x & -x
-                    i = low.bit_length() - 1
-                    pm |= 1 << p[8 * b + i]
-                    x ^= low
-                table[v] = pm
+            nbits = min(8, npoints - 8 * b)
+            table = (array(code, [0]) if code else [0]) * (1 << nbits)
+            for i in range(nbits):
+                bit = 1 << i
+                img = 1 << p[8 * b + i]
+                for v in range(bit, bit << 1):
+                    table[v] = table[v - bit] | img
             per_byte.append(table)
         tables.append(per_byte)
 

@@ -95,10 +95,7 @@ def is_totally_unimodular(m, method="auto"):
         elif m.rows <= GH_ROW_BUDGET:
             method = METHOD_GH
         else:
-            raise BudgetExceeded(
-                f"matrix size {m.rows}x{m.cols} exceeds both the minor budget "
-                f"(rows+cols <= {MINOR_SIZE_BUDGET}) and the Ghouila-Houri "
-                f"budget (rows <= {GH_ROW_BUDGET})")
+            raise _over_both_budgets(m)
     if method == METHOD_GH:
         return ghouila_houri_check(m)
     if m.rows + m.cols > MINOR_SIZE_BUDGET:
@@ -111,6 +108,13 @@ def is_totally_unimodular(m, method="auto"):
     rows, cols, value = hit
     return TuVerdict(False, METHOD_MINORS,
                      MinorWitness(tuple(rows), tuple(cols), value))
+
+
+def _over_both_budgets(m):
+    return BudgetExceeded(
+        f"matrix size {m.rows}x{m.cols} exceeds both the minor budget "
+        f"(rows+cols <= {MINOR_SIZE_BUDGET}) and the Ghouila-Houri "
+        f"budget (rows <= {GH_ROW_BUDGET})")
 
 
 def _signable(rows, ncols):
@@ -165,8 +169,13 @@ def is_unimodular(m):
     columns, with |det B| the product of the pivots. When every pivot is 1,
     H = B^-1 M is the identity on the pivot columns and N on the others,
     and each order-m minor of M is +-det B times a minor of N, so M is
-    unimodular exactly when N is TU. The TU budgets apply to N (or N^T,
-    whichever has fewer rows).
+    unimodular exactly when N is TU.
+
+    N (or N^T, whichever has fewer rows) is decided by Ghouila-Houri,
+    which takes a few ms where the minor scan of a 7x9 N takes over
+    100 ms; only a bool is returned, so no witness is lost. Past
+    ``GH_ROW_BUDGET`` rows it raises the ``BudgetExceeded`` of
+    ``is_totally_unimodular`` in auto mode, before reading any entry.
     """
     hnf, _, pivots = linsolve.row_hnf(m)
     if len(pivots) != m.rows:
@@ -178,7 +187,9 @@ def is_unimodular(m):
                       [j for j in range(m.cols) if j not in pivots])
     if n.rows > n.cols:
         n = n.transpose()
-    return is_totally_unimodular(n).is_tu
+    if n.rows > GH_ROW_BUDGET:
+        raise _over_both_budgets(n)
+    return ghouila_houri_check(n).is_tu
 
 
 def w_valued_certificate(m, w):

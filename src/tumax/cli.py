@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import certify, families, graphs, polytopes, search, sums
 from .errors import BudgetExceeded, FormatError, TumaxError, UsageError
-from .matrix import IntMatrix, parse_matrix_text
+from .matrix import parse_matrix_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1

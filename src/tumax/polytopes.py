@@ -225,10 +225,15 @@ def lattice_isomorphic(p, q):
     """Exhaustive affine lattice-isomorphism test of two point sets.
 
     Both sets are first re-coordinatized to full dimension. One affinely
-    independent frame of P is fixed (the leftmost in stored order); every
-    ordered frame of Q with the same simplex volume is tried as its image,
-    and the unique affine map is accepted when it is integral and maps the
-    point sets bijectively.
+    independent frame of P is fixed (the leftmost in stored order), and
+    each point of P gets its coordinates in that frame, scaled by the
+    frame's determinant so that they are integral. Images in Q are then
+    chosen for the frame points one at a time, each Q point used at most
+    once. Once frame points 0..j have images, the image of every P point
+    whose coordinates use only those frame points is fixed, and the
+    branch is dropped when such an image is not integral or not in Q. A
+    full frame is accepted when its simplex volume is P's and the affine
+    map it defines is integral.
     """
     pe = affine_lattice_coordinates(p)
     qe = affine_lattice_coordinates(q)
@@ -249,37 +254,62 @@ def lattice_isomorphic(p, q):
                   [p_cols[s][k] for k in range(d) if k != c
                    for s in range(d) if s != t], d - 1)
               for c in range(d)] for t in range(d)]
+    # by_level[j]: the frame coordinates (times p_det) of the points other
+    # than frame points whose last nonzero coordinate is that of frame
+    # point j; their images are fixed once frame points 0..j have images
+    by_level = [[] for _ in range(d + 1)]
+    for i, pt in enumerate(pe.points):
+        if i in p_frame:
+            continue
+        diff = [pt[k] - p0[k] for k in range(d)]
+        lam = [sum(p_adj[t][c] * diff[c] for c in range(d))
+               for t in range(d)]
+        level = max(t + 1 for t in range(d) if lam[t])
+        by_level[level].append(lam[:level])
     q_pts = qe.points
     q_set = set(q_pts)
+    images = []
+    used = set()
 
-    def try_map(frame):
-        q0 = q_pts[frame[0]]
-        q_cols = [[q_pts[i][k] - q0[k] for k in range(d)] for i in frame[1:]]
-        # L = Q_frame * P_frame^{-1}; build as rows of the linear map. Its
-        # determinant is +-1 since the frames have equal |det|.
-        lin_int = []
-        for r in range(d):
-            row = []
-            for c in range(d):
-                s = sum(q_cols[t][r] * p_adj[t][c] for t in range(d))
-                if s % p_det:
-                    return False
-                row.append(s // p_det)
-            lin_int.append(row)
-        shift = [q0[r] - sum(lin_int[r][c] * p0[c] for c in range(d))
-                 for r in range(d)]
-        # L is injective and |P| = |Q|, so P -> Q is a bijection as soon
-        # as every image lies in Q
-        return all(tuple(sum(lin_int[r][c] * pt[c] for c in range(d))
-                         + shift[r] for r in range(d)) in q_set
-                   for pt in pe.points)
+    def image_in_q(lam):
+        # p_det * image = p_det * q0 + sum_t lam[t] * (q_{t+1} - q0)
+        q0 = images[0]
+        out = []
+        for k in range(d):
+            s = p_det * q0[k] + sum(lam[t] * (images[t + 1][k] - q0[k])
+                                    for t in range(len(lam)))
+            if s % p_det:
+                return False
+            out.append(s // p_det)
+        return tuple(out) in q_set
 
-    # a lattice isomorphism keeps simplex volumes, so only the (d+1)-subsets
-    # of Q with P's frame volume can be the frame's image
-    return any(try_map(frame)
-               for sub in combinations(range(len(q_pts)), d + 1)
-               if abs(_simplex_det(q_pts, sub)) == abs(p_det)
-               for frame in permutations(sub))
+    def unimodular_map():
+        # L = Q_frame * P_frame^{-1} must be integral; its determinant is
+        # +-1 since the frames have equal |det|
+        q0 = images[0]
+        q_cols = [[qt[k] - q0[k] for k in range(d)] for qt in images[1:]]
+        q_det = kernels.det_entries([x for col in q_cols for x in col], d)
+        if abs(q_det) != abs(p_det):
+            return False
+        return all(sum(q_cols[t][r] * p_adj[t][c] for t in range(d))
+                   % p_det == 0 for r in range(d) for c in range(d))
+
+    def extend(j):
+        if j > d:
+            return unimodular_map()
+        for i, qt in enumerate(q_pts):
+            if i in used:
+                continue
+            images.append(qt)
+            used.add(i)
+            if (all(image_in_q(lam) for lam in by_level[j])
+                    and extend(j + 1)):
+                return True
+            used.discard(i)
+            images.pop()
+        return False
+
+    return extend(0)
 
 
 def _simplex_det(pts, sub):

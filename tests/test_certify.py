@@ -16,7 +16,7 @@ from tumax.certify import (
     w_valued_certificate,
 )
 from tumax.errors import BudgetExceeded, PreconditionError
-from tumax.families import ex4_matrix, sporadic_5x10
+from tumax.families import bipartite_extremal, ex4_matrix, sporadic_5x10
 from tumax.matrix import IntMatrix
 
 from helpers import random_network_tu, random_sign_matrix, random_tu_matrix
@@ -206,6 +206,45 @@ def test_is_unimodular_matches_maximal_minor_oracle():
     # beyond the oracle, the (I | N) form leaves a 12 x 18 TU check
     network = random_network_tu(random.Random(49), 12, 18)
     assert is_unimodular(IntMatrix.identity(12).hstack(network))
+
+
+def _scrambled(rng, rows):
+    """Rows shuffled and signed, one row added to another, columns
+    shuffled: every maximal minor is kept up to sign, and the rows stay
+    sparse enough for the cofactor oracle."""
+    rows = [[-x for x in row] if rng.random() < 0.5 else row[:]
+            for row in rows]
+    rng.shuffle(rows)
+    i, j = rng.sample(range(len(rows)), 2)
+    c = rng.choice((-1, 1))
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    perm = list(range(len(rows[0])))
+    rng.shuffle(perm)
+    return [[row[j] for j in perm] for row in rows]
+
+
+def test_is_unimodular_matches_maximal_minor_oracle_up_to_7x9_blocks():
+    """Blocks N with rows + cols <= 16, the size that auto-mode TU checks
+    hand to the minor scan: the scrambled 7 x 16 extremal matrix, the same
+    with a column pair whose 2 x 2 minor is -2, and random TU or sign
+    blocks up to 7 x 9."""
+    rng = random.Random(53)
+    extremal = bipartite_extremal(7).to_lists()
+    planted = [row[:] for row in extremal]
+    # column 0 is e_0 + e_4; column 5 becomes e_0 - e_4
+    for i, row in enumerate(planted):
+        row[5] = {0: 1, 4: -1}.get(i, 0)
+    cases = [(extremal, True), (planted, False)]
+    for m, k in ((6, 9), (7, 8), (7, 9)):
+        cases.append((IntMatrix.identity(m).hstack(
+            random_tu_matrix(rng, m, k)).to_lists(), True))
+        cases.append((IntMatrix.identity(m).hstack(
+            random_sign_matrix(rng, m, k)).to_lists(), None))
+    for rows, expected in cases:
+        full = _scrambled(rng, rows)
+        want = is_unimodular_maximal_minors(full, len(full[0]))
+        assert expected is None or want == expected
+        assert is_unimodular(IntMatrix.from_rows(full)) == want, full
 
 
 def test_is_unimodular_random_integer_matrices():

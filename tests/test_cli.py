@@ -4,11 +4,12 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tumax.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run
-from tumax.errors import FormatError, UsageError
+from tumax.errors import UsageError
 from tumax.matrix import IntMatrix, parse_matrix_text
 
 from helpers import random_network_tu
@@ -154,6 +155,23 @@ def test_check_unimodular_past_the_order_m_minor_count(tmp_path):
     assert main(["check", "unimodular", path]) == EXIT_OK
 
 
+@pytest.mark.parametrize("n_entries", [[], [(3, 5, 2)]])
+def test_check_unimodular_over_the_row_budget(tmp_path, capsys, n_entries):
+    """(I_21 | N) leaves a 21 x 21 block N: past both TU budgets, so the
+    check exits 3 with the auto-mode message, whatever N's entries."""
+    n = IntMatrix.identity(21).to_lists()
+    for i, j, value in n_entries:
+        n[i][j] = value
+    m = IntMatrix.identity(21).hstack(IntMatrix.from_rows(n))
+    path = _write(tmp_path, "wide.txt", m.to_text())
+    assert main(["check", "unimodular", path]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: matrix size 21x21 exceeds both the minor budget "
+        "(rows+cols <= 16) and the Ghouila-Houri budget (rows <= 20)\n")
+
+
 def test_network_build_matches_module(tmp_path):
     tree = _write(tmp_path, "t.txt", "4 3\n0 1\n1 2\n2 3\n")
     dig = _write(tmp_path, "d.txt", "4 2\n0 3\n3 0\n")
@@ -196,6 +214,20 @@ def test_classify_cli_payload():
     for cls in rep.result["classes"]:
         assert set(cls) == {"dimension", "vertex_count", "vertices",
                             "fingerprint"}
+
+
+CLASSIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "classify_cli.json").read_text())
+
+
+@pytest.mark.parametrize("argv", list(CLASSIFY_GOLDEN))
+def test_classify_json_matches_golden(argv, capsys):
+    """Classes, vertex lists, fingerprints and their order, pinned. The
+    d = 4 run merges 11 pairs of 8- and 9-point polytopes with equal
+    fingerprints that are not isomorphic; they are too slow for
+    ``oracles.lattice_isomorphic_bruteforce``, so this is their check."""
+    assert main(["--format", "json"] + argv.split()) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == CLASSIFY_GOLDEN[argv]
 
 
 def test_main_prints_json_for_checks(tmp_path, capsys):

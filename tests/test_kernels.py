@@ -2,12 +2,13 @@
 witnesses, search results, node counts)."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 from tumax import _pykernels
 from tumax import kernels
 from tumax.polytopes import _cube_symmetry_index_perms
-from tumax.search import candidate_columns
+from tumax.search import candidate_columns, max_polytopal_tu_columns
 
 from helpers import max_tu_subset_walk
 from oracles import (canonical_masks_bruteforce, det_cofactor,
@@ -105,6 +106,38 @@ def test_max_tu_subset_matches_reference_dfs():
                 == max_tu_subset_reference(m, cands, **opts)), (m, cands, opts)
 
 
+def _pairwise_compat(cand, m):
+    ok1 = [all(-1 <= e <= 1 for e in c) for c in cand]
+
+    def fits(ci, cj):
+        return all(-1 <= ci[a] * cj[b] - ci[b] * cj[a] <= 1
+                   for a, b in combinations(range(m), 2))
+
+    compat = [sum(1 << j for j in range(i + 1, len(cand))
+                  if ok1[i] and ok1[j] and fits(cand[i], cand[j]))
+              for i in range(len(cand))]
+    return sum(1 << j for j in range(len(cand)) if ok1[j]), compat
+
+
+def test_pair_masks_match_the_pairwise_2x2_minors():
+    rng = random.Random(52)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        cand = [tuple(rng.choice((-2, 2)) if rng.random() < 0.05
+                      else rng.randint(-1, 1) for _ in range(m))
+                for _ in range(rng.randint(0, 25))]
+        assert (_pykernels._pair_masks(cand, m)
+                == _pairwise_compat(cand, m)), cand
+
+
+def test_node_budget_bounds_an_m8_search():
+    # the 2x2 compatibility masks of the m = 8 candidates are built before
+    # the first node is counted; one node later the search stops
+    res = max_polytopal_tu_columns(8, node_budget=1, max_m=8)
+    assert res.nodes == 1
+    assert res.complete is False
+
+
 def test_pure_max_tu_subset_past_packed_table(monkeypatch):
     # nodes past the packed minor table ask tu_violation instead
     cands = _sum_one_candidates(4)
@@ -149,6 +182,19 @@ def test_canonical_masks_partial_byte_matches_oracle():
         for lo, hi in ((0, npoints), (1, (npoints + 1) // 2)):
             assert (kernels.canonical_masks(npoints, perms, lo, hi)
                     == canonical_masks_bruteforce(npoints, perms, lo, hi))
+
+
+def test_canonical_masks_tables_stay_small():
+    # 383 symmetries x 2 bytes x 256 16-bit entries is about 0.4 MB of
+    # tables; as lists of Python ints they took about 7 MB
+    _, perms = _cube_symmetry_index_perms(4)
+    tracemalloc.start()
+    try:
+        kernels.canonical_masks(16, perms, 5, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_masks_cube_symmetries():
