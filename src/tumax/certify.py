@@ -2,9 +2,9 @@
 polytopality, w-valuedness, preparedness.
 
 Two independent total-unimodularity oracles are provided: exhaustive
-minor enumeration (kernel-accelerated) and the Ghouila-Houri row-signing
-criterion (kept in pure Python on purpose, so the two routes share no
-code path).
+minor enumeration (the ordered minor scan ``kernels.tu_violation``) and
+the Ghouila-Houri row-signing criterion, written here so that the two
+routes share no code path.
 """
 
 from dataclasses import dataclass

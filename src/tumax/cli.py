@@ -6,16 +6,18 @@ output round-trips byte-identically through the ``check`` commands;
 analysis commands print a JSON report. ``--format`` overrides either
 default. Exit status: 0 = property holds / success, 1 = property fails,
 2 = usage or format error, 3 = budget exceeded.
+
+Each handler imports the modules it calls, inside the branch that calls
+them, so a command loads only what it runs: ``verify polytopal-bound``
+never imports ``certify``, ``polytopes`` or ``fractions``.
 """
 
 import argparse
 import functools
 import json
-import random
 import sys
 from dataclasses import dataclass
 
-from . import certify, families, graphs, polytopes, search, sums
 from .errors import BudgetExceeded, FormatError, TumaxError, UsageError
 from .matrix import parse_matrix_text
 
@@ -53,11 +55,16 @@ def _load_matrix(path):
 
 
 def _load_graph(path):
+    from . import graphs
     return graphs.parse_graph_text(_read(path))
 
 
-def _int_list(text):
-    return [int(x) for x in text.replace(",", " ").split()]
+def _int_list(flag, text):
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise UsageError(f"{flag} needs comma-separated integers, "
+                         f"got {text!r}") from exc
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -157,6 +164,7 @@ def _parser():
 
 
 def _check(args):
+    from . import certify
     m = _load_matrix(args.file)
     what = args.what
     if what == "tu":
@@ -181,6 +189,7 @@ def _check(args):
         ok = certify.is_prepared(m)
         return CommandReport("check prepared", {"file": args.file},
                              {"prepared": ok}, EXIT_OK if ok else EXIT_FAIL)
+    from . import polytopes
     ps = polytopes.PointSet.from_matrix_columns(m)
     embedded = polytopes.affine_lattice_coordinates(ps)
     verdict = polytopes.is_unimodular_polytope(embedded)
@@ -195,6 +204,7 @@ def _check(args):
 
 
 def _gen(args):
+    from . import families
     what = args.what
     inputs = {}
     if what == "heller":
@@ -211,9 +221,11 @@ def _gen(args):
     elif what == "ex4":
         m = families.ex4_matrix()
     elif what == "simplex-product":
+        from . import polytopes
         m = polytopes.simplex_product(args.a, args.b).to_matrix()
         inputs = {"a": args.a, "b": args.b}
     else:  # edge-polytope
+        from . import polytopes
         if args.complete:
             na, nb = args.complete
             ps = polytopes.edge_polytope(
@@ -224,7 +236,7 @@ def _gen(args):
                 raise UsageError("edge-polytope needs --complete A B or "
                                  "--graph FILE with --part-a")
             g = _load_graph(args.graph)
-            part_a = _int_list(args.part_a)
+            part_a = _int_list("--part-a", args.part_a)
             ps = polytopes.edge_polytope(g.vertices, part_a, list(g.arcs))
             inputs = {"graph": args.graph, "part_a": part_a}
         m = ps.to_matrix()
@@ -236,6 +248,7 @@ def _gen(args):
 
 
 def _network(args):
+    from . import graphs
     tree = _load_graph(args.tree)
     if args.what == "patterns":
         paths = graphs.parse_paths_text(_read(args.paths))
@@ -266,6 +279,7 @@ def _network(args):
 
 
 def _sum(args):
+    from . import sums
     try:
         data = json.loads(_read(args.spec))
     except json.JSONDecodeError as exc:
@@ -273,8 +287,8 @@ def _sum(args):
                           line=exc.lineno) from exc
     spec = sums.SumSpec.from_json_dict(data)
     if args.what == "transport":
-        res = sums.transport_functional(spec, tuple(_int_list(args.f)),
-                                        tuple(_int_list(args.w)))
+        res = sums.transport_functional(spec, tuple(_int_list("--f", args.f)),
+                                        tuple(_int_list("--w", args.w)))
         parts = [{"factor": p.factor.to_lists(),
                   "w": list(p.w_part),
                   "functional": list(p.functional.coeffs)}
@@ -308,6 +322,7 @@ def _random_tree_arcs(rng, nvertices):
 def _verify(args):
     what = args.what
     if what == "extralemma":
+        from . import families
         reports = families.verify_extralemma(args.max)
         ok = all(r.match for r in reports)
         return CommandReport("verify extralemma", {"max": args.max},
@@ -315,6 +330,7 @@ def _verify(args):
                               "all_match": ok},
                              EXIT_OK if ok else EXIT_FAIL)
     if what in ("polytopal-bound", "heller-bound", "odd-bound"):
+        from . import search
         runner = {"polytopal-bound": search.max_polytopal_tu_columns,
                   "heller-bound": search.max_tu_columns,
                   "odd-bound": search.max_odd_sum_tu_columns}[what]
@@ -336,6 +352,9 @@ def _verify(args):
             raise UsageError("--samples must be >= 0")
         if args.max_tree_edges < 1 or args.max_arcs < 1:
             raise UsageError("--max-tree-edges and --max-arcs must be >= 1")
+        import random
+
+        from . import graphs
         rng = random.Random(args.seed)
         violations = 0
         checked = 0
@@ -355,6 +374,7 @@ def _verify(args):
                              {"checked": checked, "violations": violations},
                              EXIT_OK if violations == 0 else EXIT_FAIL)
     # vertex-bound
+    from . import polytopes
     m = _load_matrix(args.file)
     ps = polytopes.PointSet.from_matrix_columns(m)
     rep = polytopes.vertex_bound_check(ps)
@@ -364,6 +384,7 @@ def _verify(args):
 
 
 def _classify(args):
+    from . import polytopes
     res = polytopes.classify_unimodular(args.d, pruned=not args.unpruned,
                                         stretch=args.stretch)
     return CommandReport("classify", {"d": args.d},

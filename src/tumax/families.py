@@ -5,7 +5,6 @@ sporadic matrices with their equivalence test.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UsageError
 from .matrix import IntMatrix
@@ -13,6 +12,9 @@ from .matrix import IntMatrix
 
 def g(x):
     """Exact rational (x+1)^2 / 4."""
+    # imported here, so that importing this module for h (all that the
+    # searches use) loads neither fractions nor decimal
+    from fractions import Fraction
     if x < 1:
         raise UsageError("g is defined for integers >= 1")
     return Fraction((x + 1) * (x + 1), 4)

@@ -76,16 +76,31 @@ class SearchResult:
 
 
 def _index_perms(cands, m):
-    """Candidate-index permutations induced by coordinate permutations."""
+    """Candidate-index permutations induced by coordinate permutations,
+    in the order of ``itertools.permutations`` without the identity.
+
+    Only the m - 1 adjacent transpositions are looked up column by column.
+    Every other sigma has a first descent k (sigma[k] > sigma[k + 1]);
+    swapping it gives a lexicographically smaller tau, already built, with
+    sigma = tau∘t for the transposition t of k and k + 1. Permuting the
+    coordinates of a column by tau and then by t permutes them by sigma,
+    so sigma's index permutation is the composite ``perm[t][perm[tau][j]]``.
+    """
     index = {c: i for i, c in enumerate(cands)}
-    perms = []
+    adjacent = []
+    for k in range(m - 1):
+        # m >= 2 entries here, so ``swap`` returns a tuple
+        swap = itemgetter(*range(k), k + 1, k, *range(k + 2, m))
+        adjacent.append([index[swap(c)] for c in cands])
+    table = {}
     for sigma in permutations(range(m)):
-        if sigma == tuple(range(m)):
+        k = next((i for i in range(m - 1) if sigma[i] > sigma[i + 1]), None)
+        if k is None:  # the identity, which comes first
+            table[sigma] = list(range(len(cands)))
             continue
-        # sigma has m >= 2 entries here, so ``permuted`` returns a tuple
-        permuted = itemgetter(*sigma)
-        perms.append([index[permuted(c)] for c in cands])
-    return perms
+        tau = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
+        table[sigma] = list(map(adjacent[k].__getitem__, table[tau]))
+    return list(table.values())[1:]
 
 
 def _max_columns(m, kind, min_m, mode, node_budget, max_m):

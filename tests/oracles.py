@@ -7,6 +7,7 @@ test. Inputs are plain lists.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import itemgetter
 
 
 def det_cofactor(rows):
@@ -102,6 +103,19 @@ def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,
         if stopped:
             break
     return best, witness, nodes, stopped != "budget"
+
+
+def coordinate_index_perms(cands, m):
+    """Yield, for every coordinate permutation sigma but the identity in
+    ``itertools.permutations`` order, the candidate-index permutation that
+    sends column i to the index of column i with its coordinates permuted
+    by sigma, each looked up column by column."""
+    index = {tuple(c): i for i, c in enumerate(cands)}
+    for sigma in permutations(range(m)):
+        if sigma != tuple(range(m)):
+            # sigma has m >= 2 entries here, so ``permuted`` returns a tuple
+            permuted = itemgetter(*sigma)
+            yield [index[permuted(c)] for c in cands]
 
 
 def rank_fractions(rows_data):

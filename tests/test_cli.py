@@ -112,6 +112,12 @@ def test_exit_code_contract_corpus(tmp_path):
         (["sum", "one", bad_json], EXIT_USAGE),
         (["sum", "one", no_blocks], EXIT_USAGE),
         (["sum", "two", bad_vec], EXIT_USAGE),
+        (["sum", "transport", spec_two, "--f", "1,x", "--w", "1"],
+         EXIT_USAGE),
+        (["sum", "transport", spec_two, "--f", "1", "--w", "1,x"],
+         EXIT_USAGE),
+        (["gen", "edge-polytope", "--graph", tree, "--part-a", "0,x"],
+         EXIT_USAGE),
         (["verify", "extralemma", "--max", "50"], EXIT_OK),
         (["verify", "heller-bound", "--m", "2"], EXIT_OK),
         (["verify", "polytopal-bound", "--m", "3"], EXIT_OK),

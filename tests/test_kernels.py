@@ -3,7 +3,7 @@ witnesses, search results, node counts)."""
 
 import random
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations
 
 from tumax import _pykernels
 from tumax import kernels
@@ -11,8 +11,9 @@ from tumax.polytopes import _cube_symmetry_index_perms
 from tumax.search import candidate_columns, max_polytopal_tu_columns
 
 from helpers import max_tu_subset_walk
-from oracles import (canonical_masks_bruteforce, det_cofactor,
-                     first_violating_minor, max_tu_subset_reference)
+from oracles import (canonical_masks_bruteforce, coordinate_index_perms,
+                     det_cofactor, first_violating_minor,
+                     max_tu_subset_reference)
 
 
 def test_selected_backend_reports_name():
@@ -41,13 +42,6 @@ def _sum_one_candidates(m):
     return out
 
 
-def _coordinate_perms(cands, m):
-    """Candidate-index permutations induced by permuting coordinates."""
-    idx = {tuple(c): i for i, c in enumerate(cands)}
-    return [[idx[tuple(c[p[i]] for i in range(m))] for c in cands]
-            for p in permutations(range(m)) if p != tuple(range(m))]
-
-
 def test_max_tu_subset_incremental_matches_full_check():
     # the incremental check sees only the minors through the new column;
     # it must accept exactly the subsets that re-checking every minor does
@@ -68,7 +62,7 @@ def _search_cases():
                      ("odd-sums", (1, 2, 3, 4))):
         for m in ms:
             cands = candidate_columns(m, mode)
-            perms = _coordinate_perms(cands, m)
+            perms = list(coordinate_index_perms(cands, m))
             n = len(cands)
             cases += [(m, cands, {"node_budget": 400} if n > 20 else {}),
                       (m, cands[::-1], {"node_budget": 250}),

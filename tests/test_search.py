@@ -11,6 +11,7 @@ from tumax.errors import UsageError
 from tumax.families import bipartite_extremal, h
 from tumax.matrix import IntMatrix
 from tumax.search import (
+    _index_perms,
     candidate_columns,
     max_odd_sum_tu_columns,
     max_polytopal_tu_columns,
@@ -18,7 +19,8 @@ from tumax.search import (
 )
 
 from helpers import max_tu_subset_walk, random_tu_matrix
-from oracles import is_tu_bruteforce, max_tu_subset_reference
+from oracles import (coordinate_index_perms, is_tu_bruteforce,
+                     max_tu_subset_reference)
 
 
 def test_candidate_columns_examples():
@@ -132,6 +134,18 @@ def test_fast_mode_matches_verify_mode():
         assert fast.nodes <= verify.nodes
     fast = max_tu_columns(3, mode="fast")
     assert fast.max_columns == 13
+
+
+def test_index_perms_match_column_by_column_lookup():
+    # the same permutations in the same order, so the fast searches test
+    # the same subsets; heller stops at m = 6, as its m = 7 reference takes
+    # 11 M lookups (about 6 s) on a path that polytopal and odd-sums m = 7
+    # already take
+    for mode, top in (("polytopal", 7), ("heller", 6), ("odd-sums", 7)):
+        for m in range(2, top + 1):
+            cands = candidate_columns(m, mode)
+            assert (_index_perms(cands, m)
+                    == list(coordinate_index_perms(cands, m))), (mode, m)
 
 
 def test_stray_environment_variables_change_nothing(monkeypatch):

@@ -1,0 +1,53 @@
+"""Import footprint of the CLI: each command loads only the modules it runs.
+
+Every check runs in a fresh interpreter, since the test process itself has
+imported the whole package already.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+HEAVY = ("tumax.certify", "tumax.families", "tumax.graphs", "tumax.polytopes",
+         "tumax.search", "tumax.sums", "tumax.lp", "tumax.linsolve",
+         "fractions")
+
+
+def _loaded_after(code):
+    """The names of ``HEAVY`` in ``sys.modules`` after running ``code`` in
+    a new interpreter with ``src`` first on the path."""
+    script = (f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
+              "import json\n"
+              f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_command_module():
+    assert _loaded_after("import tumax.cli") == set()
+
+
+def test_a_search_loads_search_and_nothing_it_does_not_run():
+    loaded = _loaded_after(
+        "from tumax import cli\n"
+        "assert cli.run(['verify', 'polytopal-bound', '--m', '3'])"
+        ".exit_status == 0")
+    assert "tumax.search" in loaded
+    assert loaded.isdisjoint({"tumax.certify", "tumax.graphs",
+                              "tumax.polytopes", "tumax.sums", "tumax.lp",
+                              "fractions"})
+
+
+def test_check_tu_loads_certify_and_no_other_command_module(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 3\n1 0 1\n0 1 1\n", encoding="utf-8")
+    loaded = _loaded_after(
+        "from tumax import cli\n"
+        f"assert cli.run(['check', 'tu', {str(path)!r}]).exit_status == 0")
+    assert "tumax.certify" in loaded
+    assert loaded.isdisjoint({"tumax.polytopes", "tumax.graphs", "tumax.sums",
+                              "tumax.search"})
