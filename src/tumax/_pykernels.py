@@ -134,17 +134,25 @@ class _PackedMinors:
     each value x is in {-1, 0, 1} and is stored as a 0/1 field of ``pos``
     (x = 1) or of ``neg`` (x = -1), every field ``w`` bits wide.
 
-    Appending a column v at position c adds the fields whose C contains c.
-    By Laplace expansion along v,
+    ``table[c]`` is the (pos, neg) pair of the first c chosen columns.
+    Appending a column v at position c adds the block of fields whose C
+    contains c, the minors through v. The half of that block whose C
+    also contains c - 1 holds the new minors: those through both v and
+    chosen column c - 1. The other half is the block of v appended at
+    position c - 1 instead, minors of the same submatrices with v still
+    the last column, so ``probe`` copies it from the pair of v beside the
+    first c - 1 chosen columns. TU is hereditary, so that pair having
+    passed means only the new half needs a check.
+
+    The new half comes from the block of chosen column c - 1 by Laplace
+    expansion along v,
 
         det(M[R, C + c]) = sum over i in R of (-1)^s * v_i * det(M[R - i, C])
 
     where s counts the rows of R with an index greater than i. For a
-    fixed i the map R - i -> R is a shift by 2**i fields, so the whole new
-    block is a sum of masked shifts of the table: a few big-int operations
-    per nonzero entry of v check every minor through v at once.
-
-    ``table[c]`` is the (pos, neg) pair of the first c chosen columns.
+    fixed i the map R - i -> R is a shift by 2**i fields, so the whole
+    half is a sum of masked shifts of that block: a few big-int
+    operations per nonzero entry of v check every new minor at once.
     """
 
     def __init__(self, m):
@@ -185,16 +193,34 @@ class _PackedMinors:
         whose entries must be in {-1, 0, 1}."""
         return [(i, e, self.w << i) for i, e in enumerate(col) if e]
 
-    def probe(self, c, terms):
-        """The (pos, neg) pair after appending a column to the first c
-        chosen ones, or None when a minor through it is outside
-        {-1, 0, 1}. The table itself is not changed.
+    def single(self, terms):
+        """The (pos, neg) pair of a lone column: field ({0}, {i}) is its
+        entry i, beside the empty minor of ``table[0]``."""
+        off = self.w << self.m
+        p = n = 0
+        for _, e, sh in terms:
+            if e > 0:
+                p |= 1 << sh
+            else:
+                n |= 1 << sh
+        return 1 | (p << off), n << off
+
+    def probe(self, c, terms, base):
+        """The (pos, neg) pair after appending a column to the first c >= 1
+        chosen ones, or None when a minor through it and chosen column
+        c - 1 is outside {-1, 0, 1}. ``base`` is the pair of the same
+        column appended to the first c - 1 chosen ones (``single`` when
+        c = 1); the table itself is not changed.
 
         Only the sign of each entry is read, so a column with an entry
         outside {-1, 0, 1} gets a wrong answer; max_tu_subset never
         probes one, as its ``ok1_mask`` filter drops such candidates."""
-        even, odd, ones, hi = self._level(c)
+        even, odd, ones, hi = self._level(c - 1)
+        half = self.w << (c - 1 + self.m)
         p, n = self.table[c]
+        # the block of chosen column c - 1
+        bp = p >> half
+        bn = n >> half
         sp = 0
         sn = 0
         for i, e, sh in terms:
@@ -202,21 +228,23 @@ class _PackedMinors:
                 ev, od = even[i], odd[i]
             else:
                 ev, od = odd[i], even[i]
-            sp += ((p & ev) | (n & od)) << sh
-            sn += ((n & ev) | (p & od)) << sh
+            sp += ((bp & ev) | (bn & od)) << sh
+            sn += ((bn & ev) | (bp & od)) << sh
         kones = ones * self.k
         q = sp + kones - sn
-        if q & hi or (sn + kones - sp) & hi:
+        if q & hi or ((kones << 1) - q) & hi:
             return None
         # q - (k - 1) is 0, 1 or 2 in each field for a minor of -1, 0, 1
         q -= kones - ones
+        # the block of the column: base's block below the new half
+        vp = (base[0] >> half) | (((q >> 1) & ones) << half)
+        vn = (base[1] >> half) | ((ones & ~(q | (q >> 1))) << half)
         off = self.w << (c + self.m)
-        return (p | (((q >> 1) & ones) << off),
-                n | ((ones & ~(q | (q >> 1))) << off))
+        return p | (vp << off), n | (vn << off)
 
     def push(self, c, level):
-        """Make ``level``, a pair from ``probe(c, ...)``, the table entry of
-        the first c + 1 chosen columns."""
+        """Make ``level``, a pair from ``probe(c, ...)`` (``single`` when
+        c = 0), the table entry of the first c + 1 chosen columns."""
         self.table[c + 1:] = [level]
 
 
@@ -275,11 +303,14 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
 
     A node is one subset test, counted whether or not it runs a minor
     check. TU is hereditary, so the answers are kept per chosen prefix:
-    the test of chosen + [t] reuses the test of chosen[:k] + [t] for the
-    longest such prefix that was already tested with t, and fails
-    without a check when that one failed. Each (prefix, t) pair is thus
-    checked at most once, while the walk, the node count and the witness
-    are those of testing every node afresh.
+    the test of chosen[:k] + [t] first asks for chosen[:k-1] + [t], from
+    the memo or by the same test one level down, and fails without a
+    check when that one failed. Each (prefix, t) pair is thus checked at
+    most once, while the walk, the node count and the witness are those
+    of testing every node afresh. In the packed minor table a check
+    computes only the minors through both t and chosen[k-1]; the others
+    come from the pair of chosen[:k-1] + [t]. Past the table a check
+    scans every minor of chosen[:k] + [t] with tu_violation.
 
     perms       optional candidate-index permutations; a subset is skipped
                 when some permutation maps it to a lex-smaller one.
@@ -299,23 +330,28 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
     target_hit = False
     chosen = []
 
-    packed = m <= _PACKED_MAX_ROWS
-    packed_depth = _PACKED_MAX_LOG_FIELDS - m - 1
-    minors = _PackedMinors(m) if packed else None
+    packed_depth = (_PACKED_MAX_LOG_FIELDS - m - 1
+                    if m <= _PACKED_MAX_ROWS else -1)
+    minors = _PackedMinors(m) if packed_depth >= 0 else None
     terms = {}
 
-    def check(t, k):
-        """Is chosen[:k] + [t] TU, given that chosen[:k] is? A falsy
-        result means no; a TU answer is the packed table pair of
-        chosen[:k] + [t], or True past the table."""
-        if packed and k <= packed_depth:
-            if t not in terms:
-                terms[t] = minors.terms(cand[t])
-            return minors.probe(k, terms[t])
+    def check(t, k, base):
+        """Is chosen[:k] + [t] TU, given that chosen[:k] is and that
+        ``base``, the test of chosen[:k-1] + [t], passed? A falsy result
+        means no; a TU answer is the packed table pair of chosen[:k] +
+        [t], or True past the table."""
+        if k <= packed_depth:
+            if k:
+                return minors.probe(k, terms[t], base)
+            terms[t] = minors.terms(cand[t])
+            return minors.single(terms[t])
+        if k < 2:
+            # a column in {-1, 0, 1}, alone or beside a compatible one
+            return True
         flat = [cand[idx][r] for r in range(m) for idx in chosen[:k] + [t]]
         return tu_violation(flat, m, k + 1) is None
 
-    # known[k][t] is check(t, k) for the current chosen[:k]; known[k + 1]
+    # known[k][t] is test(t, k) for the current chosen[:k]; known[k + 1]
     # is reset whenever chosen[k] changes
     known = [{}]
 
@@ -324,10 +360,9 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
         if t in memo:
             return memo[t]
         # TU is hereditary: when chosen[:k-1] + [t] is not TU, neither is
-        # chosen[:k] + [t]. Every t reaching test is a column in
-        # {-1, 0, 1} and compatible with each chosen column, so the tests
-        # below level 2 pass.
-        ok = (k < 3 or test(t, k - 1)) and check(t, k)
+        # chosen[:k] + [t]
+        base = test(t, k - 1) if k else True
+        ok = base and check(t, k, base)
         memo[t] = ok
         return ok
 

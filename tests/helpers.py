@@ -47,3 +47,17 @@ def max_tu_subset_walk(m, cands, **opts):
     best, witness, nodes, complete = kernels.max_tu_subset(
         m, flat, len(cands), **opts)
     return best, list(witness), nodes, bool(complete)
+
+
+def packed_pair(minors, c, column):
+    """The (pos, neg) pair of ``column`` beside the first c columns pushed
+    into the ``_PackedMinors`` table ``minors``, built as the search walk
+    builds it: the lone column's pair, then one probe per chosen column,
+    each from the pair one level down. None when a probe fails."""
+    terms = minors.terms(column)
+    level = minors.single(terms)
+    for j in range(1, c + 1):
+        level = minors.probe(j, terms, level)
+        if level is None:
+            return None
+    return level

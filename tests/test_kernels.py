@@ -10,7 +10,7 @@ from tumax import kernels
 from tumax.polytopes import _cube_symmetry_index_perms
 from tumax.search import candidate_columns, max_polytopal_tu_columns
 
-from helpers import max_tu_subset_walk
+from helpers import max_tu_subset_walk, packed_pair, random_tu_matrix
 from oracles import (canonical_masks_bruteforce, coordinate_index_perms,
                      det_cofactor, first_violating_minor,
                      max_tu_subset_reference)
@@ -133,11 +133,75 @@ def test_node_budget_bounds_an_m8_search():
 
 
 def test_pure_max_tu_subset_past_packed_table(monkeypatch):
-    # nodes past the packed minor table ask tu_violation instead
+    # nodes past the packed minor table ask tu_violation instead; the
+    # table reaches depth _PACKED_MAX_LOG_FIELDS - m - 1, here -1 (no
+    # table) to 3, so the hand-off happens at every depth up to 4
     cands = _sum_one_candidates(4)
-    monkeypatch.setattr(_pykernels, "_PACKED_MAX_LOG_FIELDS", 6)
-    assert (max_tu_subset_walk(4, cands)
-            == max_tu_subset_reference(4, cands))
+    want = max_tu_subset_reference(4, cands)
+    for depth in range(-1, 4):
+        monkeypatch.setattr(_pykernels, "_PACKED_MAX_LOG_FIELDS", depth + 5)
+        assert max_tu_subset_walk(4, cands) == want, depth
+
+
+def _minor_fields(columns, m):
+    """det(M[R, C]) at field (C << m) | R for every row set R and column
+    set C of the matrix with these columns; 0 when |R| != |C|."""
+    out = []
+    for f in range(1 << (len(columns) + m)):
+        cs = [j for j in range(len(columns)) if f >> (m + j) & 1]
+        rs = [i for i in range(m) if f >> i & 1]
+        out.append(det_cofactor([[columns[j][i] for j in cs] for i in rs])
+                   if len(rs) == len(cs) else 0)
+    return out
+
+
+def _decoded_fields(minors, pair, ncols):
+    """The values held by a (pos, neg) table pair over ncols columns."""
+    w = minors.w
+    nfields = 1 << (ncols + minors.m)
+    pos, neg = pair
+    assert pos >> (w * nfields) == 0 and neg >> (w * nfields) == 0
+    out = []
+    for f in range(nfields):
+        p = pos >> (w * f) & ((1 << w) - 1)
+        n = neg >> (w * f) & ((1 << w) - 1)
+        assert p in (0, 1) and n in (0, 1) and not p & n, f
+        out.append(p - n)
+    return out
+
+
+def test_packed_minor_pairs_match_cofactor_determinants():
+    # push the columns of a TU matrix one by one and read back every
+    # field; then append a random sign column level by level: each probe
+    # fails exactly when a minor through the new column is outside
+    # {-1, 0, 1}, and otherwise holds every minor of the longer matrix
+    rng = random.Random(91)
+    outcomes = set()
+    for _ in range(120):
+        m = rng.randint(1, 5)
+        c = rng.randint(0, 5)
+        mat = random_tu_matrix(rng, m, c)
+        cols = [mat.col(j) for j in range(c)]
+        minors = _pykernels._PackedMinors(m)
+        for j in range(c):
+            pair = packed_pair(minors, j, cols[j])
+            assert _decoded_fields(minors, pair, j + 1) == _minor_fields(
+                cols[:j + 1], m)
+            minors.push(j, pair)
+        v = tuple(rng.randint(-1, 1) for _ in range(m))
+        terms = minors.terms(v)
+        level = minors.single(terms)
+        assert _decoded_fields(minors, level, 1) == _minor_fields([v], m)
+        for j in range(1, c + 1):
+            want = _minor_fields(cols[:j] + [v], m)
+            through_v = want[1 << (j + m):]
+            level = minors.probe(j, terms, level)
+            outcomes.add(level is None)
+            if level is None:
+                assert any(not -1 <= d <= 1 for d in through_v)
+                break
+            assert _decoded_fields(minors, level, j + 1) == want
+    assert outcomes == {True, False}
 
 
 def test_unimodular_violation_matches_oracle():

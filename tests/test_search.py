@@ -18,7 +18,7 @@ from tumax.search import (
     max_tu_columns,
 )
 
-from helpers import max_tu_subset_walk, random_tu_matrix
+from helpers import max_tu_subset_walk, packed_pair, random_tu_matrix
 from oracles import (coordinate_index_perms, is_tu_bruteforce,
                      max_tu_subset_reference)
 
@@ -173,6 +173,56 @@ def test_heller_m4_past_the_packed_table():
         [-1, 0, -1, 0, 0, 0, -1, 0, 0, -1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1]]
 
 
+# (kind, m, mode, max_columns, nodes, complete, witness as indices into
+# candidate_columns(m, kind), beside the identity block but for heller),
+# for every default search but the m = 6 verify one, which
+# test_criterion2_stretch_m6 pins
+_DEFAULT_WALKS = (
+    ("polytopal", 2, "verify", 2, 0, True, ()),
+    ("polytopal", 2, "fast", 2, 0, True, ()),
+    ("polytopal", 3, "verify", 4, 3, True, (0,)),
+    ("polytopal", 3, "fast", 4, 1, True, (0,)),
+    ("polytopal", 4, "verify", 6, 58, True, (0, 1)),
+    ("polytopal", 4, "fast", 6, 2, True, (0, 1)),
+    ("polytopal", 5, "verify", 10, 4929, True, (0, 1, 2, 10, 11)),
+    ("polytopal", 5, "fast", 10, 6, True, (0, 1, 2, 10, 11)),
+    ("polytopal", 6, "fast", 12, 11, True, (0, 1, 5, 6, 9, 31)),
+    ("heller", 1, "verify", 3, 7, True, (0, 1, 2)),
+    ("heller", 1, "fast", 3, 3, True, (0, 1, 2)),
+    ("heller", 2, "verify", 7, 223, True, (0, 1, 3, 4, 5, 7, 8)),
+    ("heller", 2, "fast", 7, 7, True, (0, 1, 3, 4, 5, 7, 8)),
+    ("heller", 3, "verify", 13, 103447, True,
+     (0, 1, 3, 4, 10, 12, 13, 14, 16, 22, 23, 25, 26)),
+    ("heller", 3, "fast", 13, 15, True,
+     (0, 1, 3, 4, 10, 12, 13, 14, 16, 22, 23, 25, 26)),
+    ("odd-sums", 1, "verify", 1, 0, True, ()),
+    ("odd-sums", 1, "fast", 1, 0, True, ()),
+    ("odd-sums", 2, "verify", 2, 0, True, ()),
+    ("odd-sums", 2, "fast", 2, 0, True, ()),
+    ("odd-sums", 3, "verify", 4, 4, True, (0,)),
+    ("odd-sums", 3, "fast", 4, 4, True, (0,)),
+    ("odd-sums", 4, "verify", 6, 96, True, (0, 1)),
+    ("odd-sums", 4, "fast", 6, 32, True, (0, 1)),
+    ("odd-sums", 5, "verify", 10, 10985, True, (0, 1, 2, 11, 12)),
+    ("odd-sums", 5, "fast", 10, 410, True, (0, 1, 2, 11, 12)),
+)
+
+
+def test_default_search_walks_are_pinned():
+    # the same subset tests in the same order, ending on the same witness
+    searches = {"polytopal": max_polytopal_tu_columns,
+                "heller": max_tu_columns, "odd-sums": max_odd_sum_tu_columns}
+    for kind, m, mode, best, nodes, complete, idx in _DEFAULT_WALKS:
+        res = searches[kind](m, mode=mode)
+        cands = candidate_columns(m, kind)
+        identity = [] if kind == "heller" else [
+            tuple(int(i == j) for i in range(m)) for j in range(m)]
+        assert ((res.max_columns, res.nodes, res.complete)
+                == (best, nodes, complete)), (kind, m, mode)
+        assert res.witness.columns() == identity + [cands[j] for j in idx], (
+            kind, m, mode)
+
+
 def test_node_budget_flags_incomplete():
     res = max_tu_columns(3, node_budget=50)
     assert not res.complete
@@ -182,13 +232,13 @@ def test_node_budget_flags_incomplete():
 
 def _extends_tu(mprime, column):
     """The search walk's extension check: push the columns of M' into the
-    packed minor table one by one, then probe v."""
+    packed minor table one by one, then test v."""
     minors = _PackedMinors(mprime.rows)
     for c in range(mprime.cols):
-        level = minors.probe(c, minors.terms(mprime.col(c)))
+        level = packed_pair(minors, c, mprime.col(c))
         assert level is not None, "M' must be TU"
         minors.push(c, level)
-    return minors.probe(mprime.cols, minors.terms(column)) is not None
+    return packed_pair(minors, mprime.cols, column) is not None
 
 
 def test_is_extension_tu_examples():
