@@ -7,11 +7,11 @@ the Ghouila-Houri row-signing criterion, written here so that the two
 routes share no code path.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from . import kernels, linsolve
+from ._record import Record
 from .errors import BudgetExceeded, PreconditionError, UsageError
 from .matrix import IntMatrix
 
@@ -22,8 +22,7 @@ METHOD_MINORS = "minor-enumeration"
 METHOD_GH = "ghouila-houri"
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """Integer row covector; evaluates matrices column-wise."""
 
     coeffs: tuple
@@ -46,15 +45,13 @@ class Functional:
         return tuple(self.evaluate(m.col(j)) for j in range(m.cols))
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(Record):
     rows: tuple
     cols: tuple
     value: int
 
 
-@dataclass(frozen=True)
-class TuVerdict:
+class TuVerdict(Record):
     is_tu: bool
     method: str
     witness: Optional[MinorWitness] = None

@@ -16,8 +16,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import BudgetExceeded, FormatError, TumaxError, UsageError
 from .matrix import parse_matrix_text
 
@@ -27,8 +27,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class CommandReport:
+class CommandReport(Record):
     command: str
     inputs: dict
     result: dict

@@ -4,8 +4,7 @@ bipartite incidence extremal matrices, and the fixed 5x5/5x10/4x10
 sporadic matrices with their equivalence test.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import UsageError
 from .matrix import IntMatrix
 
@@ -29,8 +28,7 @@ def h(x):
     return ((x + 1) * (x + 1)) // 4
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     part: int
     x_range: tuple
     y_range: tuple

@@ -5,18 +5,17 @@ Arc order is significant everywhere: tree arcs fix the row order of a
 network matrix and digraph arcs fix its column order.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from ._record import Record
 from .errors import FormatError, StructureError, UsageError, WitnessMismatch
 from .matrix import IntMatrix
 
 MAX_PATTERN_PATHS = 64  # patterns are stored as 64-bit bitsets
 
 
-@dataclass(frozen=True)
-class ArcGraph:
+class ArcGraph(Record):
     """Vertex count plus an ordered arc list (tail, head)."""
 
     vertices: int
@@ -83,6 +82,8 @@ def parse_graph_text(text):
         nv, na = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError("header must contain two integers", line=1)
+    if nv < 0 or na < 0:
+        raise FormatError("negative vertex or arc count", line=1)
     arcs = []
     for i in range(na):
         lineno = i + 2
@@ -95,6 +96,9 @@ def parse_graph_text(text):
             arcs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise FormatError("non-integer vertex", line=lineno)
+    for extra in range(na + 1, len(lines)):
+        if lines[extra].strip():
+            raise FormatError("trailing content after arcs", line=extra + 1)
     try:
         return ArcGraph.from_arcs(nv, arcs)
     except UsageError as exc:
@@ -178,8 +182,7 @@ def network_matrix(tree, digraph):
     return IntMatrix.from_columns(cols, rows=nrows)
 
 
-@dataclass(frozen=True)
-class TransposeExtension:
+class TransposeExtension(Record):
     matrix: IntMatrix
     tree: ArcGraph
     digraph: ArcGraph
@@ -212,8 +215,7 @@ def transpose_extension(mprime, tree, digraph):
     return TransposeExtension(result, ext_tree, ext_digraph)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """Subset of path indices using some tree edge, as a bitset over [m]."""
 
     mask: int
@@ -264,8 +266,7 @@ def _edge_masks(tree, paths):
     return set(masks) - {0}
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(Record):
     npaths: int
     pattern_count: int
     bound: Optional[int]
@@ -326,8 +327,7 @@ def _underlying_bipartite(digraph):
     return True
 
 
-@dataclass(frozen=True)
-class NetworkColumnReport:
+class NetworkColumnReport(Record):
     applicable: bool
     num_cols: int
     num_tree_arcs: int
@@ -365,8 +365,7 @@ def verify_network_column_bound(tree, digraph):
                                bound_ok, bip, equality, bound_ok and bip)
 
 
-@dataclass(frozen=True)
-class TransposeRowReport:
+class TransposeRowReport(Record):
     num_cols: int
     distinct_pos_rows: int
     pos_bound: Optional[int]

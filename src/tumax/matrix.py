@@ -6,9 +6,8 @@ instances can be shared freely. Entries are validated to fit a signed
 overflow (see :mod:`tumax.kernels`).
 """
 
-from dataclasses import dataclass
-
 from . import kernels
+from ._record import Record, set_field
 from .errors import ArithmeticOverflow, FormatError, UsageError
 
 _LIMIT = 1 << 63
@@ -27,13 +26,19 @@ def as_index_set(indices, size, what="index"):
     return idx
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable row-major integer matrix."""
 
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples
+
+    def __init__(self, rows, cols, entries):
+        # the hot constructor (about 8 700 matrices per polytopes pass):
+        # no generic argument handling
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows_data):
@@ -56,11 +61,13 @@ class IntMatrix:
             for col in cols_data:
                 if len(col) != rows:
                     raise UsageError("columns have inconsistent lengths")
+        elif rows is None:
+            rows = 0
+        if rows and cols_data:
             return IntMatrix.from_rows(
                 [[col[i] for col in cols_data] for i in range(rows)])
-        if rows is None:
-            rows = 0
-        return IntMatrix(rows, 0, tuple(() for _ in range(rows)))
+        # no entries: rows x 0 or 0 x len(cols_data)
+        return IntMatrix(rows, len(cols_data), ((),) * rows)
 
     @staticmethod
     def identity(n):

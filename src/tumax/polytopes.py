@@ -3,11 +3,11 @@ lattice isomorphism, edge polytopes, simplex products, and the exhaustive
 low-dimensional classification over the 0/1 cube.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Optional
 
 from . import kernels, linsolve
+from ._record import Record, set_field
 from .certify import is_totally_unimodular, is_unimodular, polytopal_certificate
 from .errors import BudgetExceeded, PreconditionError, StructureError, UsageError
 from .families import h
@@ -15,12 +15,17 @@ from .lp import in_convex_hull
 from .matrix import IntMatrix
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Ambient dimension plus a tuple of pairwise distinct lattice points."""
 
     dim: int
     points: tuple
+
+    def __init__(self, dim, points):
+        # about 1 300 point sets per polytopes pass: no generic argument
+        # handling
+        set_field(self, "dim", dim)
+        set_field(self, "points", points)
 
     @staticmethod
     def from_points(points):
@@ -59,8 +64,7 @@ class PointSet:
         return kernels.rank_entries(flat, len(diffs), self.dim)
 
 
-@dataclass(frozen=True)
-class HullResult:
+class HullResult(Record):
     vertices: PointSet
     nonvertices: tuple
     cube_points_in_hull: Optional[tuple]
@@ -99,8 +103,7 @@ def vertex_hull(ps):
     return HullResult(PointSet(ps.dim, verts), nonverts, cube)
 
 
-@dataclass(frozen=True)
-class UnimodularityVerdict:
+class UnimodularityVerdict(Record):
     is_unimodular: bool
     witness: Optional[tuple]  # ((d+1) point indices, determinant)
 
@@ -357,14 +360,18 @@ def fingerprint_string(fp):
     return f"d{d}An{n}:g{','.join(map(str, dists))}:s{indep}:v{','.join(map(str, per_vertex))}"
 
 
-@dataclass(frozen=True, eq=False)
-class PolytopeClass:
+class PolytopeClass(Record):
     """Isomorphism class of a unimodular polytope with a 0/1 representative."""
 
     dimension: int
     vertex_count: int
     vertices: PointSet
     fingerprint: tuple
+
+    # a class is one object of the classification: equal fields do not
+    # make two classes the same one
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def to_json_dict(self):
         return {
@@ -425,8 +432,7 @@ def _candidate_subsets(d, pruned):
     yield from rec([], 0)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
     dimension: int
     classes: tuple
     count: int
@@ -487,8 +493,7 @@ def classify_unimodular(d, pruned=True, stretch=False):
     return ClassificationResult(d, ordered, len(ordered), examined)
 
 
-@dataclass(frozen=True)
-class VertexBoundReport:
+class VertexBoundReport(Record):
     dimension: int
     vertex_count: int
     bound: int
@@ -512,8 +517,7 @@ def vertex_bound_check(ps):
     return VertexBoundReport(d, n, bound, n <= bound, n == bound)
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
+class NormalizeResult(Record):
     matrix: IntMatrix       # (I | B) after the change of basis
     transform: IntMatrix    # the basis columns R, with M = R (I|B) P^T
     permutation: tuple      # output column k came from input column perm[k]

@@ -10,12 +10,12 @@ target value is reached.
 """
 
 import time
-from dataclasses import dataclass
 from itertools import permutations, product
 from operator import itemgetter
 from typing import Optional
 
 from . import kernels
+from ._record import Record
 from .errors import UsageError
 from .families import h
 from .matrix import IntMatrix
@@ -51,8 +51,7 @@ def candidate_columns(m, mode):
     return out
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     m: int
     mode: str
     max_columns: int

@@ -3,9 +3,9 @@ validity checks, and the functional-transport rules that push a
 w-valuedness certificate of a composed matrix down to its factors.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .certify import Functional, is_totally_unimodular
 from .errors import FormatError, HypothesisError, PreconditionError, UsageError
 from .matrix import IntMatrix
@@ -13,8 +13,7 @@ from .matrix import IntMatrix
 KINDS = ("one-sum", "two-sum", "three-sum", "delta-sum")
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Record):
     """The pieces of a sum; unused fields are None depending on ``kind``."""
 
     kind: str
@@ -54,11 +53,13 @@ class SumSpec:
         if not isinstance(data, dict):
             raise FormatError("a SumSpec must be a JSON object")
 
+        def is_int(x):
+            return type(x) is int  # JSON true/false decode to bool
+
         def ints(name, values):
-            try:
-                return tuple(int(x) for x in values)
-            except (TypeError, ValueError):
+            if not (isinstance(values, list) and all(map(is_int, values))):
                 raise FormatError(f"{name} must hold integers, got {values!r}")
+            return tuple(values)
 
         def vec(name):
             return ints(name, data[name]) if name in data else None
@@ -73,6 +74,8 @@ class SumSpec:
         kind = data.get("kind")
         if kind not in KINDS:
             raise UsageError(f"unknown sum kind {kind!r}")
+        if "x" in data and not is_int(data["x"]):
+            raise FormatError(f"x must be an integer, got {data['x']!r}")
         return SumSpec(
             kind=kind,
             a=mat("A"),
@@ -86,14 +89,12 @@ class SumSpec:
         )
 
 
-@dataclass(frozen=True)
-class ComposeReport:
+class ComposeReport(Record):
     kind: str
     two_sum_shaped: Optional[bool]
 
 
-@dataclass(frozen=True)
-class ComposeResult:
+class ComposeResult(Record):
     matrix: IntMatrix
     report: ComposeReport
 
@@ -253,15 +254,13 @@ def delta_sum(a, u, u_prime, v, v_prime, b, x):
                            x=x)).matrix
 
 
-@dataclass(frozen=True)
-class TransportedFactor:
+class TransportedFactor(Record):
     factor: IntMatrix
     w_part: tuple
     functional: Functional
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(Record):
     kind: str
     parts: tuple  # of TransportedFactor
 

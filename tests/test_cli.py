@@ -36,6 +36,9 @@ GEN_COMMANDS = [
      "unimodular-polytope", EXIT_OK),
     (["gen", "edge-polytope", "--complete", "2", "3"],
      "unimodular-polytope", EXIT_OK),
+    # a single point in dimension 0: a 0 x 1 matrix
+    (["gen", "simplex-product", "--a", "0", "--b", "0"],
+     "unimodular-polytope", EXIT_OK),
 ]
 
 
@@ -67,6 +70,8 @@ def test_exit_code_contract_corpus(tmp_path):
     tree = _write(tmp_path, "tree.txt", "3 2\n0 1\n1 2\n")
     not_tree = _write(tmp_path, "cycle.txt", "3 3\n0 1\n1 2\n2 0\n")
     digraph = _write(tmp_path, "dig.txt", "3 2\n0 2\n1 0\n")
+    extra_arc = _write(tmp_path, "extra.txt", "3 2\n0 1\n1 2\n2 0\n")
+    neg_arcs = _write(tmp_path, "negarcs.txt", "3 -1\n")
     paths = _write(tmp_path, "paths.txt", "0 2\n1 2\n")
     neg_seg = _write(tmp_path, "neg.txt", "1 2\n-1 1\n")
 
@@ -104,6 +109,8 @@ def test_exit_code_contract_corpus(tmp_path):
         (["network", "build", not_tree, digraph], EXIT_USAGE),
         (["network", "patterns", tree, paths], EXIT_OK),
         (["network", "bounds", tree, digraph], EXIT_OK),
+        (["network", "build", extra_arc, digraph], EXIT_USAGE),
+        (["network", "build", tree, neg_arcs], EXIT_USAGE),
         (["sum", "two", spec_two], EXIT_OK),
         (["sum", "delta", spec_delta], EXIT_OK),
         (["sum", "one", spec_two], EXIT_USAGE),
@@ -141,6 +148,26 @@ def test_exit_code_contract_corpus(tmp_path):
     assert len(corpus) >= 20
     for argv, expected in corpus:
         assert main(argv) == expected, f"{argv} expected exit {expected}"
+
+
+SPEC_FIELDS = ("A", "B", "C", "u", "v", "u_prime", "v_prime",
+               "u1", "u2", "u3", "v1", "v2", "v3", "x")
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+@pytest.mark.parametrize("field", SPEC_FIELDS)
+def test_sum_spec_accepts_only_json_integers(tmp_path, capsys, field, bad):
+    data = random_spec(random.Random(91), "delta-sum").to_json_dict()
+    if field == "x":
+        data["x"] = bad
+    elif field in ("A", "B", "C"):
+        rows = data.get(field, [[0]])
+        data[field] = [[bad] + rows[0][1:]] + rows[1:]
+    else:
+        data[field] = [bad] + data.get(field, [0])[1:]
+    path = _write(tmp_path, "spec.json", json.dumps(data))
+    assert main(["sum", "delta", path]) == EXIT_USAGE
+    assert f"error: {field} must" in capsys.readouterr().err
 
 
 def test_run_raises_usage_error_on_unknown_flag():

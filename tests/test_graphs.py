@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tumax.certify import is_totally_unimodular
-from tumax.errors import StructureError, UsageError, WitnessMismatch
+from tumax.errors import FormatError, StructureError, UsageError, WitnessMismatch
 from tumax.graphs import (
     ArcGraph,
     Pattern,
@@ -264,6 +264,22 @@ def test_graph_text_round_trip():
     g = ArcGraph.from_arcs(4, [(0, 1), (2, 3)])
     assert parse_graph_text(g.to_text()) == g
     assert parse_paths_text("0 1\n2 3\n") == [(0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("3 1\n0 1\n1 2\n", 3),      # an arc past the header's count
+    ("3 0\n\n0 1\n", 3),
+    ("3 -1\n", 1),
+    ("-3 0\n", 1),
+])
+def test_graph_text_rejects_what_the_header_does_not_cover(text, line):
+    with pytest.raises(FormatError) as err:
+        parse_graph_text(text)
+    assert err.value.line == line
+
+
+def test_graph_text_allows_trailing_blank_lines():
+    assert parse_graph_text("2 1\n0 1\n\n  \n") == ArcGraph(2, ((0, 1),))
 
 
 def test_pattern_helpers():

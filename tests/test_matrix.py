@@ -129,6 +129,16 @@ def test_text_zero_rows():
     assert parse_matrix_text(m.to_text()) == m
 
 
+def test_empty_columns_keep_the_column_count():
+    m = IntMatrix.from_columns([(), ()])
+    assert (m.rows, m.cols, m.columns()) == (0, 2, [(), ()])
+    assert m.to_text() == "0 2\n"
+    assert parse_matrix_text(m.to_text()) == m
+    blank = IntMatrix.from_columns([], rows=3)
+    assert (blank.rows, blank.cols) == (3, 0)
+    assert parse_matrix_text(blank.to_text()) == blank
+
+
 def test_text_format_errors_carry_line_numbers():
     with pytest.raises(FormatError):
         parse_matrix_text("")

@@ -16,12 +16,12 @@ HEAVY = ("tumax.certify", "tumax.families", "tumax.graphs", "tumax.polytopes",
          "fractions")
 
 
-def _loaded_after(code):
-    """The names of ``HEAVY`` in ``sys.modules`` after running ``code`` in
-    a new interpreter with ``src`` first on the path."""
+def _loaded_after(code, names=HEAVY):
+    """The modules of ``names`` in ``sys.modules`` after running ``code``
+    in a new interpreter with ``src`` first on the path."""
     script = (f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
               "import json\n"
-              f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+              f"print(json.dumps([m for m in {names!r} if m in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True).stdout
     return set(json.loads(out.splitlines()[-1]))
@@ -51,3 +51,11 @@ def test_check_tu_loads_certify_and_no_other_command_module(tmp_path):
     assert "tumax.certify" in loaded
     assert loaded.isdisjoint({"tumax.polytopes", "tumax.graphs", "tumax.sums",
                               "tumax.search"})
+
+
+def test_no_tumax_module_imports_dataclasses_or_inspect():
+    modules = sorted(f"tumax.{p.stem}" for p in Path(SRC, "tumax").glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    assert "tumax.polytopes" in modules
+    code = "\n".join(f"import {m}" for m in modules)
+    assert _loaded_after(code, ("dataclasses", "inspect")) == set()
