@@ -2,13 +2,16 @@
 
 All kernels work on flat row-major lists of Python ints.
 
-Storage contract: every *stored* intermediate value must fit a signed
-64-bit integer; a value leaving that range raises
-:class:`~tumax.errors.ArithmeticOverflow` instead of wrapping.
+Storage contract: every *stored* entry, determinant or other
+intermediate value must fit a signed 64-bit integer; a value leaving that
+range raises :class:`~tumax.errors.ArithmeticOverflow` instead of
+wrapping. The big ints of the packed minor table (``_PackedMinors``) are
+rows of w-bit fields, and w is chosen so that no field spills over.
 """
 
 from array import array
 from itertools import combinations
+from math import comb
 
 from .errors import ArithmeticOverflow
 
@@ -118,41 +121,43 @@ def tu_violation(flat, rows, cols):
     return None
 
 
-# Bounds on the packed minor table of max_tu_subset: at most this many
-# rows, and at most 2**_PACKED_MAX_LOG_FIELDS fields. Past them, a search
-# node asks tu_violation, which scans every minor of its block.
-_PACKED_MAX_ROWS = 12
-_PACKED_MAX_LOG_FIELDS = 20
+# A block of the packed minor table holds at most this many fields (half
+# a megabyte per int at w = 4), more than any walk with m <= 5 needs; a
+# walk that would need a longer one stops, incomplete, as at a budget.
+_MAX_BLOCK_FIELDS = 1 << 20
 
 
 class _PackedMinors:
-    """Every square minor of the chosen columns, packed into two big ints.
+    """The minors of the chosen columns that a later probe reads, packed
+    into one pair of big ints per chosen column.
 
-    Field ``(C << m) | R`` holds det(M[R, C]) for a row set R and a set C
-    of chosen-column positions (bitmasks; rows and columns in ascending
-    order); fields with |R| != |C| hold 0. As the chosen matrix is TU,
-    each value x is in {-1, 0, 1} and is stored as a 0/1 field of ``pos``
-    (x = 1) or of ``neg`` (x = -1), every field ``w`` bits wide.
+    The block of chosen column j holds det(M[R, T + {j}]) for every row
+    set R and every set T of earlier positions with at most m - 2
+    members (T = {} when m = 1): the minors of at most m - 1 columns
+    whose last column is j, the only ones a probe reads again. Each
+    T (a bitmask) takes 2**m fields, field R at offset R, and the sets T
+    come in numeric order; fields with |R| != |T| + 1 hold 0. As the
+    chosen matrix is TU, each value x is in {-1, 0, 1} and is stored as a
+    0/1 field of ``pos`` (x = 1) or of ``neg`` (x = -1), every field
+    ``w`` bits wide. ``table[j]`` is the (pos, neg) block of column j.
 
-    ``table[c]`` is the (pos, neg) pair of the first c chosen columns.
-    Appending a column v at position c adds the block of fields whose C
-    contains c, the minors through v. The half of that block whose C
-    also contains c - 1 holds the new minors: those through both v and
-    chosen column c - 1. The other half is the block of v appended at
-    position c - 1 instead, minors of the same submatrices with v still
-    the last column, so ``probe`` copies it from the pair of v beside the
-    first c - 1 chosen columns. TU is hereditary, so that pair having
-    passed means only the new half needs a check.
+    The block of a column v appended at position c starts with its sets
+    T without c - 1, the block of v at position c - 1 that a probe one
+    level down built and checked. TU is hereditary, so only the minors
+    through both v and chosen column c - 1 need a check. They come from
+    the block of that column by Laplace expansion along v,
 
-    The new half comes from the block of chosen column c - 1 by Laplace
-    expansion along v,
-
-        det(M[R, C + c]) = sum over i in R of (-1)^s * v_i * det(M[R - i, C])
+        det(M[R, C + v]) = sum over i in R of (-1)^s * v_i * det(M[R - i, C])
 
     where s counts the rows of R with an index greater than i. For a
     fixed i the map R - i -> R is a shift by 2**i fields, so the whole
-    half is a sum of masked shifts of that block: a few big-int
+    image is a sum of masked shifts of that block: a few big-int
     operations per nonzero entry of v check every new minor at once.
+    The images from sets T with at most m - 3 members follow in v's block
+    in the same order; the others, order-m minors, are checked and
+    dropped: none up to depth m - 2, the last set at depth m - 1 (cut
+    off by a shorter all-ones mask), and runs spread over the block
+    deeper (the kept runs are gathered as bytes).
     """
 
     def __init__(self, m):
@@ -160,33 +165,43 @@ class _PackedMinors:
         # fields hold sums of at most m terms plus the bias k below
         self.w = w = (m + 1).bit_length() + 1
         self.k = (1 << (w - 1)) - 2
-        even = [0] * m
-        odd = [0] * m
+        # the source fields R - i of row i's terms by the parity of s
+        self._signs = signs = ([0] * m, [0] * m)
         for r in range(1 << m):
             for i in range(m):
-                if r >> i & 1:
-                    continue
-                if bin(r >> (i + 1)).count("1") & 1:
-                    odd[i] |= 1 << (r * w)
-                else:
-                    even[i] |= 1 << (r * w)
-        self._even = even
-        self._odd = odd
+                if not r >> i & 1:
+                    signs[bin(r >> (i + 1)).count("1") & 1][i] |= 1 << (r * w)
+        # |T| of each set T of a block at position len(self._levels)
+        self._sizes = [0]
         self._levels = []
-        self.table = [(1, 0)]
+        self.table = []
 
     def _level(self, c):
-        """Sign masks, all-ones and top-bit constants for 2**c blocks."""
-        while len(self._levels) <= c:
-            d = len(self._levels)
-            w = self.w
-            block = w << self.m
-            rep = ((1 << (block << d)) - 1) // ((1 << block) - 1)
-            ones = ((1 << (w << (d + self.m))) - 1) // ((1 << w) - 1)
-            self._levels.append(([e * rep for e in self._even],
-                                 [o * rep for o in self._odd],
-                                 ones, ones << (w - 1)))
-        return self._levels[c]
+        """Constants of a probe at depth c, over blocks at position c - 1:
+        sign masks, all-ones and top-bit masks, the width in bits, the byte
+        slices of the kept runs (none for a prefix), the kept all-ones."""
+        while len(self._levels) < c:
+            m, w, sizes = self.m, self.w, self._sizes
+            run = w << m
+            full = (1 << (run * len(sizes))) - 1
+            rep = full // ((1 << run) - 1)
+            ones = full // ((1 << w) - 1)
+            keep = [s < m - 2 for s in sizes]
+            nkept = sum(keep)
+            edges = [j for j in range(len(sizes) + 1) if
+                     (j < len(sizes) and keep[j]) != (j > 0 and keep[j - 1])]
+            # a kept prefix needs no gather: the kept all-ones cuts it off
+            slices = () if edges in ([], [0, nkept]) else tuple(
+                slice(a * run >> 3, b * run >> 3)
+                for a, b in zip(edges[::2], edges[1::2]))
+            self._levels.append((
+                [e * rep for e in self._signs[0]],
+                [o * rep for o in self._signs[1]],
+                ones, ones << (w - 1), run * len(sizes), slices,
+                ones if nkept == len(sizes)
+                else ((1 << (run * nkept)) - 1) // ((1 << w) - 1)))
+            self._sizes = sizes + [s + 1 for s, f in zip(sizes, keep) if f]
+        return self._levels[c - 1]
 
     def terms(self, col):
         """(row, entry, shift in bits) for the nonzero entries of ``col``,
@@ -194,33 +209,24 @@ class _PackedMinors:
         return [(i, e, self.w << i) for i, e in enumerate(col) if e]
 
     def single(self, terms):
-        """The (pos, neg) pair of a lone column: field ({0}, {i}) is its
-        entry i, beside the empty minor of ``table[0]``."""
-        off = self.w << self.m
-        p = n = 0
-        for _, e, sh in terms:
-            if e > 0:
-                p |= 1 << sh
-            else:
-                n |= 1 << sh
-        return 1 | (p << off), n << off
+        """The block of a lone column at position 0: field {i} of its one
+        set T, the empty one, holds entry i."""
+        return (sum(1 << sh for _, e, sh in terms if e > 0),
+                sum(1 << sh for _, e, sh in terms if e < 0))
 
     def probe(self, c, terms, base):
-        """The (pos, neg) pair after appending a column to the first c >= 1
-        chosen ones, or None when a minor through it and chosen column
-        c - 1 is outside {-1, 0, 1}. ``base`` is the pair of the same
-        column appended to the first c - 1 chosen ones (``single`` when
-        c = 1); the table itself is not changed.
+        """The block of a column appended at position c >= 1, after the
+        first c chosen ones, or None when a minor through it and chosen
+        column c - 1, order-m minors included, is outside {-1, 0, 1}.
+        ``base`` is the block of the same column at position c - 1
+        (``single`` when c = 1); the table itself is not changed.
 
         Only the sign of each entry is read, so a column with an entry
         outside {-1, 0, 1} gets a wrong answer; max_tu_subset never
         probes one, as its ``ok1_mask`` filter drops such candidates."""
-        even, odd, ones, hi = self._level(c - 1)
-        half = self.w << (c - 1 + self.m)
-        p, n = self.table[c]
+        even, odd, ones, hi, half, slices, kept = self._level(c)
         # the block of chosen column c - 1
-        bp = p >> half
-        bn = n >> half
+        bp, bn = self.table[c - 1]
         sp = 0
         sn = 0
         for i, e, sh in terms:
@@ -236,16 +242,18 @@ class _PackedMinors:
             return None
         # q - (k - 1) is 0, 1 or 2 in each field for a minor of -1, 0, 1
         q -= kones - ones
-        # the block of the column: base's block below the new half
-        vp = (base[0] >> half) | (((q >> 1) & ones) << half)
-        vn = (base[1] >> half) | ((ones & ~(q | (q >> 1))) << half)
-        off = self.w << (c + self.m)
-        return p | (vp << off), n | (vn << off)
+        if slices:
+            buf = q.to_bytes(half >> 3, "little")
+            q = int.from_bytes(b"".join(map(buf.__getitem__, slices)),
+                               "little")
+        # base's block, then the kept images
+        return (base[0] | (((q >> 1) & kept) << half),
+                base[1] | ((kept & ~(q | (q >> 1))) << half))
 
-    def push(self, c, level):
-        """Make ``level``, a pair from ``probe(c, ...)`` (``single`` when
-        c = 0), the table entry of the first c + 1 chosen columns."""
-        self.table[c + 1:] = [level]
+    def push(self, c, block):
+        """Make ``block``, from ``probe(c, ...)`` (``single`` when c = 0),
+        the block of chosen column c."""
+        self.table[c:] = [block]
 
 
 def _pair_masks(cand, m):
@@ -307,10 +315,12 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
     the memo or by the same test one level down, and fails without a
     check when that one failed. Each (prefix, t) pair is thus checked at
     most once, while the walk, the node count and the witness are those
-    of testing every node afresh. In the packed minor table a check
-    computes only the minors through both t and chosen[k-1]; the others
-    come from the pair of chosen[:k-1] + [t]. Past the table a check
-    scans every minor of chosen[:k] + [t] with tu_violation.
+    of testing every node afresh. A check is one probe of the packed
+    minor table: it computes only the minors through both t and
+    chosen[k-1], and the others come from the block of chosen[:k-1] +
+    [t]. A walk that would need a block of more than _MAX_BLOCK_FIELDS
+    fields stops there, flagged incomplete. No walk with m <= 5 gets
+    there: Heller's bound keeps it within m*m + m + 1 columns.
 
     perms       optional candidate-index permutations; a subset is skipped
                 when some permutation maps it to a lex-smaller one.
@@ -330,39 +340,30 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
     target_hit = False
     chosen = []
 
-    packed_depth = (_PACKED_MAX_LOG_FIELDS - m - 1
-                    if m <= _PACKED_MAX_ROWS else -1)
-    minors = _PackedMinors(m) if packed_depth >= 0 else None
+    minors = _PackedMinors(m)
     terms = {}
+    # the walk stops before the first position whose block would hold
+    # more than _MAX_BLOCK_FIELDS fields
+    stop = next((c for c in range(ncand) if sum(
+        comb(c, s) for s in range(m - 1)) << m > _MAX_BLOCK_FIELDS), ncand)
 
-    def check(t, k, base):
-        """Is chosen[:k] + [t] TU, given that chosen[:k] is and that
-        ``base``, the test of chosen[:k-1] + [t], passed? A falsy result
-        means no; a TU answer is the packed table pair of chosen[:k] +
-        [t], or True past the table."""
-        if k <= packed_depth:
-            if k:
-                return minors.probe(k, terms[t], base)
-            terms[t] = minors.terms(cand[t])
-            return minors.single(terms[t])
-        if k < 2:
-            # a column in {-1, 0, 1}, alone or beside a compatible one
-            return True
-        flat = [cand[idx][r] for r in range(m) for idx in chosen[:k] + [t]]
-        return tu_violation(flat, m, k + 1) is None
-
-    # known[k][t] is test(t, k) for the current chosen[:k]; known[k + 1]
-    # is reset whenever chosen[k] changes
+    # known[k][t] is test(t, k) for the current chosen[:k]: the block of
+    # chosen[:k] + [t] when that is TU, else None; known[k + 1] is reset
+    # whenever chosen[k] changes
     known = [{}]
 
     def test(t, k):
         memo = known[k]
         if t in memo:
             return memo[t]
-        # TU is hereditary: when chosen[:k-1] + [t] is not TU, neither is
-        # chosen[:k] + [t]
-        base = test(t, k - 1) if k else True
-        ok = base and check(t, k, base)
+        if k:
+            # TU is hereditary: when chosen[:k-1] + [t] is not TU, neither
+            # is chosen[:k] + [t]
+            base = test(t, k - 1)
+            ok = base and minors.probe(k, terms[t], base)
+        else:
+            terms[t] = minors.terms(cand[t])
+            ok = minors.single(terms[t])
         memo[t] = ok
         return ok
 
@@ -377,18 +378,17 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
         nonlocal best, witness, nodes, budget_hit, target_hit
         if budget_hit or target_hit:
             return
-        if node_budget >= 0 and nodes >= node_budget:
+        k = len(chosen)
+        if node_budget >= 0 and nodes >= node_budget or k >= stop:
             budget_hit = True
             return
         nodes += 1
         if perms and not canonical(chosen + [j]):
             return
-        k = len(chosen)
         ok = test(j, k)
         if not ok:
             return
-        if ok is not True:  # a packed table pair
-            minors.push(k, ok)
+        minors.push(k, ok)
         chosen.append(j)
         known[k + 1:] = [{}]
         if len(chosen) > best:

@@ -13,7 +13,7 @@ from typing import Optional
 from . import kernels, linsolve
 from ._record import Record
 from .errors import BudgetExceeded, PreconditionError, UsageError
-from .matrix import IntMatrix
+from .matrix import int_vector
 
 MINOR_SIZE_BUDGET = 16  # rows + cols admitted to full minor enumeration
 GH_ROW_BUDGET = 20  # row count admitted to the 2^m subset enumeration
@@ -197,7 +197,7 @@ def w_valued_certificate(m, w):
     either). The returned certificate is the canonical one (kernel-row
     coefficients zero), re-verified before returning.
     """
-    w = tuple(int(x) for x in w)
+    w = int_vector(w, "w")
     if len(w) != m.cols:
         raise UsageError("w length must equal the column count")
     f = linsolve.solve_left_integer(m, w)

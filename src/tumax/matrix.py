@@ -26,6 +26,16 @@ def as_index_set(indices, size, what="index"):
     return idx
 
 
+def int_vector(values, name):
+    """``values`` as a tuple of ints. Any other entry, such as 1.5 or
+    True, raises UsageError instead of being read as an integer."""
+    vec = tuple(values)
+    for x in vec:
+        if type(x) is not int:
+            raise UsageError(f"{name} must hold integers, got {x!r}")
+    return vec
+
+
 class IntMatrix(Record):
     """Immutable row-major integer matrix."""
 
@@ -56,13 +66,12 @@ class IntMatrix(Record):
     @staticmethod
     def from_columns(cols_data, rows=None):
         cols_data = [tuple(int(e) for e in col) for col in cols_data]
-        if cols_data:
-            rows = len(cols_data[0])
-            for col in cols_data:
-                if len(col) != rows:
-                    raise UsageError("columns have inconsistent lengths")
-        elif rows is None:
-            rows = 0
+        if rows is None:
+            rows = len(cols_data[0]) if cols_data else 0
+        for col in cols_data:
+            if len(col) != rows:
+                raise UsageError(f"every column must have length {rows}, "
+                                 f"got {len(col)}")
         if rows and cols_data:
             return IntMatrix.from_rows(
                 [[col[i] for col in cols_data] for i in range(rows)])

@@ -8,7 +8,7 @@ from typing import Optional
 from ._record import Record
 from .certify import Functional, is_totally_unimodular
 from .errors import FormatError, HypothesisError, PreconditionError, UsageError
-from .matrix import IntMatrix
+from .matrix import IntMatrix, int_vector
 
 KINDS = ("one-sum", "two-sum", "three-sum", "delta-sum")
 
@@ -110,7 +110,7 @@ def _block(top_left, top_right, bottom_left, bottom_right):
 def _require_vec(vec, length, name):
     if vec is None:
         raise UsageError(f"{name} is required for this sum kind")
-    vec = tuple(int(x) for x in vec)
+    vec = int_vector(vec, name)
     if len(vec) != length:
         raise UsageError(f"{name} must have length {length}, got {len(vec)}")
     return vec
@@ -212,7 +212,7 @@ def compose(spec):
     # delta-sum
     if m1 + n1 < 4 or m2 + n2 < 4:
         raise UsageError("delta-sum blocks must each have size >= 4")
-    if spec.x not in (-1, 1):
+    if type(spec.x) is not int or spec.x not in (-1, 1):
         raise UsageError("x must be +1 or -1")
     u = _require_vec(spec.u, n1, "u")
     v = _require_vec(spec.v, n2, "v")
@@ -277,11 +277,11 @@ def transport_functional(spec, f, w):
     if spec.kind == "one-sum":
         raise UsageError("no transport is defined for a one-sum")
     composed = compose(spec).matrix
-    w = tuple(int(x) for x in w)
+    w = int_vector(w, "w")
     if len(w) != composed.cols:
         raise PreconditionError("w length must match the composed matrix")
     if not isinstance(f, Functional):
-        f = Functional(tuple(int(x) for x in f))
+        f = Functional(int_vector(f, "f"))
     if f.is_zero():
         raise PreconditionError("certificate functional must be nonzero")
     if f.apply(composed) != w:

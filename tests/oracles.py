@@ -51,6 +51,31 @@ def is_tu_bruteforce(rows_data):
     return first_violating_minor(rows_data) is None
 
 
+def is_tu_by_minor_table(rows_data):
+    """``is_tu_bruteforce`` for wider matrices: the square minors of each
+    order are expanded along their last column from a table of the
+    minors one order lower, so each minor takes at most k products."""
+    r = len(rows_data)
+    c = len(rows_data[0]) if r else 0
+    lower = {((), ()): 1}
+    for k in range(1, min(r, c) + 1):
+        table = {}
+        for cset in combinations(range(c), k):
+            rest, last = cset[:-1], cset[-1]
+            for rset in combinations(range(r), k):
+                d = 0
+                for pos, i in enumerate(rset):
+                    e = rows_data[i][last]
+                    if e:
+                        minor = lower[(rset[:pos] + rset[pos + 1:], rest)]
+                        d += e * minor if (k - 1 - pos) % 2 == 0 else -e * minor
+                if not -1 <= d <= 1:
+                    return False
+                table[(rset, cset)] = d
+        lower = table
+    return True
+
+
 def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,
                             node_budget=-1):
     """Lexicographic DFS for a largest TU subset of the length-m columns

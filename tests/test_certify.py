@@ -15,7 +15,7 @@ from tumax.certify import (
     polytopal_certificate,
     w_valued_certificate,
 )
-from tumax.errors import BudgetExceeded, PreconditionError
+from tumax.errors import BudgetExceeded, PreconditionError, UsageError
 from tumax.families import bipartite_extremal, ex4_matrix, sporadic_5x10
 from tumax.matrix import IntMatrix
 
@@ -272,6 +272,14 @@ def test_polytopal_certificate_examples():
 def test_w_valued_examples():
     assert w_valued_certificate(IntMatrix.identity(3), (1, 3, 5)).coeffs == (1, 3, 5)
     assert w_valued_certificate(IntMatrix.from_rows([[1, -1]]), (1, 1)) is None
+
+
+def test_w_valued_accepts_only_integer_w():
+    # a float or a bool is no integer, even where it equals one
+    assert w_valued_certificate(IntMatrix.identity(2), (1, 1)).coeffs == (1, 1)
+    for w in ((1.7, True), (1, True), (1, 1.0)):
+        with pytest.raises(UsageError, match="^w must hold integers"):
+            w_valued_certificate(IntMatrix.identity(2), w)
 
 
 def test_w_valued_round_trip_property():

@@ -32,16 +32,6 @@ def test_tu_violation_witness_matches_oracle():
         assert kernels.tu_violation(flat, r, c) == first_violating_minor(rows)
 
 
-def _sum_one_candidates(m):
-    from itertools import product
-
-    out = []
-    for v in product((-1, 0, 1), repeat=m):
-        if sum(v) == 1 and sum(1 for x in v if x) > 1:
-            out.append(v)
-    return out
-
-
 def test_max_tu_subset_incremental_matches_full_check():
     # the incremental check sees only the minors through the new column;
     # it must accept exactly the subsets that re-checking every minor does
@@ -132,34 +122,66 @@ def test_node_budget_bounds_an_m8_search():
     assert res.complete is False
 
 
-def test_pure_max_tu_subset_past_packed_table(monkeypatch):
-    # nodes past the packed minor table ask tu_violation instead; the
-    # table reaches depth _PACKED_MAX_LOG_FIELDS - m - 1, here -1 (no
-    # table) to 3, so the hand-off happens at every depth up to 4
-    cands = _sum_one_candidates(4)
-    want = max_tu_subset_reference(4, cands)
-    for depth in range(-1, 4):
-        monkeypatch.setattr(_pykernels, "_PACKED_MAX_LOG_FIELDS", depth + 5)
-        assert max_tu_subset_walk(4, cands) == want, depth
+def test_max_tu_subset_deeper_than_m_minus_1():
+    # from depth m - 1 on a probe keeps only part of the Laplace image
+    # (a prefix at depth m - 1, gathered runs deeper), yet every walk is
+    # still the reference walk; the heller walks go far past depth m
+    rng = random.Random(53)
+    for m, budget in ((2, -1), (3, 100), (4, 25), (5, 16)):
+        heller = candidate_columns(m, "heller")
+        perms = list(coordinate_index_perms(heller, m))
+        sample = rng.sample(heller, 2 * m + 5)
+        cases = [(heller, {"node_budget": budget}),
+                 (heller, {"perms": perms, "node_budget": budget}),
+                 (heller[::-1], {"stop_at": m + 3}),
+                 (sample, {"perms": [rng.sample(range(len(sample)),
+                                                len(sample))]})]
+        deepest = 0
+        for cands, opts in cases:
+            want = max_tu_subset_reference(m, cands, **opts)
+            assert max_tu_subset_walk(m, cands, **opts) == want, (m, opts)
+            deepest = max(deepest, want[0])
+        assert deepest > m + 2, m
 
 
-def _minor_fields(columns, m):
-    """det(M[R, C]) at field (C << m) | R for every row set R and column
-    set C of the matrix with these columns; 0 when |R| != |C|."""
+def _block_fields(columns, m):
+    """The block of the last of these columns: det(M[R, T + [last]]) for
+    each set T of earlier columns with at most m - 2 members, T = [] when
+    m = 1 (bitmasks in numeric order), then each row set R; 0 when |R| !=
+    |T| + 1."""
     out = []
-    for f in range(1 << (len(columns) + m)):
-        cs = [j for j in range(len(columns)) if f >> (m + j) & 1]
-        rs = [i for i in range(m) if f >> i & 1]
-        out.append(det_cofactor([[columns[j][i] for j in cs] for i in rs])
-                   if len(rs) == len(cs) else 0)
+    last = len(columns) - 1
+    for t in range(1 << last):
+        cs = [j for j in range(last) if t >> j & 1]
+        if len(cs) > max(m - 2, 0):
+            continue
+        for r in range(1 << m):
+            rs = [i for i in range(m) if r >> i & 1]
+            out.append(det_cofactor([[columns[j][i] for j in cs + [last]]
+                                     for i in rs])
+                       if len(rs) == len(cs) + 1 else 0)
     return out
 
 
-def _decoded_fields(minors, pair, ncols):
-    """The values held by a (pos, neg) table pair over ncols columns."""
+def _bad_orders_through_last(columns, m):
+    """The orders of the minors through the last column that are outside
+    {-1, 0, 1}."""
+    last = len(columns) - 1
+    bad = set()
+    for k in range(1, min(m, last + 1) + 1):
+        for cs in combinations(range(last), k - 1):
+            for rs in combinations(range(m), k):
+                d = det_cofactor([[columns[j][i] for j in cs + (last,)]
+                                  for i in rs])
+                if not -1 <= d <= 1:
+                    bad.add(k)
+    return bad
+
+
+def _decoded_fields(minors, block, nfields):
+    """The values held by a (pos, neg) block of nfields fields."""
     w = minors.w
-    nfields = 1 << (ncols + minors.m)
-    pos, neg = pair
+    pos, neg = block
     assert pos >> (w * nfields) == 0 and neg >> (w * nfields) == 0
     out = []
     for f in range(nfields):
@@ -172,36 +194,40 @@ def _decoded_fields(minors, pair, ncols):
 
 def test_packed_minor_pairs_match_cofactor_determinants():
     # push the columns of a TU matrix one by one and read back every
-    # field; then append a random sign column level by level: each probe
-    # fails exactly when a minor through the new column is outside
-    # {-1, 0, 1}, and otherwise holds every minor of the longer matrix
+    # field of each block, also past depth m - 2, where the images of
+    # the order-m minors are dropped; then append a random sign column
+    # level by level: each probe fails exactly when a minor through the
+    # new column, order-m ones included, is outside {-1, 0, 1}, and
+    # otherwise holds the block of the longer matrix's last column
     rng = random.Random(91)
     outcomes = set()
     for _ in range(120):
         m = rng.randint(1, 5)
-        c = rng.randint(0, 5)
+        c = rng.randint(0, m + 3)
         mat = random_tu_matrix(rng, m, c)
         cols = [mat.col(j) for j in range(c)]
         minors = _pykernels._PackedMinors(m)
         for j in range(c):
-            pair = packed_pair(minors, j, cols[j])
-            assert _decoded_fields(minors, pair, j + 1) == _minor_fields(
-                cols[:j + 1], m)
-            minors.push(j, pair)
+            block = packed_pair(minors, j, cols[j])
+            want = _block_fields(cols[:j + 1], m)
+            assert _decoded_fields(minors, block, len(want)) == want
+            minors.push(j, block)
         v = tuple(rng.randint(-1, 1) for _ in range(m))
         terms = minors.terms(v)
         level = minors.single(terms)
-        assert _decoded_fields(minors, level, 1) == _minor_fields([v], m)
+        want = _block_fields([v], m)
+        assert _decoded_fields(minors, level, len(want)) == want
         for j in range(1, c + 1):
-            want = _minor_fields(cols[:j] + [v], m)
-            through_v = want[1 << (j + m):]
+            bad = _bad_orders_through_last(cols[:j] + [v], m)
             level = minors.probe(j, terms, level)
-            outcomes.add(level is None)
+            assert (level is None) == bool(bad), (cols, v, j)
             if level is None:
-                assert any(not -1 <= d <= 1 for d in through_v)
+                outcomes.add("order m" if bad == {m} else "lower order")
                 break
-            assert _decoded_fields(minors, level, j + 1) == want
-    assert outcomes == {True, False}
+            outcomes.add(f"kept {'all' if j <= m - 2 else 'part'}")
+            want = _block_fields(cols[:j] + [v], m)
+            assert _decoded_fields(minors, level, len(want)) == want
+    assert outcomes == {"order m", "lower order", "kept all", "kept part"}
 
 
 def test_unimodular_violation_matches_oracle():

@@ -139,6 +139,26 @@ def test_empty_columns_keep_the_column_count():
     assert parse_matrix_text(blank.to_text()) == blank
 
 
+def test_from_columns_checks_the_row_count():
+    # rows, when given, is the length of every column
+    with pytest.raises(UsageError, match="length 3, got 2"):
+        IntMatrix.from_columns([(1, 2)], rows=3)
+    with pytest.raises(UsageError, match="length 2, got 3"):
+        IntMatrix.from_columns([(1, 2), (1, 2, 3)])
+    with pytest.raises(UsageError):
+        IntMatrix.from_columns([(), ()], rows=1)
+    assert IntMatrix.from_columns([(1, 2)], rows=2) == IntMatrix.from_rows(
+        [[1], [2]])
+    assert IntMatrix.from_columns([(), ()], rows=0).cols == 2
+
+
+def test_from_columns_without_columns_keeps_the_rows():
+    for rows in (0, 1, 3):
+        blank = IntMatrix.from_columns([], rows=rows)
+        assert (blank.rows, blank.cols, blank.entries) == (rows, 0, ((),) * rows)
+    assert IntMatrix.from_columns([]) == IntMatrix(0, 0, ())
+
+
 def test_text_format_errors_carry_line_numbers():
     with pytest.raises(FormatError):
         parse_matrix_text("")

@@ -5,8 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from tumax import _pykernels, kernels
 from tumax._pykernels import _PackedMinors
 from tumax.certify import is_prepared, is_totally_unimodular
+from tumax.cli import EXIT_BUDGET, run
 from tumax.errors import UsageError
 from tumax.families import bipartite_extremal, h
 from tumax.matrix import IntMatrix
@@ -20,7 +22,7 @@ from tumax.search import (
 
 from helpers import max_tu_subset_walk, packed_pair, random_tu_matrix
 from oracles import (coordinate_index_perms, is_tu_bruteforce,
-                     max_tu_subset_reference)
+                     is_tu_by_minor_table, max_tu_subset_reference)
 
 
 def test_candidate_columns_examples():
@@ -161,8 +163,8 @@ def test_stray_environment_variables_change_nothing(monkeypatch):
 
 
 def test_heller_m4_past_the_packed_table():
-    # the fast m = 4 search chooses 17 columns, more than the packed table
-    # holds for 4 rows, so its deepest nodes take the tu_violation path
+    # the fast m = 4 search chooses 21 columns, far past depth m - 1 = 3,
+    # where a probe starts to drop the images of the order-4 minors
     res = max_tu_columns(4, mode="fast", max_m=4)
     assert res.max_columns == 21 and res.nodes == 31
     assert res.complete and res.matches_expected
@@ -171,6 +173,62 @@ def test_heller_m4_past_the_packed_table():
         [-1, -1, -1, -1, 0, 0, -1, -1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1],
         [-1, -1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1],
         [-1, 0, -1, 0, 0, 0, -1, 0, 0, -1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1]]
+
+
+def test_heller_m4_verify_with_a_node_budget_is_pinned():
+    # the walk of an engine that scanned every minor of the block with
+    # tu_violation at each node past depth 15
+    res = max_tu_columns(4, mode="verify", max_m=4, node_budget=400)
+    cands = candidate_columns(4, "heller")
+    assert (res.max_columns, res.nodes, res.complete) == (21, 400, False)
+    assert res.witness.columns() == [cands[j] for j in (
+        0, 1, 3, 4, 10, 13, 30, 31, 37, 39, 40, 41, 43, 49, 50, 67, 70, 76,
+        77, 79, 80)]
+
+
+def test_search_walk_never_scans_minors(monkeypatch):
+    # the packed minor table is the walk's one minor engine
+    def scan(*args):
+        raise AssertionError("the search walk called tu_violation")
+
+    monkeypatch.setattr(_pykernels, "tu_violation", scan)
+    monkeypatch.setattr(kernels, "tu_violation", scan)
+    searches = {"polytopal": max_polytopal_tu_columns,
+                "heller": max_tu_columns, "odd-sums": max_odd_sum_tu_columns}
+    for kind, m, mode, best, *_ in _DEFAULT_WALKS:
+        assert searches[kind](m, mode=mode).max_columns == best
+    assert max_tu_columns(4, mode="fast", max_m=4).max_columns == 21
+    assert max_tu_columns(4, max_m=4, node_budget=400).max_columns == 21
+
+
+def test_minor_table_oracle_matches_bruteforce():
+    rng = random.Random(81)
+    for _ in range(300):
+        rows = [[rng.choice((-1, 0, 1, 1, 0, -1, 2)) for _ in range(c)]
+                for c in [rng.randint(0, 6)] for _ in range(rng.randint(0, 4))]
+        assert is_tu_by_minor_table(rows) == is_tu_bruteforce(rows), rows
+
+
+def test_heller_m5_cli_search_ends_at_its_node_budget():
+    report = run(["verify", "heller-bound", "--m", "5", "--max-m", "5",
+                  "--budget-nodes", "400"])
+    search = report.result["search"]
+    assert report.exit_status == EXIT_BUDGET
+    assert (search["nodes"], search["complete"]) == (400, False)
+    assert len(search["witness"][0]) == search["max_columns"] == 31
+    assert is_tu_by_minor_table(search["witness"])
+
+
+def test_heller_m6_stops_where_a_block_outgrows_the_table():
+    # a 6-row block at position 26 would hold more than _MAX_BLOCK_FIELDS
+    # fields, 17 columns short of Heller's bound: the walk ends there,
+    # incomplete, as at a node budget
+    report = run(["verify", "heller-bound", "--m", "6", "--max-m", "6",
+                  "--mode", "fast"])
+    search = report.result["search"]
+    assert report.exit_status == EXIT_BUDGET
+    assert ((search["max_columns"], search["nodes"], search["complete"])
+            == (26, 69, False))
 
 
 # (kind, m, mode, max_columns, nodes, complete, witness as indices into

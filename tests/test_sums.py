@@ -292,6 +292,42 @@ def test_transport_precondition_errors():
                              (0,) * composed.cols)
 
 
+def test_compose_vectors_accept_only_integers():
+    # a float or a bool is no integer, even where it equals one
+    one = IntMatrix.identity(1)
+    assert compose(SumSpec("two-sum", one, one, u=(1,), v=(1,))).matrix == (
+        IntMatrix.from_rows([[1, 1], [0, 1]]))
+    for u, v, name in (((1.5,), (1,), "u"), ((1,), (True,), "v"),
+                       ((1.0,), (1,), "u"), (("1",), (1,), "u")):
+        with pytest.raises(UsageError, match=f"^{name} must hold integers"):
+            compose(SumSpec("two-sum", one, one, u=u, v=v))
+    rng = random.Random(62)
+    spec = random_spec(rng, "delta-sum")
+    with pytest.raises(UsageError, match="x must be"):
+        delta_sum(spec.a, spec.u, spec.u_prime, spec.v, spec.v_prime, spec.b,
+                  True)
+
+
+def test_transport_f_and_w_accept_only_integers():
+    rng = random.Random(63)
+    spec = random_spec(rng, "two-sum")
+    composed = compose(spec).matrix
+    while True:
+        f, w = random_certificate(rng, composed)
+        try:
+            want = transport_functional(spec, f, w)
+            break
+        except PreconditionError:
+            continue
+    # plain integer tuples are read as the Functional and w they spell
+    assert transport_functional(spec, f.coeffs, list(w)) == want
+    for bad in (0.5, True):
+        with pytest.raises(UsageError, match="^f must hold integers"):
+            transport_functional(spec, (bad,) + f.coeffs[1:], w)
+        with pytest.raises(UsageError, match="^w must hold integers"):
+            transport_functional(spec, f, (bad,) + w[1:])
+
+
 def test_spec_json_round_trip():
     rng = random.Random(61)
     for kind in ("one-sum", "two-sum", "three-sum", "delta-sum"):
