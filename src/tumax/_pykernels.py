@@ -443,9 +443,17 @@ def unimodular_violation(pts_flat, npts, d):
 def canonical_masks(npoints, perms, min_size, max_size):
     """Bitmasks over ``npoints`` points that are canonical under ``perms``.
 
-    A mask is canonical when no permutation maps it to a numerically
-    smaller mask. Only masks with popcount in [min_size, max_size] are
-    returned, in increasing order.
+    ``perms`` is a permutation group without its identity. A mask is
+    canonical when it is the smallest mask of its orbit, that is when no
+    permutation maps it to a numerically smaller mask. Only masks with
+    popcount in [min_size, max_size] are returned, in increasing order.
+
+    The masks are walked in increasing order, and the first one whose
+    orbit has not been seen yet is its orbit's minimum. Its images under
+    the group are its whole orbit (the group is closed), so they are
+    marked seen in a ``bytearray`` of one byte per mask: each orbit is
+    mapped once, instead of each mask being tested against every
+    permutation.
 
     Any ``npoints >= 0`` is valid, whether or not it is a multiple of 8.
     Each permutation has length ``npoints`` and maps point i to point
@@ -478,12 +486,15 @@ def canonical_masks(npoints, perms, min_size, max_size):
             per_byte.append(table)
         tables.append(per_byte)
 
+    seen = bytearray(1 << npoints)
     out = []
     for mask in range(1 << npoints):
+        if seen[mask]:
+            continue
         pc = bin(mask).count("1")
         if pc < min_size or pc > max_size:
             continue
-        is_canon = True
+        out.append(mask)
         for per_byte in tables:
             pm = 0
             x = mask
@@ -492,9 +503,5 @@ def canonical_masks(npoints, perms, min_size, max_size):
                 pm |= per_byte[b][x & 255]
                 x >>= 8
                 b += 1
-            if pm < mask:
-                is_canon = False
-                break
-        if is_canon:
-            out.append(mask)
+            seen[pm] = 1
     return out

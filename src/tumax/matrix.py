@@ -52,20 +52,27 @@ class IntMatrix(Record):
 
     @staticmethod
     def from_rows(rows_data):
-        rows_data = [tuple(int(e) for e in row) for row in rows_data]
+        """The matrix with these rows. Any entry that is not an int, such
+        as 1.5 or True, raises UsageError instead of being read as an
+        integer."""
+        rows_data = [tuple(row) for row in rows_data]
         r = len(rows_data)
         c = len(rows_data[0]) if r else 0
         for row in rows_data:
             if len(row) != c:
                 raise UsageError("rows have inconsistent lengths")
             for e in row:
+                if type(e) is not int:
+                    raise UsageError(
+                        f"matrix entries must be integers, got {e!r}")
                 if e >= _LIMIT or e <= -_LIMIT:
                     raise ArithmeticOverflow(f"entry {e} exceeds 64-bit range")
         return IntMatrix(r, c, tuple(rows_data))
 
     @staticmethod
     def from_columns(cols_data, rows=None):
-        cols_data = [tuple(int(e) for e in col) for col in cols_data]
+        """The matrix with these columns; entries as in ``from_rows``."""
+        cols_data = [tuple(col) for col in cols_data]
         if rows is None:
             rows = len(cols_data[0]) if cols_data else 0
         for col in cols_data:

@@ -230,8 +230,11 @@ def lattice_isomorphic(p, q):
     Both sets are first re-coordinatized to full dimension. One affinely
     independent frame of P is fixed (the leftmost in stored order), and
     each point of P gets its coordinates in that frame, scaled by the
-    frame's determinant so that they are integral. Images in Q are then
-    chosen for the frame points one at a time, each Q point used at most
+    frame's determinant so that they are integral. Frame point 0 comes
+    first; frame points 1..d follow in greedy order, each next one the
+    one that, with those before it, fixes the images of the most P
+    points (the leftmost on a tie). Images in Q are then chosen for the
+    frame points in that order, one at a time, each Q point used at most
     once. Once frame points 0..j have images, the image of every P point
     whose coordinates use only those frame points is fixed, and the
     branch is dropped when such an image is not integral or not in Q. A
@@ -257,16 +260,32 @@ def lattice_isomorphic(p, q):
                   [p_cols[s][k] for k in range(d) if k != c
                    for s in range(d) if s != t], d - 1)
               for c in range(d)] for t in range(d)]
-    # by_level[j]: the frame coordinates (times p_det) of the points other
-    # than frame points whose last nonzero coordinate is that of frame
-    # point j; their images are fixed once frame points 0..j have images
-    by_level = [[] for _ in range(d + 1)]
+    # the frame coordinates (times p_det) of the points other than frame
+    # points, and the frame points each one uses, as a bitmask
+    lams = []
     for i, pt in enumerate(pe.points):
         if i in p_frame:
             continue
         diff = [pt[k] - p0[k] for k in range(d)]
-        lam = [sum(p_adj[t][c] * diff[c] for c in range(d))
-               for t in range(d)]
+        lams.append([sum(p_adj[t][c] * diff[c] for c in range(d))
+                     for t in range(d)])
+    uses = [sum(1 << t for t in range(d) if lam[t]) for lam in lams]
+    # frame points 1..d in greedy order: each next one fixes the images of
+    # the most points together with those before it (the first on a tie)
+    order = []
+    chosen = 0
+    for _ in range(d):
+        best = max((t for t in range(d) if not chosen >> t & 1),
+                   key=lambda t: sum(not u & ~(chosen | 1 << t) for u in uses))
+        order.append(best)
+        chosen |= 1 << best
+    p_adj = [p_adj[t] for t in order]
+    # by_level[j]: the reordered coordinates of the points whose last
+    # nonzero coordinate is that of frame point j; their images are fixed
+    # once frame points 0..j have images
+    by_level = [[] for _ in range(d + 1)]
+    for lam in lams:
+        lam = [lam[t] for t in order]
         level = max(t + 1 for t in range(d) if lam[t])
         by_level[level].append(lam[:level])
     q_pts = qe.points
@@ -383,7 +402,9 @@ class PolytopeClass(Record):
 
 
 def _cube_symmetry_index_perms(d):
-    """Hyperoctahedral group as permutations of the 2^d cube point indices."""
+    """The cube points, and the hyperoctahedral group without its identity
+    as permutations of their 2^d indices (the group that
+    ``kernels.canonical_masks`` takes)."""
     pts = list(product((0, 1), repeat=d))
     index = {p: i for i, p in enumerate(pts)}
     perms = []

@@ -152,6 +152,21 @@ def test_from_columns_checks_the_row_count():
     assert IntMatrix.from_columns([(), ()], rows=0).cols == 2
 
 
+def test_from_rows_accepts_only_integers():
+    # neither rounded nor truncated: 1.5 and True are not matrix entries
+    for bad in (1.5, True, 2.0, "1"):
+        with pytest.raises(UsageError, match="integers"):
+            IntMatrix.from_rows([[1, 0], [0, bad]])
+    assert IntMatrix.from_rows([[1, -1]]).entries == ((1, -1),)
+
+
+def test_from_columns_accepts_only_integers():
+    for bad in (0.9, False, 1.0):
+        with pytest.raises(UsageError, match="integers"):
+            IntMatrix.from_columns([(1, 0), (bad, 1)])
+    assert IntMatrix.from_columns([(0, 1)]).entries == ((0,), (1,))
+
+
 def test_from_columns_without_columns_keeps_the_rows():
     for rows in (0, 1, 3):
         blank = IntMatrix.from_columns([], rows=rows)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tumax import kernels, polytopes
+from tumax import kernels, linsolve, polytopes
 from tumax.errors import BudgetExceeded, PreconditionError, StructureError
 from tumax.families import ex4_matrix, h, sporadic_5x10
 from tumax.matrix import IntMatrix
@@ -220,12 +220,12 @@ def test_lattice_isomorphic_matches_oracle_on_classified_pairs(monkeypatch):
     assert verdicts.get((4, 7, True)) and verdicts.get((4, 7, False))
 
 
-def test_lattice_isomorphic_matches_oracle_on_random_images():
-    """Random point sets in a small box (so frames of volume > 1 occur)
-    against a unimodular image of themselves, that image with one point
+def _random_image_pairs():
+    """Random point sets in a small box (so frames of volume > 1 occur),
+    each with a unimodular image of itself, that image with one point
     moved, or an unrelated set."""
     rng = random.Random(71)
-    verdicts = []
+    pairs = []
 
     def random_points(d, k):
         while True:
@@ -256,14 +256,113 @@ def test_lattice_isomorphic_matches_oracle_on_random_images():
             moved[rng.randrange(d)] += rng.choice((-1, 1))
             if tuple(moved) not in image:
                 image[i] = tuple(moved)
+        if PointSet.from_points(image).affine_rank() == d:
+            pairs.append((pts, image))
+    return pairs
+
+
+def test_lattice_isomorphic_matches_oracle_on_random_images():
+    verdicts = []
+    for pts, image in _random_image_pairs():
         q = PointSet.from_points(image)
-        if q.affine_rank() < d:
-            continue
         expected = lattice_isomorphic_bruteforce(pts, image)
         assert lattice_isomorphic(PointSet.from_points(pts), q) == expected, \
             (pts, image)
         verdicts.append(expected)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_lattice_isomorphic_matches_oracle_with_shuffled_points(monkeypatch):
+    """The frame of P and the order of its frame points follow the stored
+    point order, and the verdict must not."""
+    rng = random.Random(72)
+    pairs = [(p.points, q.points)
+             for d in (3, 4) for p, q in _classification_pairs(monkeypatch, d)
+             if len(p) <= 7]
+    verdicts = set()
+    for p_points, q_points in pairs + _random_image_pairs():
+        p_points, q_points = list(p_points), list(q_points)
+        rng.shuffle(p_points)
+        rng.shuffle(q_points)
+        expected = lattice_isomorphic_bruteforce(p_points, q_points)
+        assert lattice_isomorphic(PointSet.from_points(p_points),
+                                  PointSet.from_points(q_points)) == expected, \
+            (p_points, q_points)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_classify_d4_examines_313_cube_orbits(monkeypatch):
+    sizes = {}
+    real = kernels.canonical_masks
+
+    def recording(*args):
+        masks = real(*args)
+        for mask in masks:
+            size = bin(mask).count("1")
+            sizes[size] = sizes.get(size, 0) + 1
+        return masks
+
+    monkeypatch.setattr(kernels, "canonical_masks", recording)
+    assert classify_unimodular(4).subsets_examined == 313
+    assert sizes == {5: 27, 6: 50, 7: 56, 8: 74, 9: 56, 10: 50}
+
+
+def test_classify_keeps_nothing_across_calls(monkeypatch):
+    # a CLI process classifies once, so no call may lean on an earlier one
+    for _ in range(2):
+        counts = {}
+        _counting(monkeypatch, kernels, "canonical_masks", counts)
+        _counting(monkeypatch, polytopes, "lattice_isomorphic", counts)
+        assert classify_unimodular(4).count == 13
+        assert counts == {"canonical_masks": 1, "lattice_isomorphic": 84}
+        monkeypatch.undo()
+
+
+def _scrambled(rng, rows):
+    """Row permutation, row signs, one elementary row operation and a
+    column shuffle, as the round trips of criterion 7 apply them."""
+    data = [list(r) for r in rows]
+    rng.shuffle(data)
+    data = [[-x for x in r] if rng.random() < 0.4 else r for r in data]
+    i, j = rng.sample(range(len(data)), 2)
+    c = rng.choice((-1, 1))
+    data[i] = [x + c * y for x, y in zip(data[i], data[j])]
+    cols = list(zip(*data))
+    rng.shuffle(cols)
+    return IntMatrix.from_columns(cols)
+
+
+def test_round_trip_isomorphism_work_is_pinned(monkeypatch):
+    """Determinants and HNFs that one round trip's lattice-isomorphism test
+    computes: the frame, its d x d cofactors, the one full frame tried,
+    and the eliminations that re-coordinatize P and Q and find P's frame."""
+    prism = [u + v for u in ((0,), (1,)) for v in ((0, 0), (1, 0), (0, 1))]
+    member_4x6 = [list(r) for r in zip(*[p + (1,) for p in prism])]
+    edges = [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6), (0, 6), (1, 4),
+             (2, 5)]
+    member_6x9 = [[int(v in e) for e in edges] for v in range(6)]
+    rng = random.Random(5)
+    for rows, dets in ((member_4x6, 1 + 3 * 3 + 1), (member_6x9, 1 + 5 * 5 + 1)):
+        for _ in range(6):
+            m = _scrambled(rng, rows)
+            q = PointSet.from_matrix_columns(normalize_standard_form(m).matrix)
+            counts = {}
+            _counting(monkeypatch, kernels, "det_entries", counts)
+            _counting(monkeypatch, linsolve, "row_hnf", counts)
+            assert lattice_isomorphic(PointSet.from_matrix_columns(m), q)
+            monkeypatch.undo()
+            assert counts == {"det_entries": dets, "row_hnf": 7}
 
 
 def test_normalize_identity_and_sporadic_are_fixed_points():
