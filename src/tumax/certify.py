@@ -178,10 +178,16 @@ def is_unimodular(m):
     if len(pivots) != m.rows:
         raise PreconditionError(
             f"is_unimodular requires full row rank ({len(pivots)} < {m.rows})")
+    return _hnf_is_unimodular(hnf, pivots)
+
+
+def _hnf_is_unimodular(hnf, pivots):
+    """``is_unimodular(m)`` from ``row_hnf(m)`` = (hnf, _, pivots), for m
+    of full row rank."""
     if any(hnf.entries[k][p] != 1 for k, p in enumerate(pivots)):
         return False
-    n = hnf.submatrix(range(m.rows),
-                      [j for j in range(m.cols) if j not in pivots])
+    n = hnf.submatrix(range(hnf.rows),
+                      [j for j in range(hnf.cols) if j not in pivots])
     if n.rows > n.cols:
         n = n.transpose()
     if n.rows > GH_ROW_BUDGET:

@@ -5,7 +5,9 @@ Commands that produce a matrix artifact (``gen``, ``sum one..delta``,
 output round-trips byte-identically through the ``check`` commands;
 analysis commands print a JSON report. ``--format`` overrides either
 default. Exit status: 0 = property holds / success, 1 = property fails,
-2 = usage or format error, 3 = budget exceeded.
+2 = usage or format error, 3 = budget exceeded. A reader that closes
+the output early (``tumax classify --d 2 | head -c 100``) changes none
+of these: ``main`` returns the report's own status and prints no error.
 
 Each handler imports the modules it calls, inside the branch that calls
 them, so a command loads only what it runs: ``verify polytopal-bound``
@@ -15,6 +17,7 @@ never imports ``certify``, ``polytopes`` or ``fractions``.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from ._record import Record
@@ -157,7 +160,6 @@ def _parser():
     cl = sub.add_parser("classify",
                         help="classify unimodular polytopes by dimension")
     cl.add_argument("--d", type=int, required=True)
-    cl.add_argument("--stretch", action="store_true")
     cl.add_argument("--unpruned", action="store_true")
     return p
 
@@ -384,8 +386,7 @@ def _verify(args):
 
 def _classify(args):
     from . import polytopes
-    res = polytopes.classify_unimodular(args.d, pruned=not args.unpruned,
-                                        stretch=args.stretch)
+    res = polytopes.classify_unimodular(args.d, pruned=not args.unpruned)
     return CommandReport("classify", {"d": args.d},
                          {"dimension": args.d, "count": res.count,
                           "classes": res.to_json_list()},
@@ -431,11 +432,15 @@ def main(argv=None):
         return EXIT_USAGE
     fmt = args.format or ("text" if report.artifact_text else "json")
     if fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    elif report.artifact_text:
-        sys.stdout.write(report.artifact_text)
+        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
-        sys.stdout.write(_human_lines(report))
+        text = report.artifact_text or _human_lines(report)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_status
 
 

@@ -70,16 +70,15 @@ def row_hnf(m):
             tuple(pivots))
 
 
-def left_integer_solver(m):
-    """The function w -> solve_left_integer(m, w), with the row HNF of
-    ``m`` computed once for every right-hand side."""
-    h, u, pivots = row_hnf(m)
+def hnf_solver(h, u, pivots):
+    """The function w -> solve_left_integer(m, w) for (h, u, pivots) =
+    row_hnf(m), so that one HNF of ``m`` serves every right-hand side."""
 
     def solve(w):
-        if len(w) != m.cols:
+        if len(w) != h.cols:
             raise UsageError("target length must equal the column count")
         resid = list(w)
-        coeffs = [0] * m.rows
+        coeffs = [0] * u.rows
         for k, p in enumerate(pivots):
             q, rem = divmod(resid[p], h.entries[k][p])
             if rem:
@@ -87,14 +86,14 @@ def left_integer_solver(m):
             coeffs[k] = q
             if q:
                 hk = h.entries[k]
-                resid = [resid[j] - q * hk[j] for j in range(m.cols)]
+                resid = [resid[j] - q * hk[j] for j in range(h.cols)]
         if any(resid):
             return None
-        f = [0] * m.rows
+        f = [0] * u.rows
         for k in range(len(pivots)):
             if coeffs[k]:
                 uk = u.entries[k]
-                for i in range(m.rows):
+                for i in range(u.rows):
                     f[i] += coeffs[k] * uk[i]
         return tuple(f)
 
@@ -108,7 +107,7 @@ def solve_left_integer(m, w):
     HNF; coefficients of the kernel rows are fixed to zero, which makes
     the returned solution deterministic.
     """
-    return left_integer_solver(m)(w)
+    return hnf_solver(*row_hnf(m))(w)
 
 
 def left_kernel_vector(m):

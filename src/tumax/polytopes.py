@@ -3,12 +3,13 @@ lattice isomorphism, edge polytopes, simplex products, and the exhaustive
 low-dimensional classification over the 0/1 cube.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Optional
 
 from . import kernels, linsolve
 from ._record import Record, set_field
-from .certify import is_totally_unimodular, is_unimodular, polytopal_certificate
+from .certify import _hnf_is_unimodular, is_totally_unimodular
 from .errors import BudgetExceeded, PreconditionError, StructureError, UsageError
 from .families import h
 from .lp import in_convex_hull
@@ -185,90 +186,102 @@ def affine_lattice_coordinates(ps):
     lattice isomorphism are preserved. Already full-dimensional sets come
     back unchanged up to translation.
     """
+    return _embed(ps)[0]
+
+
+def _embed(ps):
+    """``affine_lattice_coordinates(ps)`` and the HNF pivots j of the
+    differences; the points j + 1 and 0 are the leftmost affine frame."""
     base = ps.points[0]
     diffs = [tuple(p[i] - base[i] for i in range(ps.dim)) for p in ps.points[1:]]
     if not diffs:
-        return PointSet(0, ((),))
-    d_mat = IntMatrix.from_rows(diffs)
+        return PointSet(0, ((),)), ()
+    _, u1, piv1 = linsolve.row_hnf(IntMatrix.from_columns(diffs, rows=ps.dim))
+    if len(piv1) == ps.dim:
+        # full rank: the saturated lattice is Z^dim and the basis the unit
+        # vectors, so the coordinates are the differences themselves
+        return PointSet(ps.dim, ((0,) * ps.dim,) + tuple(diffs)), piv1
     # saturation of the difference row space: kernel of the kernel
-    _, u1, piv1 = linsolve.row_hnf(d_mat.transpose())
-    kernel_rows = [u1.entries[i] for i in range(len(piv1), u1.rows)]
-    if kernel_rows:
-        k_mat = IntMatrix.from_rows(kernel_rows)
-        _, u2, piv2 = linsolve.row_hnf(k_mat.transpose())
-        basis_rows = [u2.entries[i] for i in range(len(piv2), u2.rows)]
-    else:
-        basis_rows = [tuple(1 if j == i else 0 for j in range(ps.dim))
-                      for i in range(ps.dim)]
-    basis = IntMatrix.from_rows(basis_rows)
-    solve = linsolve.left_integer_solver(basis)
-    coords = [(0,) * basis.rows]
-    for diff in diffs:
-        c = solve(diff)
-        if c is None:
-            raise AssertionError("difference not in the saturated lattice")
-        coords.append(c)
-    return PointSet(basis.rows, tuple(coords))
+    _, u2, piv2 = linsolve.row_hnf(
+        IntMatrix.from_columns(u1.entries[len(piv1):], rows=ps.dim))
+    basis = IntMatrix.from_rows(u2.entries[len(piv2):])
+    solve = linsolve.hnf_solver(*linsolve.row_hnf(basis))
+    coords = ((0,) * basis.rows,) + tuple(solve(diff) for diff in diffs)
+    if None in coords:
+        raise AssertionError("difference not in the saturated lattice")
+    return PointSet(basis.rows, coords), piv1
 
 
-def _leftmost_affine_frame(points, d):
-    """Indices of the leftmost affinely independent (d+1)-subsequence:
-    point 0 plus the HNF pivots of the difference vectors."""
-    base = points[0]
-    diffs = IntMatrix.from_columns(
-        [[p[k] - base[k] for k in range(len(base))] for p in points[1:]],
-        rows=len(base))
-    pivots = linsolve.row_hnf(diffs)[2]
-    if len(pivots) < d:
-        return None
-    return [0] + [j + 1 for j in pivots[:d]]
+def _pair_sum_profiles(pts):
+    """For each point p, the sorted multiplicities, over the other points
+    q, of p + q as a sum of two distinct points. An affine bijection
+    between two sets keeps the profile of each point."""
+    # each point as one integer, linear in the coordinates and with digits
+    # wide enough that distinct sums of two points get distinct codes
+    width = 4 * max(abs(x) for p in pts for x in p) + 1
+    codes = [sum(x * width ** k for k, x in enumerate(p)) for p in pts]
+    pairs = Counter(a + b for a, b in combinations(codes, 2))
+    return [tuple(sorted([pairs[a + b] for b in codes if b != a]))
+            for a in codes]
+
+
+def _adjugate(a):
+    """(c, c * A^-1), c = +-det A, by fraction-free Gauss-Jordan on (A | I):
+    each entry stays a minor, so each division is exact."""
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k]
+        rows = [r if r is pk else [(pk[k] * x - r[k] * y) // prev
+                                   for x, y in zip(r, pk)] for r in rows]
+        prev = pk[k]
+    return prev, [r[n:] for r in rows]
 
 
 def lattice_isomorphic(p, q):
     """Exhaustive affine lattice-isomorphism test of two point sets.
 
-    Both sets are first re-coordinatized to full dimension. One affinely
-    independent frame of P is fixed (the leftmost in stored order), and
-    each point of P gets its coordinates in that frame, scaled by the
+    Both sets are first re-coordinatized to full dimension; sets whose
+    pair-sum profiles (``_pair_sum_profiles``) differ as multisets are not
+    isomorphic. One affinely independent frame of P is fixed (the
+    leftmost in stored order, read off the elimination that embedded P),
+    and each point of P gets its coordinates in that frame, scaled by the
     frame's determinant so that they are integral. Frame point 0 comes
     first; frame points 1..d follow in greedy order, each next one the
     one that, with those before it, fixes the images of the most P
     points (the leftmost on a tie). Images in Q are then chosen for the
-    frame points in that order, one at a time, each Q point used at most
-    once. Once frame points 0..j have images, the image of every P point
-    whose coordinates use only those frame points is fixed, and the
-    branch is dropped when such an image is not integral or not in Q. A
-    full frame is accepted when its simplex volume is P's and the affine
-    map it defines is integral.
+    frame points in that order, one at a time, among the Q points with
+    the frame point's profile, each Q point used at most once. Once frame
+    points 0..j have images, the image of every P point whose
+    coordinates use only those frame points is fixed, and the branch is
+    dropped when such an image is not integral or not in Q. A full frame
+    is accepted when its simplex volume is P's and the affine map it
+    defines is integral.
     """
-    pe = affine_lattice_coordinates(p)
+    pe, p_pivots = _embed(p)
     qe = affine_lattice_coordinates(q)
     if pe.dim != qe.dim or len(pe.points) != len(qe.points):
         return False
     d = pe.dim
     if d == 0:
         return True
-    p_frame = _leftmost_affine_frame(pe.points, d)
-    if p_frame is None:
-        raise AssertionError("embedded set lost full dimensionality")
-    p0 = pe.points[p_frame[0]]
-    p_cols = [[pe.points[i][k] - p0[k] for k in range(d)] for i in p_frame[1:]]
-    # P_frame^{-1} = p_adj / p_det with p_adj the integral adjugate:
-    # p_adj[t][c] is the cofactor of P_frame at row c, column t
-    p_det = _simplex_det(pe.points, p_frame)
-    p_adj = [[(-1) ** (t + c) * kernels.det_entries(
-                  [p_cols[s][k] for k in range(d) if k != c
-                   for s in range(d) if s != t], d - 1)
-              for c in range(d)] for t in range(d)]
-    # the frame coordinates (times p_det) of the points other than frame
-    # points, and the frame points each one uses, as a bitmask
-    lams = []
-    for i, pt in enumerate(pe.points):
-        if i in p_frame:
-            continue
-        diff = [pt[k] - p0[k] for k in range(d)]
-        lams.append([sum(p_adj[t][c] * diff[c] for c in range(d))
-                     for t in range(d)])
+    p_profiles = _pair_sum_profiles(pe.points)
+    q_profiles = _pair_sum_profiles(qe.points)
+    if sorted(p_profiles) != sorted(q_profiles):
+        return False
+    p_frame = (0,) + tuple(j + 1 for j in p_pivots)
+    p0 = pe.points[0]
+    # p_adj = p_det * P_frame^-1, P_frame the columns p_{t+1} - p0
+    p_det, p_adj = _adjugate([[pe.points[i][k] - p0[k] for i in p_frame[1:]]
+                              for k in range(d)])
+    # the frame coordinates (times p_det) of the points off the frame, and
+    # the frame points each one uses, as a bitmask
+    lams = [[sum(a * (x - x0) for a, x, x0 in zip(p_adj[t], pt, p0))
+             for t in range(d)]
+            for i, pt in enumerate(pe.points) if i not in p_frame]
     uses = [sum(1 << t for t in range(d) if lam[t]) for lam in lams]
     # frame points 1..d in greedy order: each next one fixes the images of
     # the most points together with those before it (the first on a tie)
@@ -290,6 +303,9 @@ def lattice_isomorphic(p, q):
         by_level[level].append(lam[:level])
     q_pts = qe.points
     q_set = set(q_pts)
+    # the Q points that may be the image of frame point j
+    cands = [[i for i, c in enumerate(q_profiles) if c == p_profiles[f]]
+             for f in (0,) + tuple(p_frame[t + 1] for t in order)]
     images = []
     used = set()
 
@@ -319,10 +335,10 @@ def lattice_isomorphic(p, q):
     def extend(j):
         if j > d:
             return unimodular_map()
-        for i, qt in enumerate(q_pts):
+        for i in cands[j]:
             if i in used:
                 continue
-            images.append(qt)
+            images.append(q_pts[i])
             used.add(i)
             if (all(image_in_q(lam) for lam in by_level[j])
                     and extend(j + 1)):
@@ -421,36 +437,9 @@ def _cube_symmetry_index_perms(d):
 
 def _candidate_subsets(d, pruned):
     pts, perms = _cube_symmetry_index_perms(d)
-    min_size = d + 1
-    max_size = h(d + 1) if pruned else 1 << d
-    max_size = min(max_size, 1 << d)
-    if d <= 4:
-        masks = kernels.canonical_masks(1 << d, perms, min_size, max_size)
-        for mask in masks:
-            yield [pts[i] for i in range(1 << d) if mask >> i & 1]
-        return
-    # stretch path (d = 5): orderly backtracking over point indices; a
-    # prefix is pruned when some symmetry maps it to a lex-smaller one
-    npts = 1 << d
-
-    def canonical(sub):
-        for p in perms:
-            t = sorted(p[i] for i in sub)
-            if t < sub:
-                return False
-        return True
-
-    def rec(sub, start):
-        if len(sub) >= min_size:
-            yield [pts[i] for i in sub]
-        if len(sub) == max_size:
-            return
-        for i in range(start, npts):
-            nxt = sub + [i]
-            if canonical(nxt):
-                yield from rec(nxt, i + 1)
-
-    yield from rec([], 0)
+    max_size = min(h(d + 1) if pruned else 1 << d, 1 << d)
+    for mask in kernels.canonical_masks(1 << d, perms, d + 1, max_size):
+        yield [pts[i] for i in range(1 << d) if mask >> i & 1]
 
 
 class ClassificationResult(Record):
@@ -463,7 +452,7 @@ class ClassificationResult(Record):
         return [c.to_json_dict() for c in self.classes]
 
 
-def classify_unimodular(d, pruned=True, stretch=False):
+def classify_unimodular(d, pruned=True):
     """All isomorphism classes of unimodular polytopes of dimension d.
 
     Enumerates vertex subsets of the 0/1 cube (every unimodular polytope
@@ -479,14 +468,13 @@ def classify_unimodular(d, pruned=True, stretch=False):
 
     ``pruned`` caps subset sizes at the proven vertex bound h(d+1); the
     unpruned mode (d <= 3) enumerates every size, keeping those checks
-    independent of the bound being verified. d = 5 requires ``stretch``
-    and a lot of patience; d >= 6 is out of scope.
+    independent of the bound being verified. d = 5 exceeds desk scale;
+    d >= 6 is out of scope.
     """
     if d < 1:
         raise UsageError("classification needs d >= 1")
-    if d == 5 and not stretch:
-        raise BudgetExceeded(
-            "d = 5 classification exceeds desk scale; pass stretch=True")
+    if d == 5:
+        raise BudgetExceeded("d = 5 classification exceeds desk scale")
     if d > 5:
         raise UsageError("classification beyond d = 5 is not supported")
     if not pruned and d > 3:
@@ -547,24 +535,25 @@ class NormalizeResult(Record):
 def normalize_standard_form(m):
     """Left-multiply by the inverse of the leftmost basis columns.
 
-    Requires a polytopal unimodular matrix of full row rank. The basis
-    columns are the pivots of the row HNF U * M = H; they form a lattice
-    basis (their determinant is +-1 by unimodularity), so H is the identity
-    on them and U is their inverse. They are permuted to the front, so the
-    output has the shape (I | B) with all column sums 1, and both B and
-    (I|B) are TU (B by the unimodularity check, (I|B) re-certified before
-    returning).
+    Requires a polytopal unimodular matrix of full row rank. One row HNF
+    U * M = H decides all three: the rank is the pivot count, M is
+    polytopal when the all-ones row lies in the row lattice of H (which is
+    M's), and unimodular when every pivot is 1 and the non-pivot columns
+    N are TU (``certify.is_unimodular``). The pivot columns then form a
+    lattice basis, H is the identity on them and U is their inverse. They
+    are permuted to the front, so the output has the shape (I | B) with
+    B = N and all column sums 1; (I|B) is re-certified TU before
+    returning.
     """
-    if m.rank() != m.rows:
+    hnf, u, frame = linsolve.row_hnf(m)
+    if len(frame) != m.rows:
         raise PreconditionError("normalization requires full row rank")
-    if polytopal_certificate(m) is None:
+    if not m.rows or linsolve.hnf_solver(hnf, u, frame)((1,) * m.cols) is None:
         raise PreconditionError("matrix is not polytopal")
-    if not is_unimodular(m):
+    if not _hnf_is_unimodular(hnf, frame):
         raise PreconditionError("matrix is not unimodular")
-    hnf, _, frame = linsolve.row_hnf(m)
     transform = m.submatrix(range(m.rows), frame)
-    rest = [j for j in range(m.cols) if j not in frame]
-    perm = frame + tuple(rest)
+    perm = frame + tuple(j for j in range(m.cols) if j not in frame)
     out = IntMatrix.from_columns([hnf.col(j) for j in perm], rows=m.rows)
     if out.submatrix(range(m.rows), range(m.rows)) != IntMatrix.identity(m.rows):
         raise AssertionError("basis columns did not normalize to the identity")

@@ -12,6 +12,22 @@ from tumax.matrix import IntMatrix
 from oracles import network_column_bfs, random_tree_arcs
 
 
+def random_unimodular(rng, n, steps):
+    """An n x n integer matrix of determinant +-1: ``steps`` random
+    elementary row operations and sign flips, then a row shuffle."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            k = rng.randrange(n)
+            u[k] = [-x for x in u[k]]
+    rng.shuffle(u)
+    return IntMatrix.from_rows(u)
+
+
 def random_sign_matrix(rng, rows, cols):
     return IntMatrix.from_rows(
         [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])

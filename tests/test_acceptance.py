@@ -166,7 +166,7 @@ def test_criterion4_classification_counts(classification):
     _report("criterion-4", "1min + 30min", started,
             f"counts 1,2,4,13 (d<=3 in {classification['low_seconds']:.1f}s, "
             f"d=4 in {classification['d4_seconds']:.1f}s); d=5 declared "
-            f"out of desk scale (stretch flag only)")
+            f"out of desk scale")
 
 
 # -- criterion 5: vertex bounds and attainers --------------------------------

@@ -144,6 +144,7 @@ def test_exit_code_contract_corpus(tmp_path):
         (["verify", "vertex-bound", ex4], EXIT_OK),
         (["classify", "--d", "2"], EXIT_OK),
         (["classify", "--d", "5"], EXIT_BUDGET),
+        (["classify", "--d", "5", "--stretch"], EXIT_USAGE),
     ]
     assert len(corpus) >= 20
     for argv, expected in corpus:
@@ -177,6 +178,28 @@ def test_run_raises_usage_error_on_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--help"])
     assert exc.value.code == 0
+
+
+def test_classify_d5_exceeds_desk_scale(capsys):
+    assert main(["classify", "--d", "5"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == \
+        "budget exceeded: d = 5 classification exceeds desk scale\n"
+
+
+def test_reader_closing_early_leaves_the_exit_status(tmp_path):
+    """``tumax ... | head -c 0``: the reader is gone before the report is
+    written, and the command still exits with the report's own status,
+    printing nothing to stderr."""
+    ex4 = _write(tmp_path, "ex4.txt", run(["gen", "ex4"]).artifact_text)
+    for argv, status in ((["classify", "--d", "2"], EXIT_OK),
+                         (["check", "tu", ex4], EXIT_FAIL)):
+        proc = subprocess.Popen([sys.executable, "-m", "tumax"] + argv,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == status, argv
+        assert err == b"", argv
 
 
 def test_check_unimodular_past_the_order_m_minor_count(tmp_path):

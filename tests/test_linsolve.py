@@ -8,8 +8,9 @@ import pytest
 from tumax import linsolve
 from tumax.errors import UsageError
 from tumax.matrix import IntMatrix
-from tumax.polytopes import _leftmost_affine_frame
+from tumax.polytopes import PointSet, _embed
 
+from helpers import random_unimodular
 from oracles import (
     det_cofactor,
     greedy_independent_columns,
@@ -22,20 +23,6 @@ from oracles import (
 def _random_matrix(rng, rows, cols):
     return IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)]
                                 for _ in range(rows)])
-
-
-def _random_unimodular(rng, n, steps):
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        if n >= 2:
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice((-1, 1))
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        if rng.random() < 0.3:
-            k = rng.randrange(n)
-            u[k] = [-x for x in u[k]]
-    rng.shuffle(u)
-    return IntMatrix.from_rows(u)
 
 
 def test_row_hnf_transform_and_canonical_pivots():
@@ -60,7 +47,7 @@ def test_invert_unimodular_matches_fraction_inverse():
     rng = random.Random(8)
     for n in range(1, 7):
         for _ in range(40):
-            m = _random_unimodular(rng, n, rng.randint(0, 10))
+            m = random_unimodular(rng, n, rng.randint(0, 10))
             inv = linsolve.invert_unimodular(m)
             assert inv.to_lists() == inverse_fractions(m.to_lists())
             assert inv.matmul(m) == IntMatrix.identity(n)
@@ -112,12 +99,13 @@ def test_solve_left_integer_none_without_rational_solution():
 
 
 def test_leftmost_affine_frame_is_greedy():
+    """The frame that lattice_isomorphic reads off the embedding's
+    elimination: the leftmost affinely independent points."""
     rng = random.Random(11)
     for _ in range(200):
         d = rng.randint(1, 4)
-        pts = [tuple(rng.randint(-1, 2) for _ in range(d))
-               for _ in range(rng.randint(1, 8))]
+        pts = list(dict.fromkeys(tuple(rng.randint(-1, 2) for _ in range(d))
+                                 for _ in range(rng.randint(1, 8))))
         diffs = [[p[k] - pts[0][k] for p in pts[1:]] for k in range(d)]
         greedy = greedy_independent_columns(diffs, len(pts) - 1)
-        expected = [0] + [j + 1 for j in greedy] if len(greedy) == d else None
-        assert _leftmost_affine_frame(pts, d) == expected
+        assert list(_embed(PointSet(d, tuple(pts)))[1]) == greedy

@@ -23,7 +23,13 @@ from tumax.polytopes import (
     vertex_hull,
 )
 
-from oracles import lattice_isomorphic_bruteforce
+from helpers import random_unimodular
+from oracles import (
+    det_cofactor,
+    inverse_fractions,
+    lattice_isomorphic_bruteforce,
+    rank_fractions,
+)
 
 
 def simplex(d):
@@ -153,6 +159,57 @@ def test_affine_lattice_coordinates_preserves_unimodularity():
     assert is_unimodular_polytope(emb).is_unimodular
     square = PointSet.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert lattice_isomorphic(lifted, square)
+
+
+def test_affine_lattice_coordinates_matches_oracle_after_embedding():
+    """A full-dimensional set of rank r, mapped into Z^n (n > r) by the
+    first r columns of a random unimodular matrix (a saturated lattice
+    embedding) plus a translation, comes back as a set isomorphic to
+    itself; with one direction scaled by 2 first, it does not."""
+    rng = random.Random(73)
+    for r in (1, 2, 3, 4):
+        for _ in range(4):
+            while True:
+                pts = list({tuple(rng.randint(0, 2) for _ in range(r))
+                            for _ in range(rng.randint(r + 1, r + 2))})
+                base = pts[0]
+                if rank_fractions([[x - b for x, b in zip(p, base)]
+                                   for p in pts[1:]]) == r:
+                    break
+            n = r + rng.randint(1, 2)
+            emb = random_unimodular(rng, n, 3 * n).entries
+            shift = [rng.randint(-3, 3) for _ in range(n)]
+
+            def embedded(points):
+                image = PointSet.from_points(
+                    [tuple(sum(emb[k][c] * p[c] for c in range(r)) + shift[k]
+                           for k in range(n)) for p in points])
+                return affine_lattice_coordinates(image)
+
+            back = embedded(pts)
+            assert back.dim == r
+            assert lattice_isomorphic_bruteforce(pts, back.points)
+            scaled = embedded([(2 * p[0],) + p[1:] for p in pts])
+            assert scaled.dim == r
+            assert not lattice_isomorphic_bruteforce(pts, scaled.points)
+
+
+def test_adjugate_is_a_multiple_of_the_fraction_inverse():
+    """The frame inverse of lattice_isomorphic: (c, c * A^-1) with |c| =
+    |det A|, row swaps for zero pivots included."""
+    rng = random.Random(74)
+    swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        det = det_cofactor(a)
+        if det == 0:
+            continue
+        swapped += a[0][0] == 0
+        c, adj = polytopes._adjugate(a)
+        assert abs(c) == abs(det)
+        assert adj == [[c * x for x in row] for row in inverse_fractions(a)]
+    assert swapped >= 20
 
 
 def test_lattice_isomorphic_basics():
@@ -329,6 +386,34 @@ def test_classify_keeps_nothing_across_calls(monkeypatch):
         monkeypatch.undo()
 
 
+def test_classify_isomorphism_work_is_pinned(monkeypatch):
+    """Each of the 84 isomorphism tests of classify_unimodular(4) embeds
+    its two full-dimensional sets with one elimination each. The 16
+    non-isomorphic pairs differ in their pair-sum profiles and stop
+    there; the 68 isomorphic ones build one frame inverse and accept the
+    first full frame they try."""
+    counts = {}
+    _counting(monkeypatch, linsolve, "row_hnf", counts)
+    _counting(monkeypatch, kernels, "det_entries", counts)
+    _counting(monkeypatch, polytopes, "_adjugate", counts)
+    real = polytopes.lattice_isomorphic
+    work = []
+
+    def recording(p, q):
+        before = dict(counts)
+        verdict = real(p, q)
+        work.append((verdict, tuple(counts.get(k, 0) - before.get(k, 0)
+                                    for k in ("row_hnf", "_adjugate",
+                                              "det_entries"))))
+        return verdict
+
+    monkeypatch.setattr(polytopes, "lattice_isomorphic", recording)
+    classify_unimodular(4)
+    assert sorted(set(work)) == [(False, (2, 0, 0)), (True, (2, 1, 1))]
+    assert [verdict for verdict, _ in work].count(False) == 16
+    assert len(work) == 84
+
+
 def _scrambled(rng, rows):
     """Row permutation, row signs, one elementary row operation and a
     column shuffle, as the round trips of criterion 7 apply them."""
@@ -345,15 +430,16 @@ def _scrambled(rng, rows):
 
 def test_round_trip_isomorphism_work_is_pinned(monkeypatch):
     """Determinants and HNFs that one round trip's lattice-isomorphism test
-    computes: the frame, its d x d cofactors, the one full frame tried,
-    and the eliminations that re-coordinatize P and Q and find P's frame."""
+    computes: the determinant of the one full frame tried, and the three
+    eliminations each that re-coordinatize P and Q (P's frame is read off
+    the first of P's; its adjugate takes no determinant)."""
     prism = [u + v for u in ((0,), (1,)) for v in ((0, 0), (1, 0), (0, 1))]
     member_4x6 = [list(r) for r in zip(*[p + (1,) for p in prism])]
     edges = [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6), (0, 6), (1, 4),
              (2, 5)]
     member_6x9 = [[int(v in e) for e in edges] for v in range(6)]
     rng = random.Random(5)
-    for rows, dets in ((member_4x6, 1 + 3 * 3 + 1), (member_6x9, 1 + 5 * 5 + 1)):
+    for rows in (member_4x6, member_6x9):
         for _ in range(6):
             m = _scrambled(rng, rows)
             q = PointSet.from_matrix_columns(normalize_standard_form(m).matrix)
@@ -362,7 +448,50 @@ def test_round_trip_isomorphism_work_is_pinned(monkeypatch):
             _counting(monkeypatch, linsolve, "row_hnf", counts)
             assert lattice_isomorphic(PointSet.from_matrix_columns(m), q)
             monkeypatch.undo()
-            assert counts == {"det_entries": dets, "row_hnf": 7}
+            assert counts == {"det_entries": 1, "row_hnf": 6}
+
+
+def test_normalize_runs_one_row_hnf_of_m(monkeypatch):
+    """Rank, polytopality, unimodularity and (I | B) all come from one
+    elimination of M; the TU re-certification of (I | B) takes none."""
+    seen = []
+    real = linsolve.row_hnf
+
+    def recording(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linsolve, "row_hnf", recording)
+    rng = random.Random(6)
+    lifted_ex4 = ex4_matrix().entries + ((1,) * 10,)
+    for rows in (lifted_ex4, sporadic_5x10().entries, ((1, 0), (0, 1))):
+        m = _scrambled(rng, rows)
+        seen.clear()
+        normalize_standard_form(m)
+        assert len(seen) == 1 and seen[0] is m
+
+
+def test_normalize_raises_the_first_failing_precondition():
+    # rank 1 of 2, not polytopal, not unimodular
+    with pytest.raises(PreconditionError,
+                       match="^normalization requires full row rank$"):
+        normalize_standard_form(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    # full row rank, not polytopal, a 1 x 1 minor 2
+    with pytest.raises(PreconditionError, match="^matrix is not polytopal$"):
+        normalize_standard_form(IntMatrix.from_rows([[1, 2]]))
+    # full row rank and polytopal (f = (1, 0)), determinant 2
+    with pytest.raises(PreconditionError, match="^matrix is not unimodular$"):
+        normalize_standard_form(IntMatrix.from_rows([[1, 1], [0, 2]]))
+
+
+def test_normalize_recertification_exceeds_the_tu_budgets():
+    """(I | e_1) with 21 rows is polytopal and unimodular, and N = e_1 is
+    decided at once; only the TU re-certification of the output, past
+    both the minor and the Ghouila-Houri budget, raises."""
+    m = IntMatrix.from_rows([[int(i == j) for j in range(21)] + [int(i == 0)]
+                             for i in range(21)])
+    with pytest.raises(BudgetExceeded, match="21x22"):
+        normalize_standard_form(m)
 
 
 def test_normalize_identity_and_sporadic_are_fixed_points():
