@@ -10,7 +10,7 @@ from typing import Optional
 
 from ._record import Record
 from .errors import FormatError, StructureError, UsageError, WitnessMismatch
-from .matrix import IntMatrix
+from .matrix import IntMatrix, int_vector
 
 MAX_PATTERN_PATHS = 64  # patterns are stored as 64-bit bitsets
 
@@ -23,9 +23,10 @@ class ArcGraph(Record):
 
     @staticmethod
     def from_arcs(vertices, arcs):
-        arcs = tuple((int(a), int(b)) for a, b in arcs)
-        if vertices < 0:
-            raise UsageError("vertex count must be nonnegative")
+        arcs = tuple(int_vector(arc, "arcs") for arc in arcs)
+        if type(vertices) is not int or vertices < 0:
+            raise UsageError(f"vertex count must be a nonnegative integer, "
+                             f"got {vertices!r}")
         for a, b in arcs:
             if not (0 <= a < vertices and 0 <= b < vertices):
                 raise UsageError(f"arc ({a},{b}) references unknown vertex")

@@ -30,7 +30,9 @@ def row_hnf(m):
     """Row Hermite normal form with its unimodular left transform.
 
     Returns (H, U, pivots) with U * m = H, U unimodular, pivots the
-    pivot column of each nonzero row of H.
+    pivot column of each nonzero row of H. H and U are exact and not
+    range-checked: U is not unique when m has fewer pivots than rows, and
+    can outgrow 64 bits on small inputs.
     """
     h = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
@@ -65,8 +67,8 @@ def row_hnf(m):
                 u[i] = [p - q * t for p, t in zip(u[i], u[r])]
         pivots.append(c)
         r += 1
-    return (IntMatrix.from_rows(h) if h else IntMatrix(0, m.cols, ()),
-            IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ()),
+    return (IntMatrix(m.rows, m.cols, tuple(map(tuple, h))),
+            IntMatrix(m.rows, m.rows, tuple(map(tuple, u))),
             tuple(pivots))
 
 

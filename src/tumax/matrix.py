@@ -1,9 +1,9 @@
 """Dense matrices of exact integers: the substrate for every other module.
 
 Matrices are immutable values; all operations return new matrices, so
-instances can be shared freely. Entries are validated to fit a signed
-64-bit word at construction, and all arithmetic is exact with checked
-overflow (see :mod:`tumax.kernels`).
+instances can be shared freely. ``from_rows`` admits only ints that fit a
+signed 64-bit word; the plain constructor checks nothing, so exact results
+such as HNF transforms may be wider. :mod:`tumax.kernels` checks overflow.
 """
 
 from . import kernels

@@ -13,7 +13,7 @@ from .certify import _hnf_is_unimodular, is_totally_unimodular
 from .errors import BudgetExceeded, PreconditionError, StructureError, UsageError
 from .families import h
 from .lp import in_convex_hull
-from .matrix import IntMatrix
+from .matrix import IntMatrix, int_vector
 
 
 class PointSet(Record):
@@ -30,7 +30,7 @@ class PointSet(Record):
 
     @staticmethod
     def from_points(points):
-        pts = tuple(tuple(int(x) for x in p) for p in points)
+        pts = tuple(int_vector(p, "points") for p in points)
         if pts:
             d = len(pts[0])
             if any(len(p) != d for p in pts):
@@ -118,10 +118,10 @@ def is_unimodular_polytope(ps):
     violating (d+1)-subset is the witness, once an exact LP per point has
     found no point inside the hull of the others.
     """
-    if ps.affine_rank() != ps.dim:
-        raise PreconditionError(
-            f"point set is not full-dimensional (affine rank "
-            f"{ps.affine_rank()} < {ps.dim})")
+    rank = ps.affine_rank()
+    if rank != ps.dim:
+        raise PreconditionError(f"point set is not full-dimensional "
+                                f"(affine rank {rank} < {ps.dim})")
     hit = kernels.unimodular_violation(ps.flat(), len(ps.points), ps.dim)
     if hit is None:
         # a point in the hull of the others lies in a full-dimensional
@@ -182,7 +182,7 @@ def affine_lattice_coordinates(ps):
     """Re-coordinatize onto the saturated affine lattice of the hull.
 
     The first point maps to the origin and the difference lattice
-    Z^dim  aff(ps) maps onto Z^r, r = affine rank; unimodularity and
+    Z^dim ∩ aff(ps) maps onto Z^r, r = affine rank; unimodularity and
     lattice isomorphism are preserved. Already full-dimensional sets come
     back unchanged up to translation.
     """
@@ -194,22 +194,17 @@ def _embed(ps):
     differences; the points j + 1 and 0 are the leftmost affine frame."""
     base = ps.points[0]
     diffs = [tuple(p[i] - base[i] for i in range(ps.dim)) for p in ps.points[1:]]
-    if not diffs:
-        return PointSet(0, ((),)), ()
-    _, u1, piv1 = linsolve.row_hnf(IntMatrix.from_columns(diffs, rows=ps.dim))
-    if len(piv1) == ps.dim:
-        # full rank: the saturated lattice is Z^dim and the basis the unit
-        # vectors, so the coordinates are the differences themselves
-        return PointSet(ps.dim, ((0,) * ps.dim,) + tuple(diffs)), piv1
-    # saturation of the difference row space: kernel of the kernel
-    _, u2, piv2 = linsolve.row_hnf(
-        IntMatrix.from_columns(u1.entries[len(piv1):], rows=ps.dim))
-    basis = IntMatrix.from_rows(u2.entries[len(piv2):])
-    solve = linsolve.hnf_solver(*linsolve.row_hnf(basis))
-    coords = ((0,) * basis.rows,) + tuple(solve(diff) for diff in diffs)
-    if None in coords:
-        raise AssertionError("difference not in the saturated lattice")
-    return PointSet(basis.rows, coords), piv1
+    hnf, _, pivots = linsolve.row_hnf(
+        IntMatrix.from_columns(diffs, rows=ps.dim))
+    r = len(pivots)
+    if r == ps.dim:
+        # full rank: the coordinates are the differences themselves, so a
+        # full-dimensional witness keeps its own determinant
+        return PointSet(ps.dim, ((0,) * ps.dim,) + tuple(diffs)), pivots
+    # U * D = H with U unimodular sends the span of the differences onto
+    # the first r coordinates, so it sends Z^dim ∩ span onto Z^r: the
+    # coordinates of difference j are column j of H's nonzero rows
+    return PointSet(r, ((0,) * r,) + tuple(zip(*hnf.entries[:r]))), pivots
 
 
 def _pair_sum_profiles(pts):

@@ -11,6 +11,19 @@ from tumax.matrix import IntMatrix
 
 from oracles import network_column_bfs, random_tree_arcs
 
+# Small inputs whose HNF transforms outgrow 64 bits: the rows of a 6 x 7
+# matrix that is not polytopal, and the columns of a 7 x 8 point set of
+# affine rank 4.
+OVERFLOW_POLYTOPAL_ROWS = (
+    (-13, 8, -2, -13, 2, -13, 3), (9, -2, 12, 5, 12, 0, 12),
+    (4, 8, -4, -5, -13, 10, -19), (-4, 3, -8, -2, -2, -2, -3),
+    (-9, -18, 1, 5, 5, -10, 16), (-4, -13, -17, 17, -10, 8, -6))
+OVERFLOW_POLYTOPE_POINTS = (
+    (-2, 3, -1, -7, -6, 7, 3), (-3, -6, -2, -7, 1, 3, -4),
+    (-5, 0, 10, 4, -4, 2, -4), (-9, 2, 0, -6, -3, 3, -2),
+    (-5, -2, -4, -8, 1, 2, -2), (-1, 8, -4, -3, 1, -1, 6),
+    (-6, -3, -3, -9, -1, 4, -3), (-5, -6, 0, -4, 3, 0, -6))
+
 
 def random_unimodular(rng, n, steps):
     """An n x n integer matrix of determinant +-1: ``steps`` random

@@ -19,7 +19,12 @@ from tumax.errors import BudgetExceeded, PreconditionError, UsageError
 from tumax.families import bipartite_extremal, ex4_matrix, sporadic_5x10
 from tumax.matrix import IntMatrix
 
-from helpers import random_network_tu, random_sign_matrix, random_tu_matrix
+from helpers import (
+    OVERFLOW_POLYTOPAL_ROWS,
+    random_network_tu,
+    random_sign_matrix,
+    random_tu_matrix,
+)
 from oracles import (
     is_unimodular_maximal_minors,
     rank_fractions,
@@ -267,6 +272,14 @@ def test_polytopal_certificate_examples():
     assert polytopal_certificate(IntMatrix.identity(4)) == Functional((1,) * 4)
     doubled = IntMatrix.from_columns([(1, 2), (2, 4)])
     assert polytopal_certificate(doubled) is None
+
+
+def test_polytopal_certificate_past_64_bit_transforms():
+    # the all-ones row is not even a rational combination of the rows
+    rows = [list(r) for r in OVERFLOW_POLYTOPAL_ROWS]
+    assert rank_fractions(rows) == 5
+    assert rank_fractions(rows + [[1] * 7]) == 6
+    assert polytopal_certificate(IntMatrix.from_rows(rows)) is None
 
 
 def test_w_valued_examples():

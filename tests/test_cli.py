@@ -12,6 +12,7 @@ from tumax.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run
 from tumax.errors import UsageError
 from tumax.matrix import IntMatrix, parse_matrix_text
 
+from cli_corpus import CORPUS, replay
 from helpers import random_network_tu
 from specgen import random_spec
 
@@ -284,6 +285,20 @@ def test_classify_json_matches_golden(argv, capsys):
     ``oracles.lattice_isomorphic_bruteforce``, so this is their check."""
     assert main(["--format", "json"] + argv.split()) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == CLASSIFY_GOLDEN[argv]
+
+
+def test_cli_corpus_replays_byte_for_byte(tmp_path):
+    """Every entry of ``data/cli_corpus.json`` (``tests/cli_corpus.py``
+    writes it) gives the same stdout, stderr and exit status again."""
+    moved = []
+    for entry in json.loads(CORPUS.read_text()):
+        expected = entry["stdout"]
+        got = replay(entry["argv"], entry["input"], tmp_path)
+        if got != ("" if expected is None else
+                   json.dumps(expected, indent=2) + "\n",
+                   entry["stderr"], entry["exit"]):
+            moved.append((entry["name"], got))
+    assert moved == []
 
 
 def test_main_prints_json_for_checks(tmp_path, capsys):

@@ -70,6 +70,14 @@ def test_network_matrix_errors():
         network_matrix(t, ArcGraph.from_arcs(4, [(0, 3)]))
 
 
+def test_arc_graphs_take_only_ints():
+    for vertices, arcs in ((3, [(0.7, 2.9)]), (3, [(0, True)]),
+                           (3.5, [(0, 1)]), (True, [])):
+        with pytest.raises(UsageError, match="integer"):
+            ArcGraph.from_arcs(vertices, arcs)
+    assert ArcGraph.from_arcs(3, [[0, 2]]).arcs == ((0, 2),)
+
+
 def test_arc_reversal_negates():
     rng = random.Random(32)
     n = 6

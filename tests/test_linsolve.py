@@ -10,7 +10,7 @@ from tumax.errors import UsageError
 from tumax.matrix import IntMatrix
 from tumax.polytopes import PointSet, _embed
 
-from helpers import random_unimodular
+from helpers import OVERFLOW_POLYTOPAL_ROWS, random_unimodular
 from oracles import (
     det_cofactor,
     greedy_independent_columns,
@@ -41,6 +41,18 @@ def test_row_hnf_transform_and_canonical_pivots():
             assert all(h[i, p] == 0 for i in range(k + 1, h.rows))
             assert all(0 <= h[i, p] < h[k, p] for i in range(k))
         assert all(not any(h.row(i)) for i in range(len(pivots), h.rows))
+
+
+def test_row_hnf_returns_a_transform_past_64_bits():
+    """A 6 x 7 input with entries under 20 whose U has 80-bit entries:
+    row_hnf returns it exact instead of refusing its own output."""
+    m = IntMatrix.from_rows(OVERFLOW_POLYTOPAL_ROWS)
+    h, u, pivots = linsolve.row_hnf(m)
+    assert max(abs(x) for row in u.entries for x in row) >= 1 << 63
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*m.entries)]
+            for row in u.entries] == h.to_lists()
+    assert abs(det_cofactor(u.to_lists())) == 1
+    assert len(pivots) == rank_fractions(m.to_lists()) == 5
 
 
 def test_invert_unimodular_matches_fraction_inverse():

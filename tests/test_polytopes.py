@@ -1,11 +1,19 @@
 """polytope surface: hulls, unimodularity, isomorphism, classification."""
 
 import random
+import sys
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from tumax import kernels, linsolve, polytopes
-from tumax.errors import BudgetExceeded, PreconditionError, StructureError
+from tumax.errors import (
+    BudgetExceeded,
+    PreconditionError,
+    StructureError,
+    UsageError,
+)
 from tumax.families import ex4_matrix, h, sporadic_5x10
 from tumax.matrix import IntMatrix
 from tumax.polytopes import (
@@ -23,7 +31,7 @@ from tumax.polytopes import (
     vertex_hull,
 )
 
-from helpers import random_unimodular
+from helpers import OVERFLOW_POLYTOPE_POINTS, random_unimodular
 from oracles import (
     det_cofactor,
     inverse_fractions,
@@ -192,6 +200,78 @@ def test_affine_lattice_coordinates_matches_oracle_after_embedding():
             scaled = embedded([(2 * p[0],) + p[1:] for p in pts])
             assert scaled.dim == r
             assert not lattice_isomorphic_bruteforce(pts, scaled.points)
+
+
+def _lattice_index(diffs):
+    """Index of the lattice that r integer vectors span in its saturation:
+    the gcd of their r x r minors (a saturated lattice has a basis whose
+    maximal minors are coprime)."""
+    r = len(diffs)
+    g = 0
+    for rows in combinations(range(len(diffs[0])), r):
+        g = gcd(g, det_cofactor([[v[k] for v in diffs] for k in rows]))
+    return g
+
+
+def test_affine_lattice_coordinates_keep_every_simplex_index():
+    """Each affinely independent (r+1)-subset of a rank-r set keeps its
+    lattice index: |det| of its embedded simplex equals the gcd of the
+    r x r minors of its differences in the ambient lattice."""
+    rng = random.Random(75)
+    sets = [OVERFLOW_POLYTOPE_POINTS]
+    while len(sets) < 12:
+        n, r = rng.randint(2, 5), rng.randint(1, 3)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        pts = {tuple(sum(rng.randint(-2, 2) * g[k] for g in gens)
+                     + rng.randint(0, 1) * k for k in range(n))
+               for _ in range(r + 3)}
+        sets.append(sorted(pts))
+    for pts in sets:
+        emb = affine_lattice_coordinates(PointSet.from_points(pts))
+        diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
+        r = rank_fractions(diffs)
+        assert emb.dim == r
+        e = emb.points
+        for sub in combinations(range(len(pts)), r + 1):
+            base = pts[sub[0]]
+            sub_diffs = [[x - b for x, b in zip(pts[i], base)]
+                         for i in sub[1:]]
+            det = det_cofactor([[e[i][k] - e[sub[0]][k] for i in sub[1:]]
+                                for k in range(r)])
+            if rank_fractions(sub_diffs) == r:
+                assert abs(det) == _lattice_index(sub_diffs), (pts, sub)
+            else:
+                assert det == 0
+
+
+def test_unimodular_polytope_past_64_bit_transforms():
+    # the first 5-subset is a simplex of lattice index 17
+    ps = PointSet.from_points(OVERFLOW_POLYTOPE_POINTS)
+    emb = affine_lattice_coordinates(ps)
+    verdict = is_unimodular_polytope(emb)
+    assert (emb.dim, verdict.is_unimodular) == (4, False)
+    assert verdict.witness[0] == (0, 1, 2, 3, 4)
+    diffs = [[x - b for x, b in zip(p, ps.points[0])] for p in ps.points[1:5]]
+    assert abs(verdict.witness[1]) == _lattice_index(diffs) == 17
+
+
+def test_embedding_runs_one_elimination_per_point_set(monkeypatch):
+    counts = {}
+    _counting(monkeypatch, linsolve, "row_hnf", counts)
+    sets = [OVERFLOW_POLYTOPE_POINTS, simplex(3).points,
+            [(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(5, 5)],
+            [u + v for u in ((0,), (1,)) for v in ((0, 1, 0), (1, 0, 0))]]
+    for pts in sets:
+        counts.clear()
+        affine_lattice_coordinates(PointSet.from_points(pts))
+        assert counts == {"row_hnf": 1}
+
+
+def test_point_sets_take_only_ints():
+    for bad in ([(1.5, 0), (0, True)], [(1, 0), (0, True)], [(1.0,)]):
+        with pytest.raises(UsageError, match="^points must hold integers"):
+            PointSet.from_points(bad)
+    assert PointSet.from_points([[1, 0], (0, 1)]).points == ((1, 0), (0, 1))
 
 
 def test_adjugate_is_a_multiple_of_the_fraction_inverse():
@@ -430,9 +510,9 @@ def _scrambled(rng, rows):
 
 def test_round_trip_isomorphism_work_is_pinned(monkeypatch):
     """Determinants and HNFs that one round trip's lattice-isomorphism test
-    computes: the determinant of the one full frame tried, and the three
-    eliminations each that re-coordinatize P and Q (P's frame is read off
-    the first of P's; its adjugate takes no determinant)."""
+    computes: the determinant of the one full frame tried, and the one
+    elimination each that re-coordinatizes P and Q (P's frame is read off
+    P's; its adjugate takes no determinant)."""
     prism = [u + v for u in ((0,), (1,)) for v in ((0, 0), (1, 0), (0, 1))]
     member_4x6 = [list(r) for r in zip(*[p + (1,) for p in prism])]
     edges = [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6), (0, 6), (1, 4),
@@ -448,7 +528,52 @@ def test_round_trip_isomorphism_work_is_pinned(monkeypatch):
             _counting(monkeypatch, linsolve, "row_hnf", counts)
             assert lattice_isomorphic(PointSet.from_matrix_columns(m), q)
             monkeypatch.undo()
-            assert counts == {"det_entries": 1, "row_hnf": 6}
+            assert counts == {"det_entries": 1, "row_hnf": 2}
+
+
+def _extend_calls(p, q):
+    """lattice_isomorphic(p, q) and the number of calls to its inner
+    ``extend``, one per partial frame map tried, counted by a profiler."""
+    extend = next(c for c in polytopes.lattice_isomorphic.__code__.co_consts
+                  if getattr(c, "co_name", None) == "extend")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is extend:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        verdict = lattice_isomorphic(p, q)
+    finally:
+        sys.setprofile(None)
+    return verdict, len(calls)
+
+
+def test_greedy_frame_order_keeps_product_isomorphisms_cheap():
+    """Partial frame maps that lattice_isomorphic tries between a simplex
+    product in stored order and seeded unimodular images of it, in its
+    own dimension and lifted one dimension up. In the plain frame order
+    1, 2, ..., d the same tests try 351-6 627 maps (Δ2×Δ4) and 118-681
+    (Δ3×Δ3), and the Δ2×Δ4 ones take seconds."""
+    work = {}
+    for a, b in ((2, 4), (3, 3)):
+        base = simplex_product(a, b)
+        n = a + b
+        rng = random.Random(17)
+        for lift in (0, 1):
+            for _ in range(3):
+                u = random_unimodular(rng, n + lift, 3 * n).entries
+                shift = [rng.randint(-3, 3) for _ in range(n + lift)]
+                pts = [tuple(sum(u[k][c] * x for c, x in enumerate(p))
+                             + shift[k] for k in range(n + lift))
+                       for p in base.points]
+                rng.shuffle(pts)
+                verdict, calls = _extend_calls(base, PointSet.from_points(pts))
+                assert verdict
+                work.setdefault((a, b), []).append(calls)
+    assert work == {(2, 4): [9, 30, 9, 8, 29, 11],
+                    (3, 3): [9, 9, 9, 8, 11, 10]}
 
 
 def test_normalize_runs_one_row_hnf_of_m(monkeypatch):
