@@ -1,34 +1,31 @@
 """The exact-arithmetic hot kernels, re-exported by :mod:`tumax.kernels`.
 
-All kernels work on flat row-major lists of Python ints.
-
-Storage contract: every *stored* entry, determinant or other
-intermediate value must fit a signed 64-bit integer; a value leaving that
-range raises :class:`~tumax.errors.ArithmeticOverflow` instead of
-wrapping. The big ints of the packed minor table (``_PackedMinors``) are
-rows of w-bit fields, and w is chosen so that no field spills over.
+The kernels take their matrices as sequences of rows (points, candidate
+columns) of Python ints and compute exactly: a determinant or rank
+elimination is fraction-free, so each value it stores is a minor of the
+input, held at whatever width it needs. The big ints of the packed minor
+table (``_PackedMinors``) are rows of w-bit fields, and w is chosen so
+that no field spills over.
 """
 
 from array import array
 from itertools import combinations
 from math import comb
 
-from .errors import ArithmeticOverflow
 
-_LIMIT = 1 << 63
-
-
-def det_entries(flat, n):
-    """Determinant of an n x n integer matrix by fraction-free elimination.
+def det_entries(rows):
+    """Determinant of a square integer matrix, given by its rows, by
+    fraction-free elimination.
 
     Leftmost-nonzero pivoting with row-swap sign tracking; the Bareiss
     update keeps all stored values integral.
     """
+    n = len(rows)
     if n == 0:
         return 1
     if n == 1:
-        return flat[0]
-    a = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+        return rows[0][0]
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -48,27 +45,25 @@ def det_entries(flat, n):
             row_i = a[i]
             aik = row_i[k]
             for j in range(k + 1, n):
-                v = (row_i[j] * pk - aik * row_k[j]) // prev
-                if v >= _LIMIT or v <= -_LIMIT:
-                    raise ArithmeticOverflow(
-                        "intermediate value exceeds 64-bit range in determinant"
-                    )
-                row_i[j] = v
+                row_i[j] = (row_i[j] * pk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
 
 
-def rank_entries(flat, rows, cols):
-    """Rank over the rationals via fraction-free elimination with column skips."""
-    a = [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)]
+def rank_entries(rows):
+    """Rank over the rationals of an integer matrix, given by its rows,
+    via fraction-free elimination with column skips."""
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    cols = len(a[0]) if a else 0
     r = 0
     prev = 1
     for c in range(cols):
-        if r == rows:
+        if r == nrows:
             break
         p = -1
-        for i in range(r, rows):
+        for i in range(r, nrows):
             if a[i][c] != 0:
                 p = i
                 break
@@ -78,44 +73,35 @@ def rank_entries(flat, rows, cols):
             a[r], a[p] = a[p], a[r]
         row_r = a[r]
         pk = row_r[c]
-        for i in range(r + 1, rows):
+        for i in range(r + 1, nrows):
             row_i = a[i]
             aic = row_i[c]
             for j in range(c + 1, cols):
-                v = (row_i[j] * pk - aic * row_r[j]) // prev
-                if v >= _LIMIT or v <= -_LIMIT:
-                    raise ArithmeticOverflow(
-                        "intermediate value exceeds 64-bit range in rank"
-                    )
-                row_i[j] = v
+                row_i[j] = (row_i[j] * pk - aic * row_r[j]) // prev
             row_i[c] = 0
         prev = pk
         r += 1
     return r
 
 
-def _subdet(flat, cols, rset, cset):
-    k = len(rset)
-    sub = [flat[i * cols + j] for i in rset for j in cset]
-    return det_entries(sub, k)
-
-
-def tu_violation(flat, rows, cols):
-    """First square minor outside {-1,0,1}, or None.
+def tu_violation(rows):
+    """First square minor of the matrix with these rows outside {-1,0,1},
+    or None.
 
     Scans minors in ascending order; within an order, row index sets then
     column index sets in lexicographic order. Returns (rows, cols, det).
     """
-    for i in range(rows):
-        base = i * cols
-        for j in range(cols):
-            e = flat[base + j]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
             if e < -1 or e > 1:
                 return ((i,), (j,), e)
-    for k in range(2, min(rows, cols) + 1):
-        for rset in combinations(range(rows), k):
-            for cset in combinations(range(cols), k):
-                d = _subdet(flat, cols, rset, cset)
+    for k in range(2, min(nrows, ncols) + 1):
+        for rset in combinations(range(nrows), k):
+            sub = [rows[i] for i in rset]
+            for cset in combinations(range(ncols), k):
+                d = det_entries([[row[j] for j in cset] for row in sub])
                 if d < -1 or d > 1:
                     return (rset, cset, d)
     return None
@@ -299,15 +285,13 @@ def _pair_masks(cand, m):
     return ok1_mask, compat
 
 
-def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
-                  node_budget=-1):
+def max_tu_subset(cands, perms=None, stop_at=-1, node_budget=-1):
     """Depth-first search for a maximum candidate subset forming a TU matrix.
 
-    Candidates are length-m columns, candidate j at
-    ``cand_flat[j*m:(j+1)*m]``. Subsets are explored in lexicographic
-    index order, so the reported witness is the lexicographically least
-    among maximum subsets. Pair-incompatibility (a 2x2 minor outside
-    {-1,0,1}) prunes branches before any other check.
+    ``cands`` are the candidate columns, all of one length m. Subsets are
+    explored in lexicographic index order, so the reported witness is the
+    lexicographically least among maximum subsets. Pair-incompatibility
+    (a 2x2 minor outside {-1,0,1}) prunes branches before any other check.
 
     A node is one subset test, counted whether or not it runs a minor
     check. TU is hereditary, so the answers are kept per chosen prefix:
@@ -330,7 +314,9 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
 
     Returns (best_size, witness_indices, nodes, complete).
     """
-    cand = [tuple(cand_flat[j * m:(j + 1) * m]) for j in range(ncand)]
+    cand = [tuple(c) for c in cands]
+    ncand = len(cand)
+    m = len(cand[0]) if cand else 0
     ok1_mask, compat = _pair_masks(cand, m)
 
     best = 0
@@ -416,25 +402,19 @@ def max_tu_subset(m, cand_flat, ncand, perms=None, stop_at=-1,
     return best, witness, nodes, not budget_hit
 
 
-def unimodular_violation(pts_flat, npts, d):
+def unimodular_violation(points):
     """First (d+1)-point subset spanning a non-unimodular simplex, or None.
 
-    Points are rows of ``pts_flat`` (npts x d). For each (d+1)-subset the
+    ``points`` are points of one dimension d. For each (d+1)-subset the
     determinant of the difference vectors is computed; zero means an
     affinely dependent subset (allowed), and any |det| != 1 is returned
     as (index_tuple, det).
     """
-    if npts < d + 1:
-        return None
-    for subset in combinations(range(npts), d + 1):
-        i0 = subset[0]
-        base = [pts_flat[i0 * d + t] for t in range(d)]
-        sub = []
-        for i in subset[1:]:
-            off = i * d
-            for t in range(d):
-                sub.append(pts_flat[off + t] - base[t])
-        det = det_entries(sub, d)
+    d = len(points[0]) if points else 0
+    for subset in combinations(range(len(points)), d + 1):
+        base = points[subset[0]]
+        det = det_entries([[x - y for x, y in zip(points[i], base)]
+                           for i in subset[1:]])
         if det != 0 and det != 1 and det != -1:
             return (subset, det)
     return None

@@ -99,7 +99,7 @@ def is_totally_unimodular(m, method="auto"):
         raise BudgetExceeded(
             f"minor enumeration admits rows+cols <= {MINOR_SIZE_BUDGET}, got "
             f"{m.rows}+{m.cols}; try method='ghouila-houri'")
-    hit = kernels.tu_violation(m.flat(), m.rows, m.cols)
+    hit = kernels.tu_violation(m.entries)
     if hit is None:
         return TuVerdict(True, METHOD_MINORS)
     rows, cols, value = hit

@@ -22,7 +22,7 @@ import sys
 
 from ._record import Record
 from .errors import BudgetExceeded, FormatError, TumaxError, UsageError
-from .matrix import parse_matrix_text
+from .matrix import int_tokens, parse_matrix_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,7 +63,7 @@ def _load_graph(path):
 
 def _int_list(flag, text):
     try:
-        return [int(x) for x in text.replace(",", " ").split()]
+        return int_tokens(text.replace(",", " ").split())
     except ValueError as exc:
         raise UsageError(f"{flag} needs comma-separated integers, "
                          f"got {text!r}") from exc

@@ -10,7 +10,7 @@ class TumaxError(Exception):
 
 
 class ArithmeticOverflow(TumaxError, ArithmeticError):
-    """A stored value left the signed 64-bit range during exact arithmetic."""
+    """An input matrix entry lies outside the signed 64-bit range."""
 
 
 class UsageError(TumaxError, ValueError):

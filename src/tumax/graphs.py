@@ -10,9 +10,7 @@ from typing import Optional
 
 from ._record import Record
 from .errors import FormatError, StructureError, UsageError, WitnessMismatch
-from .matrix import IntMatrix, int_vector
-
-MAX_PATTERN_PATHS = 64  # patterns are stored as 64-bit bitsets
+from .matrix import IntMatrix, int_tokens, int_vector
 
 
 class ArcGraph(Record):
@@ -80,7 +78,7 @@ def parse_graph_text(text):
     if len(header) != 2:
         raise FormatError("header must be `vertices arcs`", line=1)
     try:
-        nv, na = int(header[0]), int(header[1])
+        nv, na = int_tokens(header)
     except ValueError:
         raise FormatError("header must contain two integers", line=1)
     if nv < 0 or na < 0:
@@ -94,7 +92,7 @@ def parse_graph_text(text):
         if len(parts) != 2:
             raise FormatError("arc line must be `tail head`", line=lineno)
         try:
-            arcs.append((int(parts[0]), int(parts[1])))
+            arcs.append(tuple(int_tokens(parts)))
         except ValueError:
             raise FormatError("non-integer vertex", line=lineno)
     for extra in range(na + 1, len(lines)):
@@ -116,7 +114,7 @@ def parse_paths_text(text):
         if len(parts) != 2:
             raise FormatError("path line must be `endpoint endpoint`", line=lineno)
         try:
-            paths.append((int(parts[0]), int(parts[1])))
+            paths.append(tuple(int_tokens(parts)))
         except ValueError:
             raise FormatError("non-integer endpoint", line=lineno)
     return paths
@@ -254,9 +252,6 @@ def _edge_masks(tree, paths):
     """The distinct nonzero pattern masks of ``edge_patterns``."""
     if not tree.is_tree():
         raise StructureError("pattern analysis requires a tree")
-    m = len(paths)
-    if m > MAX_PATTERN_PATHS:
-        raise UsageError(f"at most {MAX_PATTERN_PATHS} paths supported")
     parent, parc, psign, depth = tree._rooted
     masks = [0] * len(tree.arcs)
     for j, (s, t) in enumerate(paths):

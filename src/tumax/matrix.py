@@ -2,15 +2,29 @@
 
 Matrices are immutable values; all operations return new matrices, so
 instances can be shared freely. ``from_rows`` admits only ints that fit a
-signed 64-bit word; the plain constructor checks nothing, so exact results
-such as HNF transforms may be wider. :mod:`tumax.kernels` checks overflow.
+signed 64-bit word, the bound on outside input; the plain constructor
+checks nothing, and every computation is exact, so results such as
+determinants and HNF transforms may be wider.
 """
+
+import re
 
 from . import kernels
 from ._record import Record, set_field
 from .errors import ArithmeticOverflow, FormatError, UsageError
 
 _LIMIT = 1 << 63
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+").fullmatch
+
+
+def int_tokens(tokens):
+    """The ints that the strings ``tokens`` spell, each in ASCII
+    ``[+-]?[0-9]+``. Any other token, such as ``1_0``, ``1.0`` or a
+    non-ASCII digit, raises ValueError instead of being read as an
+    integer."""
+    if not all(map(_INT_TOKEN, tokens)):
+        raise ValueError("integer tokens are ASCII [+-]?[0-9]+")
+    return list(map(int, tokens))
 
 
 def as_index_set(indices, size, what="index"):
@@ -108,9 +122,6 @@ class IntMatrix(Record):
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
-    def flat(self):
-        return [e for row in self.entries for e in row]
-
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
                          tuple(self.col(j) for j in range(self.cols)))
@@ -159,7 +170,7 @@ class IntMatrix(Record):
     def det(self):
         if not self.is_square():
             raise UsageError("determinant requires a square matrix")
-        return kernels.det_entries(self.flat(), self.rows)
+        return kernels.det_entries(self.entries)
 
     def minor(self, row_idx, col_idx):
         ri = as_index_set(row_idx, self.rows, "row")
@@ -169,7 +180,7 @@ class IntMatrix(Record):
         return self.submatrix(ri, ci).det()
 
     def rank(self):
-        return kernels.rank_entries(self.flat(), self.rows, self.cols)
+        return kernels.rank_entries(self.entries)
 
     def first_duplicate_columns(self):
         """Smallest (i, j) with equal columns, or None."""
@@ -201,7 +212,7 @@ def parse_matrix_text(text):
     if len(header) != 2:
         raise FormatError("header must be `rows cols`", line=1)
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = int_tokens(header)
     except ValueError:
         raise FormatError("header must contain two integers", line=1)
     if rows < 0 or cols < 0:
@@ -216,7 +227,7 @@ def parse_matrix_text(text):
             raise FormatError(
                 f"expected {cols} entries, found {len(parts)}", line=lineno)
         try:
-            data.append([int(p) for p in parts])
+            data.append(int_tokens(parts))
         except ValueError:
             raise FormatError("non-integer entry", line=lineno)
     for extra in range(rows + 1, len(lines)):

@@ -51,18 +51,13 @@ class PointSet(Record):
     def __len__(self):
         return len(self.points)
 
-    def flat(self):
-        return [x for p in self.points for x in p]
-
     def affine_rank(self):
         """Dimension of the affine hull."""
         if len(self.points) <= 1:
             return 0
         base = self.points[0]
-        diffs = [[p[i] - base[i] for i in range(self.dim)]
-                 for p in self.points[1:]]
-        flat = [x for row in diffs for x in row]
-        return kernels.rank_entries(flat, len(diffs), self.dim)
+        return kernels.rank_entries([[x - y for x, y in zip(p, base)]
+                                     for p in self.points[1:]])
 
 
 class HullResult(Record):
@@ -122,7 +117,7 @@ def is_unimodular_polytope(ps):
     if rank != ps.dim:
         raise PreconditionError(f"point set is not full-dimensional "
                                 f"(affine rank {rank} < {ps.dim})")
-    hit = kernels.unimodular_violation(ps.flat(), len(ps.points), ps.dim)
+    hit = kernels.unimodular_violation(ps.points)
     if hit is None:
         # a point in the hull of the others lies in a full-dimensional
         # simplex of them (Caratheodory); a unimodular simplex holds no
@@ -321,7 +316,7 @@ def lattice_isomorphic(p, q):
         # +-1 since the frames have equal |det|
         q0 = images[0]
         q_cols = [[qt[k] - q0[k] for k in range(d)] for qt in images[1:]]
-        q_det = kernels.det_entries([x for col in q_cols for x in col], d)
+        q_det = kernels.det_entries(q_cols)
         if abs(q_det) != abs(p_det):
             return False
         return all(sum(q_cols[t][r] * p_adj[t][c] for t in range(d))
@@ -349,9 +344,8 @@ def _simplex_det(pts, sub):
     """Determinant of the difference vectors from pts[sub[0]] to the
     other points of ``sub``; +-(d! times the simplex volume)."""
     base = pts[sub[0]]
-    d = len(base)
-    return kernels.det_entries(
-        [pts[i][k] - base[k] for i in sub[1:] for k in range(d)], d)
+    return kernels.det_entries([[x - y for x, y in zip(pts[i], base)]
+                                for i in sub[1:]])
 
 
 def fingerprint(ps):
@@ -482,7 +476,7 @@ def classify_unimodular(d, pruned=True):
         ps = PointSet(d, tuple(subset))
         if ps.affine_rank() != d:
             continue
-        if kernels.unimodular_violation(ps.flat(), len(subset), d) is not None:
+        if kernels.unimodular_violation(ps.points) is not None:
             continue
         fp = fingerprint(ps)
         found = False

@@ -127,8 +127,7 @@ def _max_columns(m, kind, min_m, mode, node_budget, max_m):
             stop_at = expected - identity
     budget = -1 if node_budget is None else node_budget
     best, witness, nodes, complete = kernels.max_tu_subset(
-        m, [x for c in cands for x in c], len(cands), perms=perms,
-        stop_at=stop_at, node_budget=budget)
+        cands, perms=perms, stop_at=stop_at, node_budget=budget)
     elapsed = time.perf_counter() - start
     matrix = IntMatrix.from_columns([cands[i] for i in witness], rows=m)
     if identity:

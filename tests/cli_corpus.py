@@ -1,6 +1,12 @@
-"""The replayed CLI corpus: ``check tu|unimodular|polytopal|prepared|
-unimodular-polytope`` and ``verify vertex-bound`` on seeded inputs, with
-the stdout, stderr and exit status each one gave.
+"""The replayed CLI corpus: every subcommand but ``classify`` (whose
+output ``data/classify_cli.json`` pins) on seeded inputs, with the
+stdout, stderr and exit status each one gave.
+
+An entry's input is the lines of ``INPUT``, or a mapping from file names
+to lines for commands that read several files. Its stdout is stored as
+the parsed JSON report, or as the text itself for artifact and ``--format
+text`` output; a search report is stored and compared without its
+``seconds``, the only field that varies from run to run.
 
 ``tests/test_cli.py`` replays ``data/cli_corpus.json`` through
 ``cli.main`` and compares. Run this file by hand to rewrite the expected
@@ -27,6 +33,7 @@ from helpers import (
     random_unimodular,
 )
 from oracles import network_column_bfs, random_tree_arcs
+from specgen import random_certificate, random_spec
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
 INPUT = "input.txt"  # the file name every command reads, in its own folder
@@ -78,7 +85,8 @@ def _image(rng, points, dim):
 
 
 def cases():
-    """(name, argv, input lines) of every corpus entry, in order."""
+    """(name, argv, input) of every corpus entry, in order; the input as
+    ``replay`` takes it."""
     rng = random.Random(2024)
     out = []
 
@@ -184,13 +192,303 @@ def cases():
                     ["verify", "vertex-bound", INPUT], _lines(rows)))
     check("unimodular-polytope", "duplicate-points", _lines([[0, 0, 1]]))
     check("unimodular-polytope", "no-points", ["2 0", "", ""])
+    _gen_cases(out)
+    _network_cases(out)
+    _sum_cases(out)
+    _verify_cases(out)
+    _token_cases(out)
     return out
 
 
-def replay(argv, lines, workdir):
+def _graph(nvertices, arcs):
+    return [f"{nvertices} {len(arcs)}"] + [f"{a} {b}" for a, b in arcs]
+
+
+def _gen_cases(out):
+    """gen: every family, as text and once as JSON, and its errors."""
+    def gen(*argv, files=None):
+        out.append((" ".join(("gen",) + argv), ["gen", *argv], files or {}))
+
+    gen("heller", "--m", "2")
+    gen("heller", "--m", "4")
+    gen("bipartite", "--m", "1")
+    gen("bipartite", "--m", "4")
+    gen("bipartite", "--m", "6")
+    gen("sporadic-5x10")
+    gen("sporadic-5x5", "--variant", "1")
+    gen("sporadic-5x5", "--variant", "2")
+    gen("ex4")
+    gen("simplex-product", "--a", "1", "--b", "2")
+    gen("simplex-product", "--a", "0", "--b", "0")
+    gen("edge-polytope", "--complete", "2", "3")
+    gen("edge-polytope", "--complete", "0", "2")
+    out.append(("gen heller --m 3 (json)",
+                ["--format", "json", "gen", "heller", "--m", "3"], {}))
+    # a path 0-1-2-3 and a 4-cycle, both bipartite with parts {0, 2}, {1, 3}
+    path = {"graph.txt": _graph(4, [(0, 1), (2, 1), (2, 3)])}
+    cycle = {"graph.txt": _graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])}
+    gen("edge-polytope", "--graph", "graph.txt", "--part-a", "0,2",
+        files=path)
+    gen("edge-polytope", "--graph", "graph.txt", "--part-a", "0 2",
+        files=cycle)
+    # errors: sizes, variants, parts, graphs and missing options
+    gen("heller", "--m", "1")
+    gen("heller", "--m", "x")
+    gen("bipartite", "--m", "0")
+    gen("bipartite", "--m", "5")
+    gen("sporadic-5x5", "--variant", "3")
+    gen("simplex-product", "--a", "-1", "--b", "2")
+    gen("edge-polytope", "--complete", "2")
+    gen("edge-polytope")
+    gen("edge-polytope", "--graph", "graph.txt", files=path)
+    gen("edge-polytope", "--graph", "graph.txt", "--part-a", "0,1",
+        files=path)
+    gen("edge-polytope", "--graph", "graph.txt", "--part-a", "0,9",
+        files=path)
+    gen("edge-polytope", "--graph", "graph.txt", "--part-a", "0,x",
+        files=path)
+    gen("edge-polytope", "--graph", "graph.txt", "--part-a", "0",
+        files={"graph.txt": ["2 1", "0 5"]})
+    gen("edge-polytope", "--graph", "missing.txt", "--part-a", "0")
+    gen("frobnicate")
+
+
+def _network_cases(out):
+    """network build|patterns|bounds on seeded trees, and their errors."""
+    rng = random.Random(2025)
+
+    def network(what, name, files):
+        second = "paths.txt" if what == "patterns" else "digraph.txt"
+        out.append((f"network {what}/{name}",
+                    ["network", what, "tree.txt", second], files))
+
+    for seed in range(4):
+        n = rng.randint(2, 7)
+        tree = _graph(n, random_tree_arcs(rng, n))
+        digraph = _graph(n, [tuple(rng.sample(range(n), 2))
+                             for _ in range(rng.randint(1, 6))])
+        paths = [" ".join(map(str, rng.sample(range(n), 2)))
+                 for _ in range(rng.randint(1, 6))]
+        network("build", f"random-{seed}",
+                {"tree.txt": tree, "digraph.txt": digraph})
+        network("bounds", f"random-{seed}",
+                {"tree.txt": tree, "digraph.txt": digraph})
+        network("patterns", f"random-{seed}",
+                {"tree.txt": tree, "paths.txt": paths})
+    # on the directed path 0-1-2-3 every arc s -> t with t - s odd has a
+    # positive odd column: (|A0| + 1)^2 / 4 = 4 columns meet the bound
+    path = _graph(4, [(0, 1), (1, 2), (2, 3)])
+    network("bounds", "path-equality",
+            {"tree.txt": path,
+             "digraph.txt": _graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])})
+    network("bounds", "loop-and-reverse",
+            {"tree.txt": path, "digraph.txt": _graph(4, [(2, 2), (3, 0)])})
+    network("build", "no-arcs",
+            {"tree.txt": path, "digraph.txt": ["4 0"]})
+    out.append(("network build/json",
+                ["--format", "json", "network", "build", "tree.txt",
+                 "digraph.txt"],
+                {"tree.txt": path, "digraph.txt": _graph(4, [(3, 1)])}))
+    # one, two and three paths: the bounds apply from two and three on
+    star = _graph(5, [(0, 1), (0, 2), (3, 0), (4, 0)])
+    for k in (1, 2, 3):
+        network("patterns", f"star-{k}",
+                {"tree.txt": star,
+                 "paths.txt": ["1 2", "3 4", "1 3", "", "2 4"][:k + 1]})
+    # 64 and 65 paths on a path tree
+    for k in (64, 65):
+        network("patterns", f"{k}-paths",
+                {"tree.txt": path,
+                 "paths.txt": [f"{i % 4} {(i + 1 + i // 4) % 4}"
+                               for i in range(k)]})
+    # structure and format errors
+    cycle = _graph(3, [(0, 1), (1, 2), (2, 0)])
+    network("build", "not-a-tree", {"tree.txt": cycle, "digraph.txt": path})
+    network("patterns", "not-a-tree", {"tree.txt": cycle,
+                                       "paths.txt": ["0 1"]})
+    network("build", "digraph-too-big",
+            {"tree.txt": path, "digraph.txt": _graph(5, [(0, 4)])})
+    network("patterns", "endpoint-out-of-range",
+            {"tree.txt": path, "paths.txt": ["0 4"]})
+    network("patterns", "short-path-line",
+            {"tree.txt": path, "paths.txt": ["0 1", "2"]})
+    network("patterns", "non-integer-endpoint",
+            {"tree.txt": path, "paths.txt": ["0 y"]})
+    for name, lines in (("empty", []), ("short-header", ["4"]),
+                        ("non-integer-header", ["4 x"]),
+                        ("negative-count", ["4 -1"]),
+                        ("missing-arc", ["4 3", "0 1", "1 2"]),
+                        ("long-arc-line", ["4 3", "0 1 2", "1 2", "2 3"]),
+                        ("non-integer-vertex", ["4 3", "0 1", "1 z", "2 3"]),
+                        ("unknown-vertex", ["4 3", "0 1", "1 2", "2 7"]),
+                        ("trailing", path + ["3 0"])):
+        network("build", f"tree-{name}",
+                {"tree.txt": lines, "digraph.txt": path})
+    out.append(("network build/missing-file",
+                ["network", "build", "tree.txt", "missing.txt"],
+                {"tree.txt": path}))
+
+
+def _sum_cases(out):
+    """sum one|two|three|delta|transport on seeded specs (tests/specgen.py),
+    with format, kind and certificate errors."""
+    from tumax.sums import compose
+
+    rng = random.Random(2026)
+
+    def sum_(what, name, lines, *flags):
+        out.append((f"sum {what}/{name}", ["sum", what, INPUT, *flags],
+                    lines))
+
+    specs = {}
+    for kind in ("one", "two", "three", "delta"):
+        for seed in range(2):
+            spec = random_spec(rng, f"{kind}-sum")
+            specs[kind, seed] = spec
+            sum_(kind, f"random-{seed}", [json.dumps(spec.to_json_dict())])
+    for kind in ("two", "three", "delta"):
+        for seed in range(2):
+            spec = specs[kind, seed]
+            composed = compose(spec).matrix
+            # the first row of the composed matrix is w-valued for e_1
+            f = [1] + [0] * (composed.rows - 1)
+            sum_("transport", f"{kind}-e1-{seed}",
+                 [json.dumps(spec.to_json_dict())],
+                 "--f", ",".join(map(str, f)),
+                 "--w=" + ",".join(map(str, composed.row(0))))
+        f, w = random_certificate(rng, composed)
+        sum_("transport", f"{kind}-random",
+             [json.dumps(spec.to_json_dict())],
+             "--f=" + ",".join(map(str, f.coeffs)),
+             "--w=" + " ".join(map(str, w)))
+    two = [json.dumps(specs["two", 0].to_json_dict())]
+    shape = compose(specs["two", 0]).matrix
+    e1 = ",".join(["1"] + ["0"] * (shape.rows - 1))
+    sum_("transport", "one-sum", [json.dumps(specs["one", 0].to_json_dict())],
+         "--f", "1", "--w", "1")
+    sum_("transport", "zero-functional", two,
+         "--f", ",".join(["0"] * shape.rows),
+         "--w", ",".join(["0"] * shape.cols))
+    sum_("transport", "w-not-certified", two, "--f", e1,
+         "--w", ",".join(["5"] * shape.cols))
+    sum_("transport", "f-too-short", two, "--f", "1",
+         "--w", ",".join(["5"] * shape.cols))
+    sum_("transport", "w-too-short", two, "--f", e1, "--w", "1")
+    sum_("transport", "non-integer-f", two, "--f", "1,x", "--w", "1")
+    sum_("transport", "non-integer-w", two, "--f", "1", "--w", "1.5")
+    sum_("one", "kind-mismatch", two)
+    sum_("one", "bad-json", ["{", '  "kind": "one-sum",', "  bad", "}"])
+    sum_("one", "not-an-object", ["[1, 2]"])
+    sum_("one", "no-blocks", ['{"kind": "one-sum"}'])
+    sum_("one", "unknown-kind", ['{"kind": "four-sum", "A": [[1]], '
+                                 '"B": [[1]]}'])
+    sum_("one", "non-integer-entry", ['{"kind": "one-sum", "A": [[1.5]], '
+                                      '"B": [[1]]}'])
+    sum_("one", "factor-not-tu", ['{"kind": "one-sum", "A": [[1, 1], '
+                                  '[1, -1]], "B": [[1]]}'])
+    sum_("two", "vector-too-long", ['{"kind": "two-sum", "A": [[1]], '
+                                    '"B": [[1]], "u": [1, 0], "v": [1]}'])
+    out.append(("sum two/missing-file", ["sum", "two", "missing.txt"], []))
+
+
+def _verify_cases(out):
+    """verify extralemma|transpose-bound and the searches with m <= 4,
+    budgets and usage errors."""
+    def verify(*argv):
+        out.append((" ".join(("verify",) + argv), ["verify", *argv], {}))
+
+    verify("extralemma")
+    verify("extralemma", "--max", "10")
+    verify("extralemma", "--max", "9")
+    out.append(("verify extralemma --max 10 (text)",
+                ["--format", "text", "verify", "extralemma", "--max", "10"],
+                {}))
+    verify("transpose-bound", "--samples", "40", "--seed", "3")
+    verify("transpose-bound", "--samples", "25", "--seed", "4",
+           "--max-tree-edges", "3", "--max-arcs", "2")
+    verify("transpose-bound", "--samples", "0")
+    verify("transpose-bound", "--samples", "-1")
+    verify("transpose-bound", "--max-tree-edges", "0")
+    verify("transpose-bound", "--max-arcs", "0")
+    for m in (2, 3, 4):
+        verify("polytopal-bound", "--m", str(m))
+    verify("polytopal-bound", "--m", "4", "--mode", "fast")
+    verify("polytopal-bound", "--m", "4", "--budget-nodes", "5")
+    verify("polytopal-bound", "--m", "3", "--budget-nodes", "0")
+    verify("polytopal-bound", "--m", "1")
+    verify("polytopal-bound", "--m", "7")
+    verify("polytopal-bound", "--m", "3", "--max-m", "2")
+    verify("polytopal-bound", "--m", "3", "--budget-nodes", "-1")
+    verify("polytopal-bound", "--m", "3", "--mode", "slow")
+    for m in (1, 2):
+        verify("heller-bound", "--m", str(m))
+    verify("heller-bound", "--m", "3", "--mode", "fast")
+    verify("heller-bound", "--m", "3", "--budget-nodes", "1000")
+    verify("heller-bound", "--m", "4")
+    for m in (1, 2, 3, 4):
+        verify("odd-bound", "--m", str(m))
+    verify("odd-bound", "--m", "4", "--mode", "fast")
+    verify("odd-bound", "--m", "4", "--mode", "fast", "--budget-nodes", "7")
+    verify("odd-bound", "--m", "0")
+    verify("bogus-bound")
+
+
+def _token_cases(out):
+    """Inputs past 64 bits in their kernels but not in their entries, and
+    integer tokens other than ASCII [+-]?[0-9]+ in every text format."""
+    # the triangle 0, 2^40 e_1, 2^40 e_2: its determinant is 2^80
+    big = ["2 3", f"0 {1 << 40} 0", f"0 0 {1 << 40}"]
+    out.append(("check unimodular-polytope/triangle-2^40",
+                ["check", "unimodular-polytope", INPUT], big))
+    out.append(("verify vertex-bound/triangle-2^40",
+                ["verify", "vertex-bound", INPUT], big))
+    out.append(("check tu/triangle-2^40", ["check", "tu", INPUT], big))
+    for name, lines in (("signed", ["2 +2", "+1 -0", "-1 1"]),
+                        ("underscore", ["1 2", "1_0 1"]),
+                        ("arabic-indic", ["1 2", "1 \u0661"]),
+                        ("both", ["1 2", "1_0 \u0661"]),
+                        ("fullwidth", ["1 1", "\uff11"]),
+                        ("header-underscore", ["1_0 1"] + ["1"] * 10),
+                        ("decimal-point", ["1 1", "1.0"]),
+                        ("exponent", ["1 1", "1e0"]),
+                        ("bare-sign", ["1 1", "-"])):
+        out.append((f"check tu/token-{name}", ["check", "tu", INPUT], lines))
+    path = _graph(3, [(0, 1), (1, 2)])
+    out.append(("network patterns/token-path",
+                ["network", "patterns", "tree.txt", "paths.txt"],
+                {"tree.txt": path, "paths.txt": ["0 2", "0 0_2"]}))
+    out.append(("network patterns/token-tree-header",
+                ["network", "patterns", "tree.txt", "paths.txt"],
+                {"tree.txt": ["\u0663 2", "0 1", "1 2"],
+                 "paths.txt": ["0 2"]}))
+    out.append(("network build/token-arc",
+                ["network", "build", "tree.txt", "digraph.txt"],
+                {"tree.txt": path, "digraph.txt": ["3 1", "0_0 2"]}))
+    for name, value in (("underscore", "0_1"), ("arabic-indic", "\u0661")):
+        out.append((f"gen edge-polytope/token-{name}",
+                    ["gen", "edge-polytope", "--graph", "graph.txt",
+                     "--part-a", value], {"graph.txt": path}))
+    spec = ('{"kind": "two-sum", "A": [[1]], "B": [[1]], "u": [1], '
+            '"v": [1]}')
+    out.append(("sum transport/token-f",
+                ["sum", "transport", INPUT, "--f", "1_0,0", "--w", "10,10"],
+                [spec]))
+    out.append(("sum transport/token-w",
+                ["sum", "transport", INPUT, "--f", "1,0", "--w", "1,\u0661"],
+                [spec]))
+
+
+def replay(argv, files, workdir):
     """(stdout, stderr, exit status) of ``tumax argv`` run in ``workdir``
-    with the input lines written to ``INPUT`` there."""
-    Path(workdir, INPUT).write_text("".join(line + "\n" for line in lines))
+    with the input written there: ``files`` maps file names to lines, or
+    is the lines of ``INPUT``. A search report comes back without its
+    ``seconds``."""
+    if not isinstance(files, dict):
+        files = {INPUT: files}
+    paths = [Path(workdir, name) for name in files]
+    for path, lines in zip(paths, files.values()):
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -199,17 +497,43 @@ def replay(argv, lines, workdir):
             status = cli.main(argv)
     finally:
         os.chdir(cwd)
-    return stdout.getvalue(), stderr.getvalue(), status
+        for path in paths:
+            path.unlink()
+    text = stdout.getvalue()
+    if text.startswith("{"):
+        report = json.loads(text)
+        if "search" in report["result"]:
+            del report["result"]["search"]["seconds"]
+            text = json.dumps(report, indent=2) + "\n"
+    return text, stderr.getvalue(), status
+
+
+def stored_stdout(text):
+    """How ``replay``'s stdout is kept in the corpus: None when empty, the
+    parsed report when JSON, else the text itself."""
+    if not text:
+        return None
+    return json.loads(text) if text.startswith("{") else text
+
+
+def stdout_text(stored):
+    """The stdout that ``stored_stdout`` kept as ``stored``, byte for byte."""
+    if stored is None:
+        return ""
+    if isinstance(stored, str):
+        return stored
+    return json.dumps(stored, indent=2) + "\n"
 
 
 def main(path=CORPUS):
     entries = []
     with tempfile.TemporaryDirectory() as workdir:
-        for name, argv, lines in cases():
-            stdout, stderr, status = replay(argv, lines, workdir)
-            entries.append({"name": name, "argv": argv, "input": lines,
-                            "stdout": json.loads(stdout) if stdout else None,
+        for name, argv, files in cases():
+            stdout, stderr, status = replay(argv, files, workdir)
+            entries.append({"name": name, "argv": argv, "input": files,
+                            "stdout": stored_stdout(stdout),
                             "stderr": stderr, "exit": status})
+    assert len({e["name"] for e in entries}) == len(entries)
     # one line per field, so that a moved output shows as one changed line
     Path(path).write_text("[\n" + ",\n".join(
         "{" + ",\n ".join(f"{json.dumps(k)}: {json.dumps(v)}"

@@ -41,6 +41,18 @@ def random_unimodular(rng, n, steps):
     return IntMatrix.from_rows(u)
 
 
+def far_image(rng, points):
+    """``points`` under an upper unitriangular map with 40-bit entries and
+    a shift near 2**61: a lattice-isomorphic copy whose coordinates fit
+    64 bits but whose products and simplex frames do not."""
+    d = len(points[0])
+    u = [[int(i == j) if j <= i else rng.randint(-1 << 40, 1 << 40)
+          for j in range(d)] for i in range(d)]
+    shift = [rng.randint(1 << 60, 1 << 61) for _ in range(d)]
+    return [tuple(sum(a * x for a, x in zip(row, p)) + s
+                  for row, s in zip(u, shift)) for p in points]
+
+
 def random_sign_matrix(rng, rows, cols):
     return IntMatrix.from_rows(
         [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])
@@ -69,12 +81,10 @@ def random_tu_matrix(rng, rows, cols):
     return IntMatrix.from_rows(data)
 
 
-def max_tu_subset_walk(m, cands, **opts):
+def max_tu_subset_walk(cands, **opts):
     """kernels.max_tu_subset on a list of candidate columns, shaped like
     the result of ``oracles.max_tu_subset_reference``."""
-    flat = [x for c in cands for x in c]
-    best, witness, nodes, complete = kernels.max_tu_subset(
-        m, flat, len(cands), **opts)
+    best, witness, nodes, complete = kernels.max_tu_subset(cands, **opts)
     return best, list(witness), nodes, bool(complete)
 
 

@@ -1,11 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Budgets are asserted as stated; each criterion meets its budget by a wide
-margin (timings in README.md). The m = 6 search is the declared stretch
-run (1 h budget); set TUMAX_SKIP_STRETCH=1 to skip it.
+margin (timings in README.md).
 """
 
-import os
 import random
 import time
 from itertools import combinations, product
@@ -102,8 +100,6 @@ def test_criterion2_heller_bound_search():
 
 
 def test_criterion2_stretch_m6():
-    if os.environ.get("TUMAX_SKIP_STRETCH") == "1":
-        pytest.skip("stretch run disabled by TUMAX_SKIP_STRETCH")
     started = time.monotonic()
     res = max_polytopal_tu_columns(6, mode="verify")
     elapsed = time.monotonic() - started

@@ -186,6 +186,26 @@ def test_pattern_bounds_star_and_random():
         assert rep.odd_bound_ok in (True, None)
 
 
+def test_edge_patterns_past_64_paths_match_the_bfs_oracle():
+    # a pattern is a set of paths, held in a Python int of any width
+    rng = random.Random(36)
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        arcs = random_tree_arcs(rng, n)
+        paths = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(65, 140))]
+        masks = [0] * len(arcs)
+        for j, (s, t) in enumerate(paths):
+            for i, e in enumerate(network_column_bfs(n, arcs, s, t)):
+                masks[i] |= bool(e) << j
+        want = set(masks) - {0}
+        t = ArcGraph.from_arcs(n, arcs)
+        assert {p.mask for p in edge_patterns(t, paths)} == want
+        rep = verify_pattern_bounds(t, paths)
+        assert rep.npaths == len(paths) and rep.pattern_count == len(want)
+        assert rep.bound_ok and rep.odd_bound_ok
+
+
 def test_pattern_m2_bound_only():
     rep = verify_pattern_bounds(path_tree(3), [(0, 1), (1, 2)])
     assert rep.odd_bound is None and rep.odd_bound_ok is None

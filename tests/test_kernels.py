@@ -10,7 +10,8 @@ from tumax import kernels
 from tumax.polytopes import _cube_symmetry_index_perms
 from tumax.search import candidate_columns, max_polytopal_tu_columns
 
-from helpers import max_tu_subset_walk, packed_pair, random_tu_matrix
+from helpers import (far_image, max_tu_subset_walk, packed_pair,
+                     random_tu_matrix)
 from oracles import (canonical_masks_bruteforce, coordinate_index_perms,
                      det_cofactor, first_violating_minor,
                      max_tu_subset_reference)
@@ -28,8 +29,7 @@ def test_tu_violation_witness_matches_oracle():
         c = rng.randint(0, 6)
         rows = [[rng.choice((-1, 0, 1, 1, 0, -1, 2, -2)) if rng.random() < 0.1
                  else rng.randint(-1, 1) for _ in range(c)] for _ in range(r)]
-        flat = [x for row in rows for x in row]
-        assert kernels.tu_violation(flat, r, c) == first_violating_minor(rows)
+        assert kernels.tu_violation(rows) == first_violating_minor(rows)
 
 
 def test_max_tu_subset_incremental_matches_full_check():
@@ -41,7 +41,7 @@ def test_max_tu_subset_incremental_matches_full_check():
         n = rng.randint(0, 12)
         cands = [[rng.choice((-1, -1, 0, 0, 1, 1, 2)) for _ in range(m)]
                  for _ in range(n)]
-        assert (max_tu_subset_walk(m, cands)
+        assert (max_tu_subset_walk(cands)
                 == max_tu_subset_reference(m, cands)), cands
 
 
@@ -86,7 +86,7 @@ def test_max_tu_subset_matches_reference_dfs():
     # best size, witness, node count and completeness of the whole walk
     for m, cands, opts in (_search_cases()
                            + _random_cases(random.Random(49), 150)):
-        assert (max_tu_subset_walk(m, cands, **opts)
+        assert (max_tu_subset_walk(cands, **opts)
                 == max_tu_subset_reference(m, cands, **opts)), (m, cands, opts)
 
 
@@ -139,7 +139,7 @@ def test_max_tu_subset_deeper_than_m_minus_1():
         deepest = 0
         for cands, opts in cases:
             want = max_tu_subset_reference(m, cands, **opts)
-            assert max_tu_subset_walk(m, cands, **opts) == want, (m, opts)
+            assert max_tu_subset_walk(cands, **opts) == want, (m, opts)
             deepest = max(deepest, want[0])
         assert deepest > m + 2, m
 
@@ -231,23 +231,51 @@ def test_packed_minor_pairs_match_cofactor_determinants():
 
 
 def test_unimodular_violation_matches_oracle():
-    # the first (d+1)-subset, in combinations order, whose difference
-    # vectors have a determinant outside {-1, 0, 1}
     rng = random.Random(44)
     for _ in range(200):
         d = rng.randint(1, 3)
         npts = rng.randint(d + 1, 7)
-        flat = [rng.randint(0, 1) for _ in range(npts * d)]
-        pts = [flat[i * d:(i + 1) * d] for i in range(npts)]
-        want = None
-        for subset in combinations(range(npts), d + 1):
-            p0 = pts[subset[0]]
-            det = det_cofactor([[x - y for x, y in zip(pts[i], p0)]
-                                for i in subset[1:]])
-            if not -1 <= det <= 1:
-                want = (subset, det)
-                break
-        assert kernels.unimodular_violation(flat, npts, d) == want
+        pts = [[rng.randint(0, 1) for _ in range(d)] for _ in range(npts)]
+        want = _first_nonunimodular_simplex(pts)
+        assert kernels.unimodular_violation(pts) == want
+
+
+def _first_nonunimodular_simplex(pts):
+    """The first (d+1)-subset, in combinations order, whose difference
+    vectors have a determinant outside {-1, 0, 1}, with that determinant."""
+    d = len(pts[0])
+    for subset in combinations(range(len(pts)), d + 1):
+        p0 = pts[subset[0]]
+        det = det_cofactor([[x - y for x, y in zip(pts[i], p0)]
+                            for i in subset[1:]])
+        if not -1 <= det <= 1:
+            return (subset, det)
+    return None
+
+
+def test_unimodular_violation_is_exact_on_big_coordinates():
+    """Cube subsets under a unimodular map with 40-bit entries and a shift
+    near 2**61 keep their simplex determinants; random points near
+    +-2**62 have determinants far past 64 bits. The kernel agrees with
+    the cofactor oracle on both."""
+    rng = random.Random(45)
+    verdicts = set()
+    wide = 0
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        npts = rng.randint(d + 1, 6)
+        if rng.random() < 0.5:
+            pts = far_image(rng, list({tuple(rng.randint(0, 1)
+                                             for _ in range(d))
+                                       for _ in range(npts)}))
+        else:
+            pts = [[rng.choice((-1, 1)) * ((1 << 62) - rng.randint(0, 99))
+                    for _ in range(d)] for _ in range(npts)]
+        want = _first_nonunimodular_simplex(pts)
+        assert kernels.unimodular_violation(pts) == want, pts
+        verdicts.add(want is None)
+        wide += want is not None and abs(want[1]) >= 1 << 63
+    assert verdicts == {True, False} and wide > 20
 
 
 def _random_cyclic_group(rng, npoints):

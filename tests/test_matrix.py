@@ -58,11 +58,37 @@ def test_det_permutation_parity():
         assert col_permuted.det() == _parity(perm) * m.det()
 
 
-def test_det_overflow_is_reported():
-    big = 1 << 40
-    m = IntMatrix.from_rows([[big, 0], [0, big]])
-    with pytest.raises(ArithmeticOverflow):
-        m.det()
+def test_det_minor_rank_are_exact_near_64_bits():
+    """Entries near +-2**62 make minors far wider than 64 bits; det, minor
+    and rank still agree with the cofactor and Fraction oracles."""
+    assert IntMatrix.from_rows([[1 << 40, 0], [0, 1 << 40]]).det() == 1 << 80
+    rng = random.Random(62)
+
+    def entry():
+        if rng.random() < 0.4:
+            return rng.randint(-2, 2)
+        return rng.choice((-1, 1)) * ((1 << 62) - rng.randint(0, 1 << 20))
+
+    wide = deficient = 0
+    for _ in range(300):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[entry() for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            # a repeated or negated row: rank-deficient, with wide pivots
+            rows[-1] = [rng.choice((-1, 1)) * x for x in rows[0]]
+        m = IntMatrix.from_rows(rows)
+        rank = rank_fractions(rows)
+        assert m.rank() == rank, rows
+        deficient += rank < r
+        k = rng.randint(1, min(r, c))
+        ri = sorted(rng.sample(range(r), k))
+        ci = sorted(rng.sample(range(c), k))
+        want = det_cofactor([[rows[i][j] for j in ci] for i in ri])
+        assert m.minor(ri, ci) == want, (rows, ri, ci)
+        wide += abs(want) >= 1 << 63
+        if r == c:
+            assert m.det() == det_cofactor(rows), rows
+    assert wide > 50 and deficient > 40
 
 
 def test_entry_overflow_at_construction():

@@ -31,7 +31,7 @@ from tumax.polytopes import (
     vertex_hull,
 )
 
-from helpers import OVERFLOW_POLYTOPE_POINTS, random_unimodular
+from helpers import OVERFLOW_POLYTOPE_POINTS, far_image, random_unimodular
 from oracles import (
     det_cofactor,
     inverse_fractions,
@@ -105,7 +105,7 @@ def test_unimodular_simplices_imply_convex_position():
         ps = PointSet.from_points(pts)
         if ps.affine_rank() != d:
             continue
-        if kernels.unimodular_violation(ps.flat(), len(ps), d) is not None:
+        if kernels.unimodular_violation(ps.points) is not None:
             continue
         positives += 1
         assert vertex_hull(ps).nonvertices == ()
@@ -120,8 +120,8 @@ def test_classify_survivors_pass_both_hull_filters():
         survivors[d] = 0
         for subset in polytopes._candidate_subsets(d, pruned):
             ps = PointSet(d, tuple(subset))
-            if ps.affine_rank() != d or kernels.unimodular_violation(
-                    ps.flat(), len(ps), d) is not None:
+            if (ps.affine_rank() != d
+                    or kernels.unimodular_violation(ps.points) is not None):
                 continue
             survivors[d] += 1
             hull = vertex_hull(ps)
@@ -407,6 +407,22 @@ def test_lattice_isomorphic_matches_oracle_on_random_images():
             (pts, image)
         verdicts.append(expected)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_lattice_isomorphic_is_exact_on_big_coordinates():
+    """The random pairs moved far out: each set under its own unimodular
+    map with 40-bit entries and a shift near 2**61, so frame determinants
+    and products pass 64 bits. The verdicts agree with the oracle."""
+    rng = random.Random(73)
+    verdicts = set()
+    for pts, image in _random_image_pairs()[::2]:
+        p_points, q_points = far_image(rng, pts), far_image(rng, image)
+        expected = lattice_isomorphic_bruteforce(p_points, q_points)
+        assert lattice_isomorphic(PointSet.from_points(p_points),
+                                  PointSet.from_points(q_points)) == expected, \
+            (p_points, q_points)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_lattice_isomorphic_matches_oracle_with_shuffled_points(monkeypatch):

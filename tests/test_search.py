@@ -104,7 +104,7 @@ def test_search_invariant_under_candidate_ordering():
                             (max_tu_columns, 2, "heller"),
                             (max_odd_sum_tu_columns, 4, "odd-sums")):
         cands = candidate_columns(m, mode)[::-1]
-        walk = max_tu_subset_walk(m, cands)
+        walk = max_tu_subset_walk(cands)
         assert walk == max_tu_subset_reference(m, cands)
         identity_block = 0 if mode == "heller" else m
         assert walk[0] + identity_block == search(m).max_columns
@@ -118,7 +118,7 @@ def test_pruning_soundness_incremental_vs_full():
                             (max_tu_columns, 2, "heller")):
         cands = candidate_columns(m, mode)
         best, witness, nodes, complete = max_tu_subset_reference(m, cands)
-        assert (max_tu_subset_walk(m, cands)
+        assert (max_tu_subset_walk(cands)
                 == (best, witness, nodes, complete))
         res = search(m)
         identity_block = 0 if mode == "heller" else m
