@@ -12,6 +12,8 @@ from array import array
 from itertools import combinations
 from math import comb
 
+from .errors import UsageError
+
 
 def det_entries(rows):
     """Determinant of a square integer matrix, given by its rows, by
@@ -420,6 +422,10 @@ def unimodular_violation(points):
     return None
 
 
+# canonical_masks reads a mask through one table per byte, two at most
+MAX_ORBIT_POINTS = 16
+
+
 def canonical_masks(npoints, perms, min_size, max_size):
     """Bitmasks over ``npoints`` points that are canonical under ``perms``.
 
@@ -435,53 +441,41 @@ def canonical_masks(npoints, perms, min_size, max_size):
     mapped once, instead of each mask being tested against every
     permutation.
 
-    Any ``npoints >= 0`` is valid, whether or not it is a multiple of 8.
-    Each permutation has length ``npoints`` and maps point i to point
-    ``p[i]``. Masks range over ``[0, 2**npoints)``, so only their low
-    ``npoints`` bits are ever looked up: the table of the last, partial
-    byte covers just the bit positions below ``npoints``.
-
-    Each permutation gets one table per byte of the mask, mapping the
-    byte's value to the image of its bits. The tables are ``array``s of
-    the smallest unsigned type that holds an ``npoints``-bit mask (a list
-    past 64 points), so they take a few hundred kB for the 383 cube
-    symmetries of d = 4 rather than megabytes of Python ints. Each is
-    filled by doubling: the values with top bit ``bit`` are those below
-    it with the image of that bit added.
+    At most ``MAX_ORBIT_POINTS`` = 16 points are admitted (the 16 vertices
+    of the 4-cube, the classification's largest case); more raise
+    UsageError. Each permutation has length ``npoints`` and maps point i
+    to point ``p[i]``. It gets two tables, for the low and the high byte
+    of a mask, mapping the byte's value to the image of its bits; the
+    high table covers just the bit positions below ``npoints`` (one entry,
+    0, when there are at most 8 points). The tables are ``array``s of
+    16-bit entries, about 0.4 MB for the 383 cube symmetries of d = 4
+    rather than megabytes of Python ints. Each is filled by doubling: the
+    values with top bit ``bit`` are those below it with the image of that
+    bit added.
     """
-    code = next((c for c in "BHILQ" if array(c).itemsize * 8 >= npoints),
-                None)
-    nbytes = (npoints + 7) // 8
-    tables = []
-    for p in perms:
-        per_byte = []
-        for b in range(nbytes):
-            nbits = min(8, npoints - 8 * b)
-            table = (array(code, [0]) if code else [0]) * (1 << nbits)
-            for i in range(nbits):
-                bit = 1 << i
-                img = 1 << p[8 * b + i]
-                for v in range(bit, bit << 1):
-                    table[v] = table[v - bit] | img
-            per_byte.append(table)
-        tables.append(per_byte)
+    if npoints > MAX_ORBIT_POINTS:
+        raise UsageError(f"canonical_masks takes at most {MAX_ORBIT_POINTS} "
+                         f"points, got {npoints}")
 
+    def table(images):
+        t = array("H", [0])
+        for i in images:
+            bit = 1 << i
+            t += array("H", [v | bit for v in t])
+        return t
+
+    pairs = [(table(p[:8]), table(p[8:])) for p in perms]
     seen = bytearray(1 << npoints)
     out = []
     for mask in range(1 << npoints):
         if seen[mask]:
             continue
-        pc = bin(mask).count("1")
+        pc = mask.bit_count()
         if pc < min_size or pc > max_size:
             continue
         out.append(mask)
-        for per_byte in tables:
-            pm = 0
-            x = mask
-            b = 0
-            while x:
-                pm |= per_byte[b][x & 255]
-                x >>= 8
-                b += 1
-            seen[pm] = 1
+        low = mask & 255
+        high = mask >> 8
+        for lo, hi in pairs:
+            seen[lo[low] | hi[high]] = 1
     return out

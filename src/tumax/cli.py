@@ -69,6 +69,17 @@ def _int_list(flag, text):
                          f"got {text!r}") from exc
 
 
+def _int(text):
+    """An integer option, read like the integers of the text formats: any
+    token but ASCII ``[+-]?[0-9]+``, such as ``1_0`` or a non-ASCII digit,
+    is refused."""
+    return int_tokens([text])[0]
+
+
+# argparse names the type in its error, "invalid int value: 'x'"
+_int.__name__ = "int"
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises UsageError on a bad command line instead of exiting, so
     ``run`` raises and ``main`` returns 2 like every other usage error.
@@ -101,18 +112,18 @@ def _parser():
     gen = sub.add_parser("gen", help="generate the explicit matrix families")
     gen_sub = gen.add_subparsers(dest="what", required=True)
     g = gen_sub.add_parser("heller")
-    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--m", type=_int, required=True)
     g = gen_sub.add_parser("bipartite")
-    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--m", type=_int, required=True)
     gen_sub.add_parser("sporadic-5x10")
     g = gen_sub.add_parser("sporadic-5x5")
-    g.add_argument("--variant", type=int, required=True, choices=(1, 2))
+    g.add_argument("--variant", type=_int, required=True, choices=(1, 2))
     gen_sub.add_parser("ex4")
     g = gen_sub.add_parser("simplex-product")
-    g.add_argument("--a", type=int, required=True)
-    g.add_argument("--b", type=int, required=True)
+    g.add_argument("--a", type=_int, required=True)
+    g.add_argument("--b", type=_int, required=True)
     g = gen_sub.add_parser("edge-polytope")
-    g.add_argument("--complete", nargs=2, type=int, metavar=("A", "B"),
+    g.add_argument("--complete", nargs=2, type=_int, metavar=("A", "B"),
                    help="use the complete bipartite graph K_{A,B}")
     g.add_argument("--graph", help="graph file (arcs read as undirected edges)")
     g.add_argument("--part-a", help="comma-separated vertices of part A")
@@ -142,24 +153,24 @@ def _parser():
     ver = sub.add_parser("verify", help="verify the quantitative bounds")
     ver_sub = ver.add_subparsers(dest="what", required=True)
     v = ver_sub.add_parser("extralemma")
-    v.add_argument("--max", type=int, default=200)
+    v.add_argument("--max", type=_int, default=200)
     for name in ("polytopal-bound", "heller-bound", "odd-bound"):
         v = ver_sub.add_parser(name)
-        v.add_argument("--m", type=int, required=True)
+        v.add_argument("--m", type=_int, required=True)
         v.add_argument("--mode", choices=("verify", "fast"), default="verify")
-        v.add_argument("--budget-nodes", type=int, default=None)
-        v.add_argument("--max-m", type=int, default=None)
+        v.add_argument("--budget-nodes", type=_int, default=None)
+        v.add_argument("--max-m", type=_int, default=None)
     v = ver_sub.add_parser("transpose-bound")
-    v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--max-tree-edges", type=int, default=12)
-    v.add_argument("--max-arcs", type=int, default=5)
+    v.add_argument("--samples", type=_int, default=1000)
+    v.add_argument("--seed", type=_int, default=0)
+    v.add_argument("--max-tree-edges", type=_int, default=12)
+    v.add_argument("--max-arcs", type=_int, default=5)
     v = ver_sub.add_parser("vertex-bound")
     v.add_argument("file", help="points as matrix columns")
 
     cl = sub.add_parser("classify",
                         help="classify unimodular polytopes by dimension")
-    cl.add_argument("--d", type=int, required=True)
+    cl.add_argument("--d", type=_int, required=True)
     cl.add_argument("--unpruned", action="store_true")
     return p
 

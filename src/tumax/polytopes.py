@@ -5,6 +5,7 @@ low-dimensional classification over the 0/1 cube.
 
 from collections import Counter
 from itertools import combinations, permutations, product
+from math import gcd
 from typing import Optional
 
 from . import kernels, linsolve
@@ -357,24 +358,30 @@ def fingerprint(ps):
     per-vertex distribution. Equal fingerprints do not imply isomorphism;
     distinct fingerprints prove non-isomorphism.
     """
-    from math import gcd
-
     pe = affine_lattice_coordinates(ps)
     d, pts = pe.dim, pe.points
+    subs = combinations(range(len(pts)), d + 1) if d else ()
+    return _fingerprint(d, pts, [_simplex_det(pts, sub) for sub in subs])
+
+
+def _fingerprint(d, pts, dets):
+    """``fingerprint`` of the points ``pts`` of affine rank d, given the
+    determinants ``dets`` of their (d+1)-subsets in ``combinations``
+    order. Both invariants are translation-invariant, so ``pts`` need not
+    be re-coordinatized when d is their ambient dimension."""
     dists = []
     for a, b in combinations(pts, 2):
         g = 0
         for x, y in zip(a, b):
-            g = gcd(g, abs(x - y))
+            g = gcd(g, x - y)
         dists.append(g)
     indep_total = 0
     per_vertex = [0] * len(pts)
-    if d > 0:
-        for sub in combinations(range(len(pts)), d + 1):
-            if _simplex_det(pts, sub) != 0:
-                indep_total += 1
-                for i in sub:
-                    per_vertex[i] += 1
+    for sub, det in zip(combinations(range(len(pts)), d + 1), dets):
+        if det:
+            indep_total += 1
+            for i in sub:
+                per_vertex[i] += 1
     return (d, len(pts), tuple(sorted(dists)), indep_total,
             tuple(sorted(per_vertex)))
 
@@ -407,28 +414,44 @@ class PolytopeClass(Record):
 
 
 def _cube_symmetry_index_perms(d):
-    """The cube points, and the hyperoctahedral group without its identity
-    as permutations of their 2^d indices (the group that
-    ``kernels.canonical_masks`` takes)."""
-    pts = list(product((0, 1), repeat=d))
-    index = {p: i for i, p in enumerate(pts)}
+    """The hyperoctahedral group without its identity, as permutations of
+    the indices of the cube points in ``product((0, 1), repeat=d)`` order
+    (the group that ``kernels.canonical_masks`` takes). Coordinate k of a
+    point is bit d - 1 - k of its index, so a coordinate permutation
+    moves bits and a reflection is an xor with the flipped coordinates."""
+    n = 1 << d
     perms = []
     for sigma in permutations(range(d)):
-        for flips in product((0, 1), repeat=d):
-            perm = [0] * len(pts)
-            for i, p in enumerate(pts):
-                q = tuple(p[sigma[k]] ^ flips[k] for k in range(d))
-                perm[i] = index[q]
-            if perm != list(range(len(pts))):
-                perms.append(perm)
-    return pts, perms
+        moved = [sum((i >> (d - 1 - s) & 1) << (d - 1 - k)
+                     for k, s in enumerate(sigma)) for i in range(n)]
+        perms.extend([j ^ flips for j in moved] for flips in range(n))
+    identity = list(range(n))
+    return [p for p in perms if p != identity]
 
 
 def _candidate_subsets(d, pruned):
-    pts, perms = _cube_symmetry_index_perms(d)
+    """The cube subsets that classification examines, one per orbit of
+    the cube group, as increasing tuples of cube point indices."""
+    perms = _cube_symmetry_index_perms(d)
     max_size = min(h(d + 1) if pruned else 1 << d, 1 << d)
     for mask in kernels.canonical_masks(1 << d, perms, d + 1, max_size):
-        yield [pts[i] for i in range(1 << d) if mask >> i & 1]
+        yield tuple(i for i in range(1 << d) if mask >> i & 1)
+
+
+def _unimodular_dets(pts, idx, memo):
+    """The determinants of the (d+1)-subsets of the points ``pts[i]``, i in
+    ``idx``, in ``combinations`` order, or None at the first one outside
+    {-1, 0, 1}. ``memo`` maps a subset of indices to its determinant."""
+    d = len(pts[0])
+    dets = []
+    for sub in combinations(idx, d + 1):
+        det = memo.get(sub)
+        if det is None:
+            det = memo[sub] = _simplex_det(pts, sub)
+        if det > 1 or det < -1:
+            return None
+        dets.append(det)
+    return dets
 
 
 class ClassificationResult(Record):
@@ -448,6 +471,13 @@ def classify_unimodular(d, pruned=True):
     is isomorphic to one spanned by cube points) up to cube symmetry,
     keeps the full-dimensional ones whose (d+1)-subset determinants are
     all in {-1, 0, 1}, and merges the survivors under lattice isomorphism.
+
+    One pass over a subset's (d+1)-subsets decides it: it stops at the
+    first determinant outside {-1, 0, 1}, and the subset is
+    full-dimensional exactly when some determinant is nonzero. A
+    survivor's fingerprint is read off the same determinants. Each cube
+    simplex's determinant is computed at most once per call, in a memo
+    keyed by its cube point indices that the call drops when it returns.
 
     No hull test is needed: a point in the hull of the others, or a cube
     point in the hull of the subset, lies in a full-dimensional simplex
@@ -469,23 +499,20 @@ def classify_unimodular(d, pruned=True):
     if not pruned and d > 3:
         raise UsageError("unpruned enumeration is limited to d <= 3")
 
+    cube = list(product((0, 1), repeat=d))
+    memo = {}
     classes = []
     examined = 0
-    for subset in _candidate_subsets(d, pruned):
+    for idx in _candidate_subsets(d, pruned):
         examined += 1
-        ps = PointSet(d, tuple(subset))
-        if ps.affine_rank() != d:
+        dets = _unimodular_dets(cube, idx, memo)
+        if dets is None or not any(dets):
             continue
-        if kernels.unimodular_violation(ps.points) is not None:
-            continue
-        fp = fingerprint(ps)
-        found = False
-        for cls in classes:
-            if cls.fingerprint == fp and lattice_isomorphic(cls.vertices, ps):
-                found = True
-                break
-        if not found:
-            classes.append(PolytopeClass(d, len(subset), ps, fp))
+        ps = PointSet(d, tuple(cube[i] for i in idx))
+        fp = _fingerprint(d, ps.points, dets)
+        if not any(cls.fingerprint == fp
+                   and lattice_isomorphic(cls.vertices, ps) for cls in classes):
+            classes.append(PolytopeClass(d, len(idx), ps, fp))
     ordered = tuple(sorted(classes,
                            key=lambda c: (c.fingerprint, c.vertices.points)))
     return ClassificationResult(d, ordered, len(ordered), examined)

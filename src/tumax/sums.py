@@ -163,6 +163,8 @@ def compose(spec):
     m1, n1, m2, n2 = a.rows, a.cols, b.rows, b.cols
 
     if spec.kind == "one-sum":
+        _check_factor_tu(a, "A")
+        _check_factor_tu(b, "B")
         matrix = _block(a, IntMatrix.zeros(m1, n2), IntMatrix.zeros(m2, n1), b)
         return ComposeResult(matrix, ComposeReport("one-sum", None))
 

@@ -476,6 +476,14 @@ def _token_cases(out):
     out.append(("sum transport/token-w",
                 ["sum", "transport", INPUT, "--f", "1,0", "--w", "1,\u0661"],
                 [spec]))
+    # integer options: argparse's int() would read each of these
+    for name, argv in (("gen heller/token-arabic-indic",
+                        ["gen", "heller", "--m", "\u0663"]),
+                       ("gen simplex-product/token-underscore",
+                        ["gen", "simplex-product", "--a", "1_0", "--b", "0"]),
+                       ("verify extralemma/token-fullwidth",
+                        ["verify", "extralemma", "--max", "\uff13"])):
+        out.append((name, argv, {}))
 
 
 def replay(argv, files, workdir):

@@ -5,8 +5,11 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import pytest
+
 from tumax import _pykernels
 from tumax import kernels
+from tumax.errors import UsageError
 from tumax.polytopes import _cube_symmetry_index_perms
 from tumax.search import candidate_columns, max_polytopal_tu_columns
 
@@ -305,7 +308,7 @@ def test_canonical_masks_partial_byte_matches_oracle():
 def test_canonical_masks_tables_stay_small():
     # 383 symmetries x 2 bytes x 256 16-bit entries is about 0.4 MB of
     # tables; as lists of Python ints they took about 7 MB
-    _, perms = _cube_symmetry_index_perms(4)
+    perms = _cube_symmetry_index_perms(4)
     tracemalloc.start()
     try:
         kernels.canonical_masks(16, perms, 5, 10)
@@ -315,10 +318,18 @@ def test_canonical_masks_tables_stay_small():
     assert peak < 1 << 20
 
 
+def test_canonical_masks_admits_at_most_16_points():
+    # the tables hold 16-bit images of two bytes; 17 points raise before
+    # any table or the 2**17-byte seen array is built
+    swap = [1, 0] + list(range(2, 17))
+    with pytest.raises(UsageError, match="at most 16 points, got 17"):
+        kernels.canonical_masks(17, [swap], 0, 17)
+
+
 def test_canonical_masks_cube_symmetries():
     # subsets of the d-cube's vertices up to cube symmetry: 3, 6, 22, 402
     for d, orbits in ((1, 3), (2, 6), (3, 22), (4, 402)):
-        _, perms = _cube_symmetry_index_perms(d)
+        perms = _cube_symmetry_index_perms(d)
         got = kernels.canonical_masks(1 << d, perms, 0, 1 << d)
         assert got == canonical_masks_bruteforce(1 << d, perms, 0, 1 << d)
         assert len(got) == orbits

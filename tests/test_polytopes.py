@@ -2,12 +2,13 @@
 
 import random
 import sys
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
-from tumax import kernels, linsolve, polytopes
+from tumax import _pykernels, kernels, linsolve, polytopes
 from tumax.errors import (
     BudgetExceeded,
     PreconditionError,
@@ -118,8 +119,9 @@ def test_classify_survivors_pass_both_hull_filters():
     survivors = {}
     for d, pruned in ((1, False), (2, False), (3, False), (4, True)):
         survivors[d] = 0
-        for subset in polytopes._candidate_subsets(d, pruned):
-            ps = PointSet(d, tuple(subset))
+        cube = list(product((0, 1), repeat=d))
+        for idx in polytopes._candidate_subsets(d, pruned):
+            ps = PointSet(d, tuple(cube[i] for i in idx))
             if (ps.affine_rank() != d
                     or kernels.unimodular_violation(ps.points) is not None):
                 continue
@@ -508,6 +510,56 @@ def test_classify_isomorphism_work_is_pinned(monkeypatch):
     assert sorted(set(work)) == [(False, (2, 0, 0)), (True, (2, 1, 1))]
     assert [verdict for verdict, _ in work].count(False) == 16
     assert len(work) == 84
+
+
+def test_classify_computes_each_cube_simplex_once(monkeypatch):
+    """classify_unimodular for d = 1..4 takes one determinant per distinct
+    cube simplex it reaches, 1 130 in all (10 440 when the rank, the
+    unimodularity scan and the fingerprint each took their own), and no
+    rank or unimodularity scan. The memo dies with the call, so a second
+    round does the same work."""
+    real = _pykernels.det_entries
+    rounds = []
+    for _ in range(2):
+        counts = {}
+
+        def counted(rows):
+            counts["det_entries"] = counts.get("det_entries", 0) + 1
+            return real(rows)
+
+        # unimodular_violation looks det_entries up in _pykernels, and
+        # polytopes through kernels: count both
+        monkeypatch.setattr(_pykernels, "det_entries", counted)
+        monkeypatch.setattr(kernels, "det_entries", counted)
+        _counting(monkeypatch, kernels, "rank_entries", counts)
+        _counting(monkeypatch, kernels, "unimodular_violation", counts)
+        for d in (1, 2, 3, 4):
+            classify_unimodular(d)
+        monkeypatch.undo()
+        rounds.append(counts)
+    assert rounds[0] == rounds[1]
+    # the 68 isomorphic pairs of d = 4 take one frame determinant each
+    assert rounds[0] == {"det_entries": 1130}
+
+
+def test_classify_fingerprints_match_fingerprint():
+    # classify reads each fingerprint off its own determinants; it must be
+    # the one that fingerprint computes from scratch
+    for d in (1, 2, 3, 4):
+        for cls in classify_unimodular(d).classes:
+            assert cls.fingerprint == fingerprint(cls.vertices)
+
+
+def test_classify_memory_stays_small():
+    # the memo holds about 1 100 determinants, the orbit tables of the 383
+    # cube symmetries about 0.4 MB; the peak was 620 KB before the memo
+    tracemalloc.start()
+    try:
+        classify_unimodular(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _scrambled(rng, rows):

@@ -1,6 +1,7 @@
 """compose surface: sum constructions, validation, functional transport."""
 
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,29 @@ def test_two_sum_rejects_non_tu_factor():
     bad = IntMatrix.from_rows([[1, 1], [1, -1]])  # (A|u) with 2x2 minor -2
     with pytest.raises(PreconditionError):
         two_sum(bad.submatrix(range(2), [0]), bad.col(1), (1,), IntMatrix.identity(1))
+
+
+FACTOR_NAMES = {
+    "one-sum": ("A", "B"),
+    "two-sum": ("(A|u)", "(v^T;B)"),
+    "three-sum": ("(A|u1|u2|u3)", "(v1;v2;v3;B)"),
+    "delta-sum": ("(A u' u'; u^T 0 x)", "(v^T 0 x; B v' v')"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FACTOR_NAMES))
+def test_every_kind_refuses_a_non_tu_factor(kind):
+    # an entry 2 in A or in B leaves the sum's structure valid but puts a
+    # 1x1 minor of 2 into the factor that holds it
+    rng = random.Random(55)
+    for block, name in zip(("A", "B"), FACTOR_NAMES[kind]):
+        data = random_spec(rng, kind).to_json_dict()
+        data[block][0][0] = 2
+        spec = SumSpec.from_json_dict(data)
+        with pytest.raises(PreconditionError,
+                           match=f"^{re.escape(name)} is not totally "
+                                 f"unimodular$"):
+            compose(spec)
 
 
 def test_three_sum_zero_glue_is_block_diagonal():
