@@ -1,32 +1,44 @@
-"""Exact rational linear feasibility via a phase-1 simplex with Bland's rule.
+"""Exact linear feasibility via a phase-1 simplex with Bland's rule.
 
-Everything runs on Fractions; there is no floating point anywhere, so
-convex-position decisions are as exact as the determinant computations.
+The simplex pivots on integers (Edmonds' fraction-free pivoting, the
+Bareiss scheme for a tableau): each stored entry is its true value times
+the current basis determinant, so every division is exact. There is no
+floating point and no rational arithmetic anywhere, so convex-position
+decisions are as exact as the determinant computations.
 """
-
-from fractions import Fraction
 
 
 def feasible_nonneg(a_rows, b):
     """Is {x >= 0 : A x = b} nonempty? Exact phase-1 simplex.
 
-    ``a_rows`` is a dense m x n rational/int matrix, ``b`` a length-m
+    ``a_rows`` is a dense m x n integer matrix, ``b`` a length-m integer
     vector. Bland's rule (smallest eligible index enters, smallest basis
     index among minimal ratios leaves) guarantees termination.
+
+    The tableau starts on the artificial basis, whose determinant is 1.
+    It keeps each entry as its true value times D, the absolute
+    determinant of the current basis (D > 0). A pivot on the entry p > 0
+    of row r keeps row r, replaces every other row by
+    (p * row - f * row_r) // D, f its entry in the entering column, and
+    makes p the new D. Each stored entry is, up to sign, a minor of
+    (A | I | b), so the division is exact. Signs are those of the true
+    values, and the ratio test compares rhs_i / t_i by cross-multiplying,
+    so every decision is the one a rational tableau would take.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     tab = []
     rhs = []
     for i in range(m):
-        row = [Fraction(x) for x in a_rows[i]]
-        bi = Fraction(b[i])
+        row = list(a_rows[i])
+        bi = b[i]
         if bi < 0:
             row = [-x for x in row]
             bi = -bi
         tab.append(row)
         rhs.append(bi)
     basis = [n + i for i in range(m)]  # artificial variables
+    det = 1
 
     while True:
         # reduced costs of the original variables under the artificial
@@ -42,34 +54,40 @@ def feasible_nonneg(a_rows, b):
         if entering < 0:
             return False
         leaving = -1
-        best = None
         for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = rhs[i] / tab[i][entering]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+            t = tab[i][entering]
+            if t > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # rhs[i] / t against rhs[leaving] / tab[leaving][entering]
+                here = rhs[i] * tab[leaving][entering]
+                best = rhs[leaving] * t
+                if here < best or (here == best
+                                   and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             return False
-        piv = tab[leaving][entering]
-        tab[leaving] = [x / piv for x in tab[leaving]]
-        rhs[leaving] /= piv
+        piv_row = tab[leaving]
+        piv_rhs = rhs[leaving]
+        piv = piv_row[entering]
         for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
+            if i != leaving:
                 f = tab[i][entering]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
-                rhs[i] -= f * rhs[leaving]
+                tab[i] = [(piv * x - f * y) // det
+                          for x, y in zip(tab[i], piv_row)]
+                rhs[i] = (piv * rhs[i] - f * piv_rhs) // det
+        det = piv
         basis[leaving] = entering
 
 
 def in_convex_hull(point, points):
-    """Exact membership of ``point`` in conv(points)."""
+    """Exact membership of the integer point ``point`` in conv(points)."""
     pts = list(points)
     if not pts:
         return False
     d = len(point)
-    a_rows = [[Fraction(q[k]) for q in pts] for k in range(d)]
-    a_rows.append([Fraction(1)] * len(pts))
-    b = [Fraction(x) for x in point] + [Fraction(1)]
+    a_rows = [[q[k] for q in pts] for k in range(d)]
+    a_rows.append([1] * len(pts))
+    b = list(point) + [1]
     return feasible_nonneg(a_rows, b)

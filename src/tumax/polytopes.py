@@ -52,14 +52,6 @@ class PointSet(Record):
     def __len__(self):
         return len(self.points)
 
-    def affine_rank(self):
-        """Dimension of the affine hull."""
-        if len(self.points) <= 1:
-            return 0
-        base = self.points[0]
-        return kernels.rank_entries([[x - y for x, y in zip(p, base)]
-                                     for p in self.points[1:]])
-
 
 class HullResult(Record):
     vertices: PointSet
@@ -74,7 +66,7 @@ CUBE_DIM_LIMIT = 12
 
 def _nonvertices(points):
     """The points inside the convex hull of the others, in point order
-    (one exact rational feasibility test per point)."""
+    (one exact integer LP per point)."""
     for i, p in enumerate(points):
         others = points[:i] + points[i + 1:]
         if others and in_convex_hull(p, others):
@@ -85,9 +77,9 @@ def vertex_hull(ps):
     """Split a point set into hull vertices and interior/boundary points.
 
     A point is a vertex exactly when it is outside the convex hull of the
-    other points (exact rational feasibility test). For 0/1 input of
-    dimension at most ``CUBE_DIM_LIMIT`` the full list of cube points
-    inside the hull is returned as well.
+    other points (exact integer LP). For 0/1 input of dimension at most
+    ``CUBE_DIM_LIMIT`` the full list of cube points inside the hull is
+    returned as well.
     """
     nonverts = tuple(_nonvertices(ps.points))
     verts = tuple(p for p in ps.points if p not in nonverts)
@@ -109,21 +101,30 @@ def is_unimodular_polytope(ps):
     """Does every full-dimensional vertex simplex span a lattice basis?
 
     Requires a full-dimensional input in convex position (each point a
-    vertex). The (d+1)-subset determinants decide: all in {-1, 0, 1} means
-    unimodular, and convex position then follows. Otherwise the first
-    violating (d+1)-subset is the witness, once an exact LP per point has
-    found no point inside the hull of the others.
+    vertex). The determinant of a (d+1)-subset's simplex is, up to sign,
+    a maximal minor of the homogenized matrix (1 ... 1 ; p_1 ... p_n), so
+    P is unimodular exactly when that matrix is. One row HNF of it gives
+    the affine rank (its pivot count minus 1) and the verdict
+    (``certify._hnf_is_unimodular``: every pivot 1 and the non-pivot
+    columns TU by Ghouila-Houri, whose row budget can raise
+    ``BudgetExceeded``). A positive needs nothing more: convex position
+    follows from it. On a negative, the ordered scan of the (d+1)-subsets
+    names the first violating one as the witness, once an exact LP per
+    point has found no point inside the hull of the others.
     """
-    rank = ps.affine_rank()
+    n = len(ps.points)
+    hnf, _, pivots = linsolve.row_hnf(
+        IntMatrix(ps.dim + 1, n, ((1,) * n,) + tuple(zip(*ps.points))))
+    rank = len(pivots) - 1
     if rank != ps.dim:
         raise PreconditionError(f"point set is not full-dimensional "
                                 f"(affine rank {rank} < {ps.dim})")
-    hit = kernels.unimodular_violation(ps.points)
-    if hit is None:
+    if _hnf_is_unimodular(hnf, pivots):
         # a point in the hull of the others lies in a full-dimensional
         # simplex of them (Caratheodory); a unimodular simplex holds no
         # lattice point but its vertices, so the set is in convex position
         return UnimodularityVerdict(True, None)
+    hit = kernels.unimodular_violation(ps.points)
     nonvertex = next(_nonvertices(ps.points), None)
     if nonvertex is not None:
         raise PreconditionError(

@@ -192,6 +192,16 @@ def cases():
                     ["verify", "vertex-bound", INPUT], _lines(rows)))
     check("unimodular-polytope", "duplicate-points", _lines([[0, 0, 1]]))
     check("unimodular-polytope", "no-points", ["2 0", "", ""])
+    # K_{4,5} (d = 7, 20 points) is unimodular; Delta_1 x Delta_21 (d = 22,
+    # 44 points) is too, but its Ghouila-Houri check is one row past the
+    # budget, so it exits 3
+    for name, rows in (
+            ("edge-k45", _rows([tuple(int(v in (i, 4 + j)) for v in range(9))
+                                for i in range(4) for j in range(5)])),
+            ("delta1xdelta21", _rows(_simplex_product(1, 21)))):
+        check("unimodular-polytope", name, _lines(rows))
+        out.append((f"verify vertex-bound/{name}",
+                    ["verify", "vertex-bound", INPUT], _lines(rows)))
     _gen_cases(out)
     _network_cases(out)
     _sum_cases(out)

@@ -6,7 +6,9 @@ test. Inputs are plain lists.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from operator import itemgetter
 
 
@@ -325,12 +327,89 @@ def greedy_independent_columns(rows_data, ncols):
 
 
 def is_unimodular_maximal_minors(rows_data, ncols):
-    """Every order-m minor (m = row count) in {-1, 0, 1}, by cofactor
-    expansion over every m-column subset."""
-    m = len(rows_data)
-    return all(
-        -1 <= det_cofactor([[row[j] for j in cset] for row in rows_data]) <= 1
-        for cset in combinations(range(ncols), m))
+    """Every order-m minor (m = row count) in {-1, 0, 1}. The minors of
+    the first k rows on every k-column set are expanded along row k from a
+    table of those of the first k - 1 rows (Laplace), so each minor takes
+    at most k products."""
+    minors = {(): 1}
+    for k, row in enumerate(rows_data):
+        table = {}
+        for cset in combinations(range(ncols), k + 1):
+            d = 0
+            for pos, j in enumerate(cset):
+                if row[j]:
+                    term = row[j] * minors[cset[:pos] + cset[pos + 1:]]
+                    d += term if (k + pos) % 2 == 0 else -term
+            table[cset] = d
+        minors = table
+    return all(-1 <= v <= 1 for v in minors.values())
+
+
+@lru_cache(maxsize=1 << 12)
+def _barycentric_map(simplex):
+    """(E, c) with E (1, q) = c (l, z) for every q: l the Fractions with
+    sum l_i = 1 and sum l_i s_i = q over the points s_i of ``simplex``,
+    and z = 0 exactly when q is on their affine hull. E is an integer
+    matrix and c > 0 the lcm of its denominators over the Fractions.
+    None when the points are affinely dependent. Gauss-Jordan elimination
+    of the homogenized points (the columns (1, s_i)) beside the identity
+    records E / c."""
+    k, n = len(simplex), len(simplex[0]) + 1
+    rows = [[Fraction(1)] * k] + [[Fraction(s[c]) for s in simplex]
+                                  for c in range(n - 1)]
+    rows = [r + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(rows)]
+    for c in range(k):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    scale = lcm(*(x.denominator for r in rows for x in r[k:]))
+    return tuple(tuple(int(x * scale) for x in r[k:]) for r in rows), scale
+
+
+def barycentric_fractions(simplex, point):
+    """The Fractions l with sum l_i = 1 and sum l_i s_i = ``point`` over
+    the points s_i of ``simplex``, or None when those points are affinely
+    dependent or ``point`` is off their affine hull."""
+    found = _barycentric_map(tuple(map(tuple, simplex)))
+    if found is None:
+        return None
+    e, scale = found
+    v = (1,) + tuple(point)
+    coords = [sum(a * x for a, x in zip(row, v)) for row in e]
+    k = len(simplex)
+    if any(coords[k:]):
+        return None
+    return [Fraction(x, scale) for x in coords[:k]]
+
+
+def in_convex_hull_caratheodory(point, points):
+    """Is ``point`` in the convex hull of ``points``?
+
+    Caratheodory: it is exactly when it is a convex combination of an
+    affinely independent subset of the points, and then of one with r + 1
+    points, r the affine rank of the set, since every affinely independent
+    subset extends to one that large. So each affinely independent
+    (r+1)-subset is tried, and nonnegative barycentric coordinates
+    (``barycentric_fractions``) decide.
+    """
+    pts = [tuple(p) for p in points]
+    if not pts:
+        return False
+    base = pts[0]
+    r = rank_fractions([[x - b for x, b in zip(p, base)] for p in pts[1:]])
+    for sub in combinations(pts, r + 1):
+        lam = barycentric_fractions(sub, point)
+        if lam is not None and all(x >= 0 for x in lam):
+            return True
+    return False
 
 
 def lattice_isomorphic_bruteforce(p_points, q_points):

@@ -35,7 +35,9 @@ from tumax.polytopes import (
 from helpers import OVERFLOW_POLYTOPE_POINTS, far_image, random_unimodular
 from oracles import (
     det_cofactor,
+    in_convex_hull_caratheodory,
     inverse_fractions,
+    is_unimodular_maximal_minors,
     lattice_isomorphic_bruteforce,
     rank_fractions,
 )
@@ -92,6 +94,173 @@ def test_is_unimodular_polytope_preconditions():
         is_unimodular_polytope(not_convex)
 
 
+def _affine_rank(points):
+    """Dimension of the affine hull, by Fraction elimination."""
+    return rank_fractions([[x - b for x, b in zip(p, points[0])]
+                           for p in points[1:]])
+
+
+def _first_violating_simplex(points):
+    """The first (d+1)-subset in ``combinations`` order whose simplex
+    determinant (cofactor expansion) is outside {-1, 0, 1}, with it."""
+    d = len(points[0])
+    for sub in combinations(range(len(points)), d + 1):
+        base = points[sub[0]]
+        det = det_cofactor([[x - b for x, b in zip(points[i], base)]
+                            for i in sub[1:]])
+        if not -1 <= det <= 1:
+            return sub, det
+    return None
+
+
+def _expected_polytope_verdict(points):
+    """What is_unimodular_polytope must answer on a point set of its
+    dimension, from the oracles alone: ("verdict", is_unimodular,
+    witness), or ("error", the PreconditionError text)."""
+    d = len(points[0])
+    r = _affine_rank(points)
+    if r != d:
+        return ("error", f"point set is not full-dimensional "
+                         f"(affine rank {r} < {d})")
+    homogenized = [[1] * len(points)] + [list(c) for c in zip(*points)]
+    if is_unimodular_maximal_minors(homogenized, len(points)):
+        return ("verdict", True, None)
+    nonvertex = next(_oracle_nonvertices(points), None)
+    if nonvertex is not None:
+        return ("error", f"point set is not in convex position: "
+                         f"{nonvertex} is not a vertex")
+    return ("verdict", False, _first_violating_simplex(points))
+
+
+def _polytope_verdict(ps):
+    """is_unimodular_polytope(ps) in the form of
+    ``_expected_polytope_verdict``."""
+    try:
+        verdict = is_unimodular_polytope(ps)
+    except PreconditionError as exc:
+        return ("error", str(exc))
+    return ("verdict", verdict.is_unimodular, verdict.witness)
+
+
+def _seeded_point_sets(rng):
+    """Point sets of dimension 0..4: boxes, cube subsets and flattened
+    sets in their own dimension, and lifted copies brought back through
+    ``affine_lattice_coordinates``."""
+    for _ in range(250):
+        d = rng.choice((0, 1, 1, 2, 2, 3, 3, 4, 4))
+        n = rng.randint(d + 1, d + 5)
+        kind = rng.choice(("box", "cube", "flat"))
+        if kind == "box":
+            pts = {tuple(rng.randint(-2, 2) for _ in range(d))
+                   for _ in range(n)}
+        elif kind == "cube":
+            pts = {tuple(rng.randint(0, 1) for _ in range(d))
+                   for _ in range(n)}
+        elif d < 2:
+            pts = {(0,) * d}
+        else:
+            # affine rank below d: the last coordinate repeats the one
+            # before it
+            heads = [tuple(rng.randint(-1, 1) for _ in range(d - 1))
+                     for _ in range(n)]
+            pts = {p + p[-1:] for p in heads}
+        pts = sorted(pts)
+        rng.shuffle(pts)
+        yield PointSet.from_points(pts)
+        if rng.random() < 0.3:
+            lift = d + rng.randint(1, 2)
+            u = random_unimodular(rng, lift, 3 * lift).entries
+            shift = [rng.randint(-3, 3) for _ in range(lift)]
+            lifted = [tuple(sum(a * x for a, x in zip(u[k], p + (0,) * (
+                lift - d))) + shift[k] for k in range(lift)) for p in pts]
+            yield affine_lattice_coordinates(PointSet.from_points(lifted))
+
+
+def test_is_unimodular_polytope_matches_oracles_on_seeded_sets():
+    """Verdict, witness and precondition error agree with the maximal
+    minors of the homogenized matrix, the first violating simplex by
+    cofactor expansion and the Caratheodory hull oracle, on every
+    dimension up to 4 (0 and 1 included) and on lifted inputs."""
+    outcomes = {}
+    for ps in _seeded_point_sets(random.Random(11)):
+        expected = _expected_polytope_verdict(ps.points)
+        assert _polytope_verdict(ps) == expected, ps.points
+        if expected[0] == "verdict":
+            key = (ps.dim, expected[1])
+        else:
+            key = (ps.dim, "flat" if "full-dimensional" in expected[1]
+                   else "hull")
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {
+        (0, True): 61,
+        (1, True): 22, (1, False): 5, (1, "flat"): 29, (1, "hull"): 20,
+        (2, True): 20, (2, False): 10, (2, "flat"): 16, (2, "hull"): 18,
+        (3, True): 15, (3, False): 26, (3, "flat"): 20, (3, "hull"): 4,
+        (4, True): 11, (4, False): 23, (4, "flat"): 20, (4, "hull"): 4}
+
+
+def test_is_unimodular_polytope_on_complete_bipartite_edge_polytopes():
+    """Every K_{a,b} edge polytope up to K_{4,5} is unimodular (a
+    bipartite incidence matrix is TU), and the maximal minors of its
+    homogenized embedded vertex matrix agree."""
+    for a in range(1, 5):
+        for b in range(a, 6):
+            ps = affine_lattice_coordinates(edge_polytope(
+                a + b, range(a), complete_bipartite_edges(a, b)))
+            assert ps.dim == a + b - 2
+            assert _polytope_verdict(ps) == ("verdict", True, None)
+            homogenized = ([[1] * len(ps.points)]
+                           + [list(c) for c in zip(*ps.points)])
+            assert is_unimodular_maximal_minors(homogenized, a * b)
+
+
+def test_is_unimodular_polytope_runs_one_row_hnf(monkeypatch):
+    """A positive takes one row HNF of the homogenized matrix and no
+    simplex scan, rank or LP; a negative adds one ordered scan, for its
+    witness, and one LP per point for convex position."""
+    k45 = affine_lattice_coordinates(edge_polytope(
+        9, range(4), complete_bipartite_edges(4, 5)))
+    cube = PointSet.from_points(list(product((0, 1), repeat=3)))
+    for ps, expected in ((k45, {"row_hnf": 1}),
+                         (simplex(4), {"row_hnf": 1}),
+                         (cube, {"row_hnf": 1, "unimodular_violation": 1,
+                                 "in_convex_hull": 8})):
+        counts = {}
+        _counting(monkeypatch, linsolve, "row_hnf", counts)
+        _counting(monkeypatch, kernels, "unimodular_violation", counts)
+        _counting(monkeypatch, kernels, "rank_entries", counts)
+        _counting(monkeypatch, polytopes, "in_convex_hull", counts)
+        is_unimodular_polytope(ps)
+        monkeypatch.undo()
+        assert counts == expected
+
+
+def test_simplex_product_past_the_signing_budget_exits_at_once(monkeypatch):
+    """Delta_1 x Delta_21 (d = 22, 44 points) is unimodular, but its
+    homogenized 23 x 44 matrix leaves a 21 x 23 N (transposed) for
+    Ghouila-Houri, one row past its budget: BudgetExceeded before any
+    simplex is scanned, instead of a scan of C(44, 23) determinants."""
+    counts = {}
+    _counting(monkeypatch, kernels, "unimodular_violation", counts)
+    with pytest.raises(BudgetExceeded, match=r"21x23 exceeds both"):
+        is_unimodular_polytope(simplex_product(1, 21))
+    assert counts == {}
+
+
+def _oracle_nonvertices(points):
+    """The points in the hull of the others, in point order, by the
+    Caratheodory oracle."""
+    return (p for i, p in enumerate(points)
+            if in_convex_hull_caratheodory(p, points[:i] + points[i + 1:]))
+
+
+def _oracle_cube_points_in_hull(points):
+    """The 0/1 points in the hull of 0/1 ``points``, in cube order, by the
+    Caratheodory oracle."""
+    return [q for q in product((0, 1), repeat=len(points[0]))
+            if q in points or in_convex_hull_caratheodory(q, points)]
+
+
 def test_unimodular_simplices_imply_convex_position():
     """A full-dimensional set whose (d+1)-subset determinants are all in
     {-1, 0, 1} has no point in the hull of the others, so
@@ -104,12 +273,12 @@ def test_unimodular_simplices_imply_convex_position():
         pts = dict.fromkeys(tuple(rng.randint(-2, 2) for _ in range(d))
                             for _ in range(n))
         ps = PointSet.from_points(pts)
-        if ps.affine_rank() != d:
+        if _affine_rank(ps.points) != d:
             continue
         if kernels.unimodular_violation(ps.points) is not None:
             continue
         positives += 1
-        assert vertex_hull(ps).nonvertices == ()
+        assert next(_oracle_nonvertices(ps.points), None) is None
     assert positives == 189
 
 
@@ -122,13 +291,12 @@ def test_classify_survivors_pass_both_hull_filters():
         cube = list(product((0, 1), repeat=d))
         for idx in polytopes._candidate_subsets(d, pruned):
             ps = PointSet(d, tuple(cube[i] for i in idx))
-            if (ps.affine_rank() != d
+            if (_affine_rank(ps.points) != d
                     or kernels.unimodular_violation(ps.points) is not None):
                 continue
             survivors[d] += 1
-            hull = vertex_hull(ps)
-            assert hull.nonvertices == ()
-            assert hull.cube_points_in_hull == ps.points
+            assert next(_oracle_nonvertices(ps.points), None) is None
+            assert _oracle_cube_points_in_hull(ps.points) == list(ps.points)
     assert survivors == {1: 1, 2: 2, 3: 7, 4: 81}
 
 
@@ -138,7 +306,7 @@ def test_edge_polytope_k22_and_single_edge():
     assert lattice_isomorphic(k22, simplex_product(1, 1))
     single = edge_polytope(2, {0}, [(0, 1)])
     assert len(single.points) == 1
-    assert single.affine_rank() == 0
+    assert _affine_rank(single.points) == 0
     with pytest.raises(StructureError):
         edge_polytope(4, {0, 1}, [(0, 1)])
 
@@ -370,7 +538,7 @@ def _random_image_pairs():
         while True:
             pts = list({tuple(rng.randint(0, 3) for _ in range(d))
                         for _ in range(k)})
-            if len(pts) == k and PointSet.from_points(pts).affine_rank() == d:
+            if len(pts) == k and _affine_rank(pts) == d:
                 return pts
 
     for _ in range(90):
@@ -395,7 +563,7 @@ def _random_image_pairs():
             moved[rng.randrange(d)] += rng.choice((-1, 1))
             if tuple(moved) not in image:
                 image[i] = tuple(moved)
-        if PointSet.from_points(image).affine_rank() == d:
+        if _affine_rank(image) == d:
             pairs.append((pts, image))
     return pairs
 
@@ -739,8 +907,8 @@ def test_classification_classes_certify_and_meet_bound():
         assert is_unimodular_polytope(cls.vertices).is_unimodular
         rep = vertex_bound_check(cls.vertices)
         assert rep.ok
-        hull = vertex_hull(cls.vertices)
-        assert set(hull.cube_points_in_hull) == set(cls.vertices.points)
+        assert (_oracle_cube_points_in_hull(cls.vertices.points)
+                == list(cls.vertices.points))
 
 
 def test_classification_equivalence_relation_d3():

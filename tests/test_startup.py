@@ -59,3 +59,22 @@ def test_no_tumax_module_imports_dataclasses_or_inspect():
     assert "tumax.polytopes" in modules
     code = "\n".join(f"import {m}" for m in modules)
     assert _loaded_after(code, ("dataclasses", "inspect")) == set()
+
+
+def test_polytope_commands_load_neither_fractions_nor_decimal(tmp_path):
+    """The simplex of the convex-position LP pivots on integers, so a
+    positive and a negative ``check unimodular-polytope`` (the negative
+    runs that LP) and ``classify`` load neither module."""
+    simplex = tmp_path / "simplex.txt"
+    simplex.write_text("2 3\n0 1 0\n0 0 1\n", encoding="utf-8")
+    segment = tmp_path / "segment.txt"
+    segment.write_text("1 2\n-1 1\n", encoding="utf-8")
+    for argv, status in (
+            (["check", "unimodular-polytope", str(simplex)], 0),
+            (["check", "unimodular-polytope", str(segment)], 1),
+            (["classify", "--d", "2"], 0)):
+        loaded = _loaded_after(
+            "from tumax import cli\n"
+            f"assert cli.run({argv!r}).exit_status == {status}",
+            ("tumax.polytopes", "tumax.lp", "fractions", "decimal"))
+        assert loaded == {"tumax.polytopes", "tumax.lp"}, argv
