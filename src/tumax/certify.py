@@ -4,7 +4,11 @@ polytopality, w-valuedness, preparedness.
 Two independent total-unimodularity oracles are provided: exhaustive
 minor enumeration (the ordered minor scan ``kernels.tu_violation``) and
 the Ghouila-Houri row-signing criterion, written here so that the two
-routes share no code path.
+routes share no code path. ``is_totally_unimodular`` returns a verdict
+with the scan's first witness. ``tu_holds`` returns only the bool and
+never runs the scan; preparedness, unimodularity (and through it
+``polytopes.is_unimodular_polytope``) and the factor checks of ``sums``
+take it.
 """
 
 from itertools import combinations
@@ -114,49 +118,88 @@ def _over_both_budgets(m):
         f"budget (rows <= {GH_ROW_BUDGET})")
 
 
-def _signable(rows, ncols):
-    """Is there a +-1 signing of ``rows`` with all column sums in {-1,0,1}?"""
-    k = len(rows)
-    suffix = [[0] * ncols for _ in range(k + 1)]
-    for t in range(k - 1, -1, -1):
-        for j in range(ncols):
-            suffix[t][j] = suffix[t + 1][j] + abs(rows[t][j])
-
-    def rec(t, sums):
-        if t == k:
-            return True
-        # sign symmetry: the first row may be fixed to +1
-        signs = (1,) if t == 0 else (1, -1)
-        for s in signs:
-            nxt = [a + s * b for a, b in zip(sums, rows[t])]
-            if all(-1 - r <= v <= 1 + r for v, r in zip(nxt, suffix[t + 1])):
-                if rec(t + 1, nxt):
-                    return True
-        return False
-
-    return rec(0, [0] * ncols)
-
-
 def ghouila_houri_check(m):
     """TU verdict by the row-signing criterion.
 
     Every subset of rows must admit a +-1 signing whose signed column
     sums stay in {-1,0,1}. Entries outside {-1,0,1} short-circuit to a
-    1x1 witness; a failing subset yields a witness-free negative verdict.
+    1x1 witness (the first in row-major order); a failing subset yields a
+    witness-free negative verdict. Subsets are tried by size, then in
+    lexicographic order, and each signing search fixes its first row to
+    +1, which loses nothing since negating a signing keeps its sums.
+
+    The search decides every column at once. With s_j the signed sum of
+    the rows placed so far and r_j what is left of column j (the sum of
+    |a_ij| over the rows still to place), a signing can complete only
+    while |s_j| <= 1 + r_j, and at the last row this is the criterion
+    itself. Placing a row changes s_j - r_j by a_ij + |a_ij| under sign
+    +1 and by |a_ij| - a_ij under -1, so both slacks s_j - r_j and
+    -s_j - r_j only grow: by twice the row's positive or negative part.
+    One int holds both slacks of every column, each in a w-bit field
+    biased by T - 2 (T the field's top bit), so a field reaches T exactly
+    when its slack reaches 2. A step is one addition and one masked test
+    of the top bits.
     """
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = m.entries[i][j]
-            if e < -1 or e > 1:
+    width = (m.rows + 2).bit_length() + 1  # T = 2**(width-1) > rows + 2
+    top_bit = 1 << (width - 1)
+    # fields 0..cols-1 hold s_j - r_j, fields cols..2*cols-1 hold -s_j - r_j
+    shift = m.cols * width
+    steps, left = [], []  # per row: its (+1, -1) steps, and its r_j in both
+    for i, row in enumerate(m.entries):
+        plus = minus = 0
+        for j, e in enumerate(row):
+            if e == 1:
+                plus |= 1 << (j * width)
+            elif e == -1:
+                minus |= 1 << (j * width)
+            elif e:
                 return TuVerdict(False, METHOD_GH, MinorWitness((i,), (j,), e))
+        steps.append((2 * (plus + (minus << shift)),
+                      2 * (minus + (plus << shift))))
+        left.append((plus + minus) * (1 + (1 << shift)))
     if m.rows > GH_ROW_BUDGET:
         raise BudgetExceeded(
             f"Ghouila-Houri admits at most {GH_ROW_BUDGET} rows, got {m.rows}")
+    ones = sum(1 << (f * width) for f in range(2 * m.cols))
+    top = top_bit * ones
+    base = (top_bit - 2) * ones
+
+    def signable(subset):
+        k = len(subset)
+
+        def extend(t, sums):
+            if t == k:
+                return True
+            for step in steps[subset[t]]:
+                nxt = sums + step
+                if not nxt & top and extend(t + 1, nxt):
+                    return True
+            return False
+
+        # the slacks start at -r_j, the first row is signed +1
+        first = base - sum(left[i] for i in subset) + steps[subset[0]][0]
+        return not first & top and extend(1, first)
+
     for size in range(2, m.rows + 1):
         for subset in combinations(range(m.rows), size):
-            if not _signable([m.entries[i] for i in subset], m.cols):
+            if not signable(subset):
                 return TuVerdict(False, METHOD_GH)
     return TuVerdict(True, METHOD_GH)
+
+
+def tu_holds(m):
+    """``is_totally_unimodular(m).is_tu`` for callers that need no witness.
+
+    It raises the ``BudgetExceeded`` of ``is_totally_unimodular`` in auto
+    mode, before reading any entry, and otherwise decides by Ghouila-Houri
+    on whichever of m and m^T has fewer rows. It never runs the ordered
+    minor scan, which exists to find the first witness.
+    """
+    if m.rows + m.cols > MINOR_SIZE_BUDGET and m.rows > GH_ROW_BUDGET:
+        raise _over_both_budgets(m)
+    if m.cols < m.rows:
+        m = m.transpose()
+    return ghouila_houri_check(m).is_tu
 
 
 def is_unimodular(m):
@@ -168,22 +211,23 @@ def is_unimodular(m):
     and each order-m minor of M is +-det B times a minor of N, so M is
     unimodular exactly when N is TU.
 
-    N (or N^T, whichever has fewer rows) is decided by Ghouila-Houri,
-    which takes a few ms where the minor scan of a 7x9 N takes over
-    100 ms; only a bool is returned, so no witness is lost. Past
-    ``GH_ROW_BUDGET`` rows it raises the ``BudgetExceeded`` of
-    ``is_totally_unimodular`` in auto mode, before reading any entry.
+    N is decided by ``tu_holds``, that is by Ghouila-Houri on N or N^T,
+    whichever has fewer rows; only a bool is returned, so no witness is
+    lost. When that smaller side has more than ``GH_ROW_BUDGET`` rows it
+    raises ``BudgetExceeded``, naming the shape of m, whatever the entries
+    of N.
     """
     hnf, _, pivots = linsolve.row_hnf(m)
     if len(pivots) != m.rows:
         raise PreconditionError(
             f"is_unimodular requires full row rank ({len(pivots)} < {m.rows})")
-    return _hnf_is_unimodular(hnf, pivots)
+    return _hnf_is_unimodular(hnf, pivots, f"matrix size {m.rows}x{m.cols}")
 
 
-def _hnf_is_unimodular(hnf, pivots):
+def _hnf_is_unimodular(hnf, pivots, given):
     """``is_unimodular(m)`` from ``row_hnf(m)`` = (hnf, _, pivots), for m
-    of full row rank."""
+    of full row rank; ``given`` names the caller's input in the text of
+    the ``BudgetExceeded`` raised past the Ghouila-Houri budget."""
     if any(hnf.entries[k][p] != 1 for k, p in enumerate(pivots)):
         return False
     n = hnf.submatrix(range(hnf.rows),
@@ -191,8 +235,11 @@ def _hnf_is_unimodular(hnf, pivots):
     if n.rows > n.cols:
         n = n.transpose()
     if n.rows > GH_ROW_BUDGET:
-        raise _over_both_budgets(n)
-    return ghouila_houri_check(n).is_tu
+        raise BudgetExceeded(
+            f"{given}: its non-pivot block N has {n.rows} rows on its "
+            f"smaller side, more than the Ghouila-Houri budget admits "
+            f"(rows <= {GH_ROW_BUDGET})")
+    return tu_holds(n)
 
 
 def w_valued_certificate(m, w):
@@ -229,9 +276,13 @@ def polytopal_certificate(m):
 
 
 def is_prepared(m):
-    """Polytopal TU matrix with pairwise distinct columns."""
+    """Polytopal TU matrix with pairwise distinct columns.
+
+    TU is decided by ``tu_holds``, so past both TU budgets this raises the
+    ``BudgetExceeded`` of ``check tu`` in auto mode.
+    """
     if not m.columns_distinct():
         return False
     if polytopal_certificate(m) is None:
         return False
-    return is_totally_unimodular(m).is_tu
+    return tu_holds(m)

@@ -106,8 +106,10 @@ def is_unimodular_polytope(ps):
     P is unimodular exactly when that matrix is. One row HNF of it gives
     the affine rank (its pivot count minus 1) and the verdict
     (``certify._hnf_is_unimodular``: every pivot 1 and the non-pivot
-    columns TU by Ghouila-Houri, whose row budget can raise
-    ``BudgetExceeded``). A positive needs nothing more: convex position
+    block N TU by the verdict-only ``certify.tu_holds``, which runs
+    Ghouila-Houri on the side of N with fewer rows). Past 20 rows on that
+    side it raises ``BudgetExceeded``, naming the number of points and
+    the dimension. A positive needs nothing more: convex position
     follows from it. On a negative, the ordered scan of the (d+1)-subsets
     names the first violating one as the witness, once an exact LP per
     point has found no point inside the hull of the others.
@@ -119,7 +121,7 @@ def is_unimodular_polytope(ps):
     if rank != ps.dim:
         raise PreconditionError(f"point set is not full-dimensional "
                                 f"(affine rank {rank} < {ps.dim})")
-    if _hnf_is_unimodular(hnf, pivots):
+    if _hnf_is_unimodular(hnf, pivots, f"{n} points in dimension {ps.dim}"):
         # a point in the hull of the others lies in a full-dimensional
         # simplex of them (Caratheodory); a unimodular simplex holds no
         # lattice point but its vertices, so the set is in convex position
@@ -567,7 +569,7 @@ def normalize_standard_form(m):
         raise PreconditionError("normalization requires full row rank")
     if not m.rows or linsolve.hnf_solver(hnf, u, frame)((1,) * m.cols) is None:
         raise PreconditionError("matrix is not polytopal")
-    if not _hnf_is_unimodular(hnf, frame):
+    if not _hnf_is_unimodular(hnf, frame, f"matrix size {m.rows}x{m.cols}"):
         raise PreconditionError("matrix is not unimodular")
     transform = m.submatrix(range(m.rows), frame)
     perm = frame + tuple(j for j in range(m.cols) if j not in frame)

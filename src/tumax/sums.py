@@ -6,7 +6,7 @@ w-valuedness certificate of a composed matrix down to its factors.
 from typing import Optional
 
 from ._record import Record
-from .certify import Functional, is_totally_unimodular
+from .certify import Functional, tu_holds
 from .errors import FormatError, HypothesisError, PreconditionError, UsageError
 from .matrix import IntMatrix, int_vector
 
@@ -117,8 +117,7 @@ def _require_vec(vec, length, name):
 
 
 def _check_factor_tu(factor, what):
-    verdict = is_totally_unimodular(factor)
-    if not verdict.is_tu:
+    if not tu_holds(factor):
         raise PreconditionError(f"{what} is not totally unimodular")
 
 

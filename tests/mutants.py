@@ -1,0 +1,112 @@
+"""Mutants of the library that the tests must kill, each with the tests
+expected to kill it.
+
+An entry names a file of ``src/tumax``, an exact source snippet of it,
+the snippet's replacement, and pytest ids. ``tests/test_mutants.py``
+checks only that each snippet occurs exactly once in ``src/``, so a
+refactor that moves the code updates this list on purpose. Run this file
+by hand to apply each mutant in turn to a copy of ``src`` and ``tests``
+under a temporary directory, and run its tests there:
+
+    python tests/mutants.py [NAME ...]
+
+It prints each mutant as killed or SURVIVED, and exits 1 when one
+survives. A survivor is a weakness of the tests: fix the tests, never
+the entry.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tumax"
+
+CERTIFY = "tests/test_certify.py::"
+TU_HOLDS = CERTIFY + "test_tu_holds_takes_the_auto_budget_and_the_smaller_side"
+WIDE_PREPARED = ("tests/test_cli.py::"
+                 "test_check_prepared_decides_a_wide_input_on_its_rows")
+
+MUTANTS = [
+    {"name": "gh-suffix-bound-too-tight",
+     "file": "certify.py",
+     "snippet": "base = (top_bit - 2) * ones",
+     "replacement": "base = (top_bit - 1) * ones",
+     "tests": [CERTIFY + "test_sporadic_5x10_is_tu_by_both_methods",
+               CERTIFY + "test_gh_matches_the_minor_table_oracle"]},
+    {"name": "gh-suffix-bound-too-loose",
+     "file": "certify.py",
+     "snippet": "base = (top_bit - 2) * ones",
+     "replacement": "base = (top_bit - 3) * ones",
+     "tests": [CERTIFY + "test_gh_identity_and_small_negative",
+               CERTIFY + "test_gh_matches_the_minor_table_oracle"]},
+    {"name": "gh-row-budget-off-by-one",
+     "file": "certify.py",
+     "snippet": ("    if m.rows > GH_ROW_BUDGET:\n"
+                 "        raise BudgetExceeded(\n"
+                 "            f\"Ghouila-Houri admits"),
+     "replacement": ("    if m.rows >= GH_ROW_BUDGET:\n"
+                     "        raise BudgetExceeded(\n"
+                     "            f\"Ghouila-Houri admits"),
+     "tests": [CERTIFY + "test_gh_decides_20_rows_and_raises_past_them"]},
+    {"name": "tu-holds-budget-joined-by-or",
+     "file": "certify.py",
+     "snippet": ("m.rows + m.cols > MINOR_SIZE_BUDGET and "
+                 "m.rows > GH_ROW_BUDGET"),
+     "replacement": ("m.rows + m.cols > MINOR_SIZE_BUDGET or "
+                     "m.rows > GH_ROW_BUDGET"),
+     "tests": [TU_HOLDS, WIDE_PREPARED]},
+    {"name": "tu-holds-orientation-inverted",
+     "file": "certify.py",
+     "snippet": "    if m.cols < m.rows:\n        m = m.transpose()",
+     "replacement": "    if m.cols > m.rows:\n        m = m.transpose()",
+     "tests": [TU_HOLDS, WIDE_PREPARED]},
+    {"name": "hnf-orientation-inverted",
+     "file": "certify.py",
+     "snippet": "    if n.rows > n.cols:\n        n = n.transpose()",
+     "replacement": "    if n.rows < n.cols:\n        n = n.transpose()",
+     "tests": [CERTIFY + "test_is_unimodular_decides_n_on_its_smaller_side"]},
+]
+
+
+def _run(mutant, workdir):
+    """'killed', 'SURVIVED' or 'error' for one mutant, applied to a fresh
+    copy of src/ and tests/ in ``workdir``."""
+    for part in ("src", "tests"):
+        shutil.rmtree(workdir / part, ignore_errors=True)
+        shutil.copytree(ROOT / part, workdir / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    target = workdir / "src" / "tumax" / mutant["file"]
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant["snippet"]) != 1:
+        return "error"
+    target.write_text(text.replace(mutant["snippet"], mutant["replacement"]),
+                      encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        status = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *mutant["tests"]],
+            cwd=workdir, env=env, capture_output=True, timeout=600).returncode
+    except subprocess.TimeoutExpired:
+        return "killed"  # by the timeout
+    return {0: "SURVIVED", 1: "killed"}.get(status, "error")
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m["name"] in names]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for mutant in chosen:
+            result = _run(mutant, Path(tmp))
+            print(f"{result:9} {mutant['name']}", flush=True)
+            results.append(result)
+    return 0 if all(r == "killed" for r in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -13,10 +13,16 @@ from tumax.certify import (
     is_totally_unimodular,
     is_unimodular,
     polytopal_certificate,
+    tu_holds,
     w_valued_certificate,
 )
 from tumax.errors import BudgetExceeded, PreconditionError, UsageError
-from tumax.families import bipartite_extremal, ex4_matrix, sporadic_5x10
+from tumax.families import (
+    bipartite_extremal,
+    ex4_matrix,
+    sporadic_5x5,
+    sporadic_5x10,
+)
 from tumax.matrix import IntMatrix
 
 from helpers import (
@@ -26,6 +32,7 @@ from helpers import (
     random_tu_matrix,
 )
 from oracles import (
+    is_tu_by_minor_table,
     is_unimodular_maximal_minors,
     rank_fractions,
     rational_row_solution,
@@ -102,6 +109,90 @@ def test_oracle_agreement_random_5x8():
         m = random_tu_matrix(rng, 5, 8)
         assert is_totally_unimodular(m, "minors").is_tu
         assert ghouila_houri_check(m).is_tu
+
+
+def _flip_one_sign(rng, m):
+    """``m`` with the sign of one nonzero entry flipped (if it has one): a
+    near miss of a TU matrix, TU or not."""
+    data = m.to_lists()
+    nonzero = [(i, j) for i in range(m.rows) for j in range(m.cols)
+               if data[i][j]]
+    if nonzero:
+        i, j = rng.choice(nonzero)
+        data[i][j] = -data[i][j]
+    return IntMatrix.from_rows(data)
+
+
+def test_gh_matches_the_minor_table_oracle():
+    """The bit-parallel signing search against the minor-table oracle,
+    which shares no code with it: random sign matrices up to 7 x 9,
+    network matrices with one sign flipped, both representations of R10,
+    consecutive-ones matrices whose all-ones columns fill the narrowest
+    fields, and the empty and one-line shapes."""
+    rng = random.Random(59)
+    cases = [sporadic_5x5(1), sporadic_5x5(2)]
+    for n in range(4):
+        cases += [IntMatrix(0, n, ()), IntMatrix(n, 0, ((),) * n)]
+    for n in range(1, 8):
+        cases += [random_sign_matrix(rng, 1, n), random_sign_matrix(rng, n, 1)]
+    for rows in (5, 6):
+        intervals = [(i, j) for i in range(rows) for j in range(i, rows)]
+        cases.append(IntMatrix.from_columns(
+            [tuple(int(i <= r <= j) for r in range(rows))
+             for i, j in rng.sample(intervals, 9)] + [(1,) * rows]))
+    for _ in range(300):
+        cases.append(random_sign_matrix(rng, rng.randint(1, 7),
+                                        rng.randint(1, 9)))
+    for _ in range(150):
+        cases.append(_flip_one_sign(rng, random_tu_matrix(
+            rng, rng.randint(2, 7), rng.randint(2, 9))))
+    seen = {True: 0, False: 0}
+    for m in cases:
+        expected = is_tu_by_minor_table(m.to_lists())
+        assert ghouila_houri_check(m).is_tu == expected, m
+        assert tu_holds(m) == expected, m
+        seen[expected] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_gh_reports_the_first_entry_outside_the_signs_at_any_height():
+    rows = [[1, 0, 1], [0, -2, 1], [2, 1, 0]]
+    for pad in (0, 18):  # 3 rows, and 21: the witness comes before the budget
+        v = ghouila_houri_check(IntMatrix.from_rows(rows + [[0, 0, 0]] * pad))
+        assert v == certify.TuVerdict(False, certify.METHOD_GH,
+                                      certify.MinorWitness((1,), (1,), -2))
+
+
+def test_gh_decides_20_rows_and_raises_past_them():
+    rows = [[1, 1], [1, -1]] + [[0, 0]] * 18
+    assert not ghouila_houri_check(IntMatrix.from_rows(rows)).is_tu
+    with pytest.raises(BudgetExceeded, match=(
+            r"^Ghouila-Houri admits at most 20 rows, got 21$")):
+        ghouila_houri_check(IntMatrix.from_rows(rows + [[0, 0]]))
+
+
+def test_tu_holds_takes_the_auto_budget_and_the_smaller_side():
+    """Past both budgets it raises what ``is_totally_unimodular`` raises in
+    auto mode, as on a 21 x 10 input; otherwise Ghouila-Houri runs on the
+    side with fewer rows, as on a 10 x 21 or a 20 x 5 input."""
+    for shape in ((21, 1), (21, 10)):
+        m = IntMatrix.zeros(*shape)
+        with pytest.raises(BudgetExceeded) as auto:
+            is_totally_unimodular(m)
+        with pytest.raises(BudgetExceeded) as verdict_only:
+            tu_holds(m)
+        assert str(verdict_only.value) == str(auto.value)
+    wide = bipartite_extremal(10).submatrix(range(10), range(21))
+    assert tu_holds(wide)
+    assert tu_holds(IntMatrix.zeros(20, 5))
+    assert not tu_holds(_flip_one_sign(random.Random(60), wide))
+
+
+def test_is_unimodular_decides_n_on_its_smaller_side():
+    """(I_5 | N) with a 5 x 25 block N: 25 rows on N's larger side, 5 on
+    its smaller, where Ghouila-Houri runs."""
+    n = random_network_tu(random.Random(62), 5, 25)
+    assert is_unimodular(IntMatrix.identity(5).hstack(n))
 
 
 def test_budget_errors():

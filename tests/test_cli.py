@@ -10,6 +10,7 @@ import pytest
 
 from tumax.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run
 from tumax.errors import UsageError
+from tumax.families import bipartite_extremal, sporadic_5x10
 from tumax.matrix import IntMatrix, parse_matrix_text
 
 from cli_corpus import CORPUS, replay, stdout_text
@@ -214,8 +215,9 @@ def test_check_unimodular_past_the_order_m_minor_count(tmp_path):
 
 @pytest.mark.parametrize("n_entries", [[], [(3, 5, 2)]])
 def test_check_unimodular_over_the_row_budget(tmp_path, capsys, n_entries):
-    """(I_21 | N) leaves a 21 x 21 block N: past both TU budgets, so the
-    check exits 3 with the auto-mode message, whatever N's entries."""
+    """(I_21 | N) leaves a 21 x 21 block N, past the Ghouila-Houri budget,
+    so the check exits 3 whatever N's entries. The text names the 21 x 42
+    input and only the Ghouila-Houri budget."""
     n = IntMatrix.identity(21).to_lists()
     for i, j, value in n_entries:
         n[i][j] = value
@@ -225,8 +227,62 @@ def test_check_unimodular_over_the_row_budget(tmp_path, capsys, n_entries):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "budget exceeded: matrix size 21x21 exceeds both the minor budget "
-        "(rows+cols <= 16) and the Ghouila-Houri budget (rows <= 20)\n")
+        "budget exceeded: matrix size 21x42: its non-pivot block N has 21 "
+        "rows on its smaller side, more than the Ghouila-Houri budget admits "
+        "(rows <= 20)\n")
+
+
+def _counting_minor_scans(monkeypatch):
+    from tumax import kernels
+
+    calls = []
+    real = kernels.tu_violation
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(kernels, "tu_violation", counted)
+    return calls
+
+
+def test_verdict_only_commands_run_no_minor_scan(tmp_path, monkeypatch):
+    """``check prepared`` and every ``sum`` kind read only a bool, so they
+    decide TU by Ghouila-Houri; ``check tu`` in auto mode within the minor
+    budget still runs the ordered scan once, for its first witness."""
+    calls = _counting_minor_scans(monkeypatch)
+    prepared = _write(tmp_path, "p.txt", sporadic_5x10().to_text())
+    assert run(["check", "prepared", prepared]).exit_status == EXIT_OK
+    rng = random.Random(58)
+    for what in ("one", "two", "three", "delta"):
+        spec = random_spec(rng, f"{what}-sum")
+        path = _write(tmp_path, f"{what}.json", json.dumps(spec.to_json_dict()))
+        assert run(["sum", what, path]).exit_status == EXIT_OK
+    assert calls == []
+    assert run(["check", "tu", prepared]).exit_status == EXIT_OK
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("cols", [1, 10])
+def test_check_prepared_past_both_tu_budgets(tmp_path, capsys, cols):
+    """Columns e_1 .. e_cols of Z^21 are distinct and polytopal, so their TU
+    check decides: past both budgets, with the text of ``check tu``."""
+    m = IntMatrix.identity(21).submatrix(range(21), range(cols))
+    path = _write(tmp_path, "tall.txt", m.to_text())
+    assert main(["check", "prepared", path]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: matrix size 21x{cols} exceeds both the minor "
+        "budget (rows+cols <= 16) and the Ghouila-Houri budget (rows <= 20)\n")
+
+
+def test_check_prepared_decides_a_wide_input_on_its_rows(tmp_path):
+    """A 10 x 21 prepared input: Ghouila-Houri on its 10 rows."""
+    m = bipartite_extremal(10).submatrix(range(10), range(21))
+    path = _write(tmp_path, "wide.txt", m.to_text())
+    rep = run(["check", "prepared", path])
+    assert (rep.exit_status, rep.result) == (EXIT_OK, {"prepared": True})
 
 
 def test_network_build_matches_module(tmp_path):

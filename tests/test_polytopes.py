@@ -237,12 +237,17 @@ def test_is_unimodular_polytope_runs_one_row_hnf(monkeypatch):
 
 def test_simplex_product_past_the_signing_budget_exits_at_once(monkeypatch):
     """Delta_1 x Delta_21 (d = 22, 44 points) is unimodular, but its
-    homogenized 23 x 44 matrix leaves a 21 x 23 N (transposed) for
-    Ghouila-Houri, one row past its budget: BudgetExceeded before any
-    simplex is scanned, instead of a scan of C(44, 23) determinants."""
+    homogenized 23 x 44 matrix leaves a 23 x 21 N for Ghouila-Houri, one
+    row past its budget on its smaller side: BudgetExceeded before any
+    simplex is scanned, instead of a scan of C(44, 23) determinants. The
+    text names the input as the caller gave it, and only the Ghouila-Houri
+    budget."""
     counts = {}
     _counting(monkeypatch, kernels, "unimodular_violation", counts)
-    with pytest.raises(BudgetExceeded, match=r"21x23 exceeds both"):
+    with pytest.raises(BudgetExceeded, match=(
+            r"^44 points in dimension 22: its non-pivot block N has 21 rows "
+            r"on its smaller side, more than the Ghouila-Houri budget admits "
+            r"\(rows <= 20\)$")):
         is_unimodular_polytope(simplex_product(1, 21))
     assert counts == {}
 

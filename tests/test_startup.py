@@ -5,6 +5,7 @@ imported the whole package already.
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,29 @@ def test_check_tu_loads_certify_and_no_other_command_module(tmp_path):
     assert "tumax.certify" in loaded
     assert loaded.isdisjoint({"tumax.polytopes", "tumax.graphs", "tumax.sums",
                               "tumax.search"})
+
+
+def test_verdict_only_commands_load_no_other_command_module(tmp_path):
+    """``check prepared`` and ``sum two`` decide TU through
+    ``certify.tu_holds``, which loads none of the polytope, graph, search
+    or LP modules, nor ``fractions``."""
+    from specgen import random_spec
+
+    prepared = tmp_path / "p.txt"
+    prepared.write_text("3 4\n1 0 0 1\n0 1 0 -1\n0 0 1 1\n",
+                        encoding="utf-8")
+    spec = tmp_path / "two.json"
+    spec.write_text(json.dumps(random_spec(random.Random(63), "two-sum")
+                               .to_json_dict()), encoding="utf-8")
+    for argv in (["check", "prepared", str(prepared)],
+                 ["sum", "two", str(spec)]):
+        loaded = _loaded_after(
+            "from tumax import cli\n"
+            f"assert cli.run({argv!r}).exit_status == 0")
+        assert "tumax.certify" in loaded, argv
+        assert loaded.isdisjoint({"tumax.polytopes", "tumax.graphs",
+                                  "tumax.search", "tumax.lp",
+                                  "fractions"}), argv
 
 
 def test_no_tumax_module_imports_dataclasses_or_inspect():
