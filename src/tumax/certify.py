@@ -5,10 +5,11 @@ Two independent total-unimodularity oracles are provided: exhaustive
 minor enumeration (the ordered minor scan ``kernels.tu_violation``) and
 the Ghouila-Houri row-signing criterion, written here so that the two
 routes share no code path. ``is_totally_unimodular`` returns a verdict
-with the scan's first witness. ``tu_holds`` returns only the bool and
-never runs the scan; preparedness, unimodularity (and through it
-``polytopes.is_unimodular_polytope``) and the factor checks of ``sums``
-take it.
+with the scan's first witness. Callers that need only the bool
+(preparedness, unimodularity and through it
+``polytopes.is_unimodular_polytope``, the factor checks of ``sums``) take
+``ghouila_houri_check``, which never runs the scan. It is the one place
+that orients a matrix and tests ``GH_ROW_BUDGET``.
 """
 
 from itertools import combinations
@@ -91,12 +92,8 @@ def is_totally_unimodular(m, method="auto"):
     """
     method = _normalize_method(method)
     if method == "auto":
-        if m.rows + m.cols <= MINOR_SIZE_BUDGET:
-            method = METHOD_MINORS
-        elif m.rows <= GH_ROW_BUDGET:
-            method = METHOD_GH
-        else:
-            raise _over_both_budgets(m)
+        method = (METHOD_MINORS if m.rows + m.cols <= MINOR_SIZE_BUDGET
+                  else METHOD_GH)
     if method == METHOD_GH:
         return ghouila_houri_check(m)
     if m.rows + m.cols > MINOR_SIZE_BUDGET:
@@ -111,11 +108,10 @@ def is_totally_unimodular(m, method="auto"):
                      MinorWitness(tuple(rows), tuple(cols), value))
 
 
-def _over_both_budgets(m):
+def _past_gh_budget(subject, rows):
     return BudgetExceeded(
-        f"matrix size {m.rows}x{m.cols} exceeds both the minor budget "
-        f"(rows+cols <= {MINOR_SIZE_BUDGET}) and the Ghouila-Houri "
-        f"budget (rows <= {GH_ROW_BUDGET})")
+        f"{subject} {rows} rows on its smaller side, more than the "
+        f"Ghouila-Houri budget admits (rows <= {GH_ROW_BUDGET})")
 
 
 def ghouila_houri_check(m):
@@ -123,10 +119,14 @@ def ghouila_houri_check(m):
 
     Every subset of rows must admit a +-1 signing whose signed column
     sums stay in {-1,0,1}. Entries outside {-1,0,1} short-circuit to a
-    1x1 witness (the first in row-major order); a failing subset yields a
-    witness-free negative verdict. Subsets are tried by size, then in
-    lexicographic order, and each signing search fixes its first row to
-    +1, which loses nothing since negating a signing keeps its sums.
+    1x1 witness (the first in row-major order of m as given, at any
+    size); a failing subset yields a witness-free negative verdict. TU is
+    closed under transposition, so the criterion runs on whichever of m
+    and m^T has fewer rows, and raises ``BudgetExceeded``, naming the
+    shape of m, when that side has more than ``GH_ROW_BUDGET`` rows.
+    Subsets are tried by size, then in lexicographic order, and each
+    signing search fixes its first row to +1, which loses nothing since
+    negating a signing keeps its sums.
 
     The search decides every column at once. With s_j the signed sum of
     the rows placed so far and r_j what is left of column j (the sum of
@@ -140,26 +140,26 @@ def ghouila_houri_check(m):
     when its slack reaches 2. A step is one addition and one masked test
     of the top bits.
     """
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            if e not in (-1, 0, 1):
+                return TuVerdict(False, METHOD_GH, MinorWitness((i,), (j,), e))
+    given = f"matrix size {m.rows}x{m.cols} has"
+    if m.cols < m.rows:
+        m = m.transpose()
+    if m.rows > GH_ROW_BUDGET:
+        raise _past_gh_budget(given, m.rows)
     width = (m.rows + 2).bit_length() + 1  # T = 2**(width-1) > rows + 2
     top_bit = 1 << (width - 1)
     # fields 0..cols-1 hold s_j - r_j, fields cols..2*cols-1 hold -s_j - r_j
     shift = m.cols * width
     steps, left = [], []  # per row: its (+1, -1) steps, and its r_j in both
-    for i, row in enumerate(m.entries):
-        plus = minus = 0
-        for j, e in enumerate(row):
-            if e == 1:
-                plus |= 1 << (j * width)
-            elif e == -1:
-                minus |= 1 << (j * width)
-            elif e:
-                return TuVerdict(False, METHOD_GH, MinorWitness((i,), (j,), e))
+    for row in m.entries:
+        plus = sum(1 << (j * width) for j, e in enumerate(row) if e == 1)
+        minus = sum(1 << (j * width) for j, e in enumerate(row) if e == -1)
         steps.append((2 * (plus + (minus << shift)),
                       2 * (minus + (plus << shift))))
         left.append((plus + minus) * (1 + (1 << shift)))
-    if m.rows > GH_ROW_BUDGET:
-        raise BudgetExceeded(
-            f"Ghouila-Houri admits at most {GH_ROW_BUDGET} rows, got {m.rows}")
     ones = sum(1 << (f * width) for f in range(2 * m.cols))
     top = top_bit * ones
     base = (top_bit - 2) * ones
@@ -187,21 +187,6 @@ def ghouila_houri_check(m):
     return TuVerdict(True, METHOD_GH)
 
 
-def tu_holds(m):
-    """``is_totally_unimodular(m).is_tu`` for callers that need no witness.
-
-    It raises the ``BudgetExceeded`` of ``is_totally_unimodular`` in auto
-    mode, before reading any entry, and otherwise decides by Ghouila-Houri
-    on whichever of m and m^T has fewer rows. It never runs the ordered
-    minor scan, which exists to find the first witness.
-    """
-    if m.rows + m.cols > MINOR_SIZE_BUDGET and m.rows > GH_ROW_BUDGET:
-        raise _over_both_budgets(m)
-    if m.cols < m.rows:
-        m = m.transpose()
-    return ghouila_houri_check(m).is_tu
-
-
 def is_unimodular(m):
     """All order-m minors in {-1,0,1}; requires full row rank.
 
@@ -211,11 +196,10 @@ def is_unimodular(m):
     and each order-m minor of M is +-det B times a minor of N, so M is
     unimodular exactly when N is TU.
 
-    N is decided by ``tu_holds``, that is by Ghouila-Houri on N or N^T,
-    whichever has fewer rows; only a bool is returned, so no witness is
-    lost. When that smaller side has more than ``GH_ROW_BUDGET`` rows it
-    raises ``BudgetExceeded``, naming the shape of m, whatever the entries
-    of N.
+    N is decided by ``ghouila_houri_check``; only a bool is returned, so
+    no witness is lost. An entry of N outside {-1,0,1} decides at once;
+    otherwise, past ``GH_ROW_BUDGET`` rows on N's smaller side, it raises
+    ``BudgetExceeded``, naming the shape of m.
     """
     hnf, _, pivots = linsolve.row_hnf(m)
     if len(pivots) != m.rows:
@@ -226,20 +210,17 @@ def is_unimodular(m):
 
 def _hnf_is_unimodular(hnf, pivots, given):
     """``is_unimodular(m)`` from ``row_hnf(m)`` = (hnf, _, pivots), for m
-    of full row rank; ``given`` names the caller's input in the text of
-    the ``BudgetExceeded`` raised past the Ghouila-Houri budget."""
+    of full row rank. Ghouila-Houri's ``BudgetExceeded`` on N is raised
+    again with a text in which ``given`` names the caller's input."""
     if any(hnf.entries[k][p] != 1 for k, p in enumerate(pivots)):
         return False
     n = hnf.submatrix(range(hnf.rows),
                       [j for j in range(hnf.cols) if j not in pivots])
-    if n.rows > n.cols:
-        n = n.transpose()
-    if n.rows > GH_ROW_BUDGET:
-        raise BudgetExceeded(
-            f"{given}: its non-pivot block N has {n.rows} rows on its "
-            f"smaller side, more than the Ghouila-Houri budget admits "
-            f"(rows <= {GH_ROW_BUDGET})")
-    return tu_holds(n)
+    try:
+        return ghouila_houri_check(n).is_tu
+    except BudgetExceeded:
+        raise _past_gh_budget(f"{given}: its non-pivot block N has",
+                              min(n.rows, n.cols)) from None
 
 
 def w_valued_certificate(m, w):
@@ -278,11 +259,11 @@ def polytopal_certificate(m):
 def is_prepared(m):
     """Polytopal TU matrix with pairwise distinct columns.
 
-    TU is decided by ``tu_holds``, so past both TU budgets this raises the
-    ``BudgetExceeded`` of ``check tu`` in auto mode.
+    TU is decided by ``ghouila_houri_check``, so past ``GH_ROW_BUDGET``
+    rows on the smaller side of m this raises its ``BudgetExceeded``.
     """
     if not m.columns_distinct():
         return False
     if polytopal_certificate(m) is None:
         return False
-    return tu_holds(m)
+    return ghouila_houri_check(m).is_tu

@@ -120,12 +120,6 @@ def heller_family(m):
     return IntMatrix.from_columns(cols)
 
 
-def symmetric_closure(m):
-    """(M | -M | 0): closes a column set under negation and adds the origin."""
-    zero = IntMatrix.zeros(m.rows, 1)
-    return m.hstack(m.neg()).hstack(zero)
-
-
 def bipartite_extremal(m):
     """Complete-bipartite incidence matrix with one row removed.
 

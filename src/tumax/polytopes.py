@@ -106,13 +106,14 @@ def is_unimodular_polytope(ps):
     P is unimodular exactly when that matrix is. One row HNF of it gives
     the affine rank (its pivot count minus 1) and the verdict
     (``certify._hnf_is_unimodular``: every pivot 1 and the non-pivot
-    block N TU by the verdict-only ``certify.tu_holds``, which runs
-    Ghouila-Houri on the side of N with fewer rows). Past 20 rows on that
-    side it raises ``BudgetExceeded``, naming the number of points and
-    the dimension. A positive needs nothing more: convex position
-    follows from it. On a negative, the ordered scan of the (d+1)-subsets
-    names the first violating one as the witness, once an exact LP per
-    point has found no point inside the hull of the others.
+    block N TU by ``certify.ghouila_houri_check``, which runs on the side
+    of N with fewer rows). An entry of N outside {-1,0,1} decides at
+    once; otherwise, past 20 rows on that side, it raises
+    ``BudgetExceeded``, naming the number of points and the dimension.
+    A positive needs nothing more: convex position follows from it. On
+    a negative, the ordered scan of the (d+1)-subsets names the first
+    violating one as the witness, once an exact LP per point has found
+    no point inside the hull of the others.
     """
     n = len(ps.points)
     hnf, _, pivots = linsolve.row_hnf(

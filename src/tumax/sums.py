@@ -6,7 +6,7 @@ w-valuedness certificate of a composed matrix down to its factors.
 from typing import Optional
 
 from ._record import Record
-from .certify import Functional, tu_holds
+from .certify import Functional, ghouila_houri_check
 from .errors import FormatError, HypothesisError, PreconditionError, UsageError
 from .matrix import IntMatrix, int_vector
 
@@ -117,7 +117,7 @@ def _require_vec(vec, length, name):
 
 
 def _check_factor_tu(factor, what):
-    if not tu_holds(factor):
+    if not ghouila_houri_check(factor).is_tu:
         raise PreconditionError(f"{what} is not totally unimodular")
 
 
@@ -228,31 +228,6 @@ def compose(spec):
 
 def _neg(vec):
     return tuple(-x for x in vec)
-
-
-def one_sum(a, b):
-    """Block-diagonal composition (A 0; 0 B)."""
-    return compose(SumSpec("one-sum", a, b)).matrix
-
-
-def two_sum(a, u, v, b):
-    """(A uv^T; 0 B) from TU factors (A|u) and (v^T;B)."""
-    return compose(SumSpec("two-sum", a, b, u=tuple(u), v=tuple(v))).matrix
-
-
-def three_sum(a, u1, u2, u3, v1, v2, v3, b, c):
-    """(A C; 0 B) with glue rows/columns drawn from the +-u/+-v sets."""
-    return compose(SumSpec("three-sum", a, b,
-                           u1=tuple(u1), u2=tuple(u2), u3=tuple(u3),
-                           v1=tuple(v1), v2=tuple(v2), v3=tuple(v3),
-                           c=c)).matrix
-
-
-def delta_sum(a, u, u_prime, v, v_prime, b, x):
-    """(A u'v^T; v'u^T B) with x = +-1 in both factor matrices."""
-    return compose(SumSpec("delta-sum", a, b, u=tuple(u), v=tuple(v),
-                           u_prime=tuple(u_prime), v_prime=tuple(v_prime),
-                           x=x)).matrix
 
 
 class TransportedFactor(Record):

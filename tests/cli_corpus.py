@@ -113,6 +113,7 @@ def cases():
           "--method", "minors")
     check("tu", "both-budgets", _lines([[0]] * 21))
     check("tu", "gh-over-rows", _lines([[0]] * 21), "--method", "gh")
+    check("tu", "gh-over-both-sides", _lines(_identity(21)), "--method", "gh")
     check("tu", "bad-method", _lines(_identity(2)), "--method", "lp")
     check("tu", "empty-file", [])
     check("tu", "bad-header", ["2"])
@@ -140,6 +141,10 @@ def cases():
     check("unimodular", "rank-deficient", _lines([[1, 2], [2, 4]]))
     check("unimodular", "over-row-budget", _lines(
         _hstack(_identity(21), _identity(21))))
+    entry_2 = _identity(21)
+    entry_2[3][5] = 2
+    check("unimodular", "over-row-budget-entry-2", _lines(
+        _hstack(_identity(21), entry_2)))
 
     # check polytopal: certificates, rank deficiency, no columns, and a
     # 6 x 7 input whose HNF transform outgrows 64 bits
@@ -164,6 +169,7 @@ def cases():
     check("prepared", "duplicate-columns", _lines([[1, 1, 0], [0, 0, 1]]))
     check("prepared", "not-tu", _lines([[1, 1], [1, -1]]))
     check("prepared", "not-polytopal", _lines([[1, 2]]))
+    check("prepared", "tall-21x10", _lines([row[:10] for row in _identity(21)]))
 
     # check unimodular-polytope and verify vertex-bound: the same point
     # sets, full-dimensional or lifted, in or out of convex position

@@ -26,9 +26,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tumax"
 
 CERTIFY = "tests/test_certify.py::"
-TU_HOLDS = CERTIFY + "test_tu_holds_takes_the_auto_budget_and_the_smaller_side"
-WIDE_PREPARED = ("tests/test_cli.py::"
-                 "test_check_prepared_decides_a_wide_input_on_its_rows")
+CLI = "tests/test_cli.py::"
+FIRST_ENTRY = (CERTIFY + "test_gh_reports_the_first_entry_outside_the_signs_"
+               "at_any_height")
+
+# the head of ghouila_houri_check: the 1x1 scan of m as given, then the
+# orientation, then the one test of the row budget
+GH_SCAN = ("    for i, row in enumerate(m.entries):\n"
+           "        for j, e in enumerate(row):\n"
+           "            if e not in (-1, 0, 1):\n"
+           "                return TuVerdict(False, METHOD_GH, "
+           "MinorWitness((i,), (j,), e))\n")
+GH_ORIENT = ("    given = f\"matrix size {m.rows}x{m.cols} has\"\n"
+             "    if m.cols < m.rows:\n"
+             "        m = m.transpose()\n")
 
 MUTANTS = [
     {"name": "gh-suffix-bound-too-tight",
@@ -45,30 +56,37 @@ MUTANTS = [
                CERTIFY + "test_gh_matches_the_minor_table_oracle"]},
     {"name": "gh-row-budget-off-by-one",
      "file": "certify.py",
-     "snippet": ("    if m.rows > GH_ROW_BUDGET:\n"
-                 "        raise BudgetExceeded(\n"
-                 "            f\"Ghouila-Houri admits"),
+     "snippet": "    if m.rows > GH_ROW_BUDGET:\n        raise _past_gh_budget(",
      "replacement": ("    if m.rows >= GH_ROW_BUDGET:\n"
-                     "        raise BudgetExceeded(\n"
-                     "            f\"Ghouila-Houri admits"),
+                     "        raise _past_gh_budget("),
      "tests": [CERTIFY + "test_gh_decides_20_rows_and_raises_past_them"]},
-    {"name": "tu-holds-budget-joined-by-or",
-     "file": "certify.py",
-     "snippet": ("m.rows + m.cols > MINOR_SIZE_BUDGET and "
-                 "m.rows > GH_ROW_BUDGET"),
-     "replacement": ("m.rows + m.cols > MINOR_SIZE_BUDGET or "
-                     "m.rows > GH_ROW_BUDGET"),
-     "tests": [TU_HOLDS, WIDE_PREPARED]},
-    {"name": "tu-holds-orientation-inverted",
+    {"name": "gh-orientation-inverted",
      "file": "certify.py",
      "snippet": "    if m.cols < m.rows:\n        m = m.transpose()",
      "replacement": "    if m.cols > m.rows:\n        m = m.transpose()",
-     "tests": [TU_HOLDS, WIDE_PREPARED]},
-    {"name": "hnf-orientation-inverted",
+     "tests": [CERTIFY + "test_gh_runs_on_the_smaller_side",
+               CERTIFY + "test_is_unimodular_decides_n_on_its_smaller_side",
+               CLI + "test_check_prepared_decides_a_wide_input_on_its_rows",
+               CLI + "test_check_prepared_past_both_tu_budgets"]},
+    {"name": "gh-budget-before-the-1x1-scan",
      "file": "certify.py",
-     "snippet": "    if n.rows > n.cols:\n        n = n.transpose()",
-     "replacement": "    if n.rows < n.cols:\n        n = n.transpose()",
-     "tests": [CERTIFY + "test_is_unimodular_decides_n_on_its_smaller_side"]},
+     "snippet": GH_SCAN,
+     "replacement": ("    if min(m.rows, m.cols) > GH_ROW_BUDGET:\n"
+                     "        raise _past_gh_budget(\"matrix\", "
+                     "min(m.rows, m.cols))\n" + GH_SCAN),
+     "tests": [FIRST_ENTRY,
+               CLI + "test_check_unimodular_over_the_row_budget"]},
+    {"name": "gh-1x1-scan-after-the-transpose",
+     "file": "certify.py",
+     "snippet": GH_SCAN + GH_ORIENT,
+     "replacement": GH_ORIENT + GH_SCAN,
+     "tests": [FIRST_ENTRY]},
+    {"name": "hnf-pivot-test-admits-2",
+     "file": "certify.py",
+     "snippet": "if any(hnf.entries[k][p] != 1 for k, p in enumerate(pivots)):",
+     "replacement": "if any(hnf.entries[k][p] > 2 for k, p in enumerate(pivots)):",
+     "tests": [CERTIFY + "test_is_unimodular_examples",
+               CERTIFY + "test_is_unimodular_matches_maximal_minor_oracle"]},
 ]
 
 

@@ -13,7 +13,6 @@ from tumax.certify import (
     is_totally_unimodular,
     is_unimodular,
     polytopal_certificate,
-    tu_holds,
     w_valued_certificate,
 )
 from tumax.errors import BudgetExceeded, PreconditionError, UsageError
@@ -128,7 +127,8 @@ def test_gh_matches_the_minor_table_oracle():
     which shares no code with it: random sign matrices up to 7 x 9,
     network matrices with one sign flipped, both representations of R10,
     consecutive-ones matrices whose all-ones columns fill the narrowest
-    fields, and the empty and one-line shapes."""
+    fields, and the empty and one-line shapes; each also transposed, so
+    that the tall shapes up to 9 x 7 are decided on their columns."""
     rng = random.Random(59)
     cases = [sporadic_5x5(1), sporadic_5x5(2)]
     for n in range(4):
@@ -147,45 +147,55 @@ def test_gh_matches_the_minor_table_oracle():
         cases.append(_flip_one_sign(rng, random_tu_matrix(
             rng, rng.randint(2, 7), rng.randint(2, 9))))
     seen = {True: 0, False: 0}
-    for m in cases:
+    for m in cases + [m.transpose() for m in cases]:
         expected = is_tu_by_minor_table(m.to_lists())
         assert ghouila_houri_check(m).is_tu == expected, m
-        assert tu_holds(m) == expected, m
         seen[expected] += 1
-    assert min(seen.values()) >= 100, seen
+    assert min(seen.values()) >= 200, seen
 
 
 def test_gh_reports_the_first_entry_outside_the_signs_at_any_height():
+    """Two entries outside the signs, (1, 1) first in row-major order and
+    (2, 0) first in column-major order: the witness is the row-major first
+    one in the 3 x 3 input, in the tall 5 x 3 and 21 x 3 inputs that are
+    decided on their columns, and in a 21 x 22 input past the budget on
+    both sides, where it comes before the budget."""
     rows = [[1, 0, 1], [0, -2, 1], [2, 1, 0]]
-    for pad in (0, 18):  # 3 rows, and 21: the witness comes before the budget
-        v = ghouila_houri_check(IntMatrix.from_rows(rows + [[0, 0, 0]] * pad))
+    for pad_rows, pad_cols in ((0, 0), (2, 0), (18, 0), (18, 19)):
+        padded = [row + [0] * pad_cols for row in rows]
+        padded += [[0] * (3 + pad_cols)] * pad_rows
+        v = ghouila_houri_check(IntMatrix.from_rows(padded))
         assert v == certify.TuVerdict(False, certify.METHOD_GH,
                                       certify.MinorWitness((1,), (1,), -2))
 
 
 def test_gh_decides_20_rows_and_raises_past_them():
-    rows = [[1, 1], [1, -1]] + [[0, 0]] * 18
-    assert not ghouila_houri_check(IntMatrix.from_rows(rows)).is_tu
+    """20 rows on the smaller side are decided, as in a 20 x 20 and a
+    21 x 20 input; a 21 x 21 input raises, naming its shape."""
+    square = [[1, 1] + [0] * 18, [1, -1] + [0] * 18] + [[0] * 20] * 18
+    assert not ghouila_houri_check(IntMatrix.from_rows(square)).is_tu
+    assert not ghouila_houri_check(
+        IntMatrix.from_rows(square + [[0] * 20])).is_tu
     with pytest.raises(BudgetExceeded, match=(
-            r"^Ghouila-Houri admits at most 20 rows, got 21$")):
-        ghouila_houri_check(IntMatrix.from_rows(rows + [[0, 0]]))
+            r"^matrix size 21x21 has 21 rows on its smaller side, more than "
+            r"the Ghouila-Houri budget admits \(rows <= 20\)$")):
+        ghouila_houri_check(IntMatrix.from_rows(
+            [row + [0] for row in square + [[0] * 20]]))
 
 
-def test_tu_holds_takes_the_auto_budget_and_the_smaller_side():
-    """Past both budgets it raises what ``is_totally_unimodular`` raises in
-    auto mode, as on a 21 x 10 input; otherwise Ghouila-Houri runs on the
-    side with fewer rows, as on a 10 x 21 or a 20 x 5 input."""
-    for shape in ((21, 1), (21, 10)):
-        m = IntMatrix.zeros(*shape)
-        with pytest.raises(BudgetExceeded) as auto:
-            is_totally_unimodular(m)
-        with pytest.raises(BudgetExceeded) as verdict_only:
-            tu_holds(m)
-        assert str(verdict_only.value) == str(auto.value)
+def test_gh_runs_on_the_smaller_side():
+    """Ghouila-Houri runs on whichever of m and m^T has fewer rows, in auto
+    mode past the minor budget too: a 21 x 1, 21 x 10, 10 x 21 or 20 x 5
+    input is decided."""
+    for shape in ((21, 1), (21, 10), (20, 5)):
+        for m in (IntMatrix.zeros(*shape), IntMatrix.zeros(*shape[::-1])):
+            assert is_totally_unimodular(m) == certify.TuVerdict(
+                True, certify.METHOD_GH)
     wide = bipartite_extremal(10).submatrix(range(10), range(21))
-    assert tu_holds(wide)
-    assert tu_holds(IntMatrix.zeros(20, 5))
-    assert not tu_holds(_flip_one_sign(random.Random(60), wide))
+    near_miss = _flip_one_sign(random.Random(60), wide)
+    for m, expected in ((wide, True), (near_miss, False)):
+        assert ghouila_houri_check(m).is_tu == expected
+        assert ghouila_houri_check(m.transpose()).is_tu == expected
 
 
 def test_is_unimodular_decides_n_on_its_smaller_side():
@@ -202,9 +212,12 @@ def test_budget_errors():
     assert is_totally_unimodular(wide, "ghouila-houri").is_tu
     tall = IntMatrix.zeros(21, 2)
     with pytest.raises(BudgetExceeded):
-        is_totally_unimodular(tall, "ghouila-houri")
-    with pytest.raises(BudgetExceeded):
-        is_totally_unimodular(tall)  # auto finds no admissible method
+        is_totally_unimodular(tall, "minor-enumeration")
+    assert is_totally_unimodular(tall, "ghouila-houri").is_tu
+    square = IntMatrix.zeros(21, 21)
+    for method in ("auto", "ghouila-houri"):
+        with pytest.raises(BudgetExceeded):
+            is_totally_unimodular(square, method)
 
 
 def test_identity_with_block_iff_block_quick():

@@ -215,17 +215,22 @@ def test_check_unimodular_past_the_order_m_minor_count(tmp_path):
 
 @pytest.mark.parametrize("n_entries", [[], [(3, 5, 2)]])
 def test_check_unimodular_over_the_row_budget(tmp_path, capsys, n_entries):
-    """(I_21 | N) leaves a 21 x 21 block N, past the Ghouila-Houri budget,
-    so the check exits 3 whatever N's entries. The text names the 21 x 42
-    input and only the Ghouila-Houri budget."""
+    """(I_21 | N) leaves a 21 x 21 block N, past the Ghouila-Houri budget.
+    With N = I the check exits 3, with a text that names the 21 x 42 input
+    and only the Ghouila-Houri budget. An entry 2 in N is a 1 x 1 minor
+    outside the signs, which decides before the budget: not unimodular."""
     n = IntMatrix.identity(21).to_lists()
     for i, j, value in n_entries:
         n[i][j] = value
     m = IntMatrix.identity(21).hstack(IntMatrix.from_rows(n))
     path = _write(tmp_path, "wide.txt", m.to_text())
-    assert main(["check", "unimodular", path]) == EXIT_BUDGET
+    status = main(["check", "unimodular", path])
     captured = capsys.readouterr()
-    assert captured.out == ""
+    if n_entries:
+        assert (status, captured.err) == (EXIT_FAIL, "")
+        assert json.loads(captured.out)["result"] == {"is_unimodular": False}
+        return
+    assert (status, captured.out) == (EXIT_BUDGET, "")
     assert captured.err == (
         "budget exceeded: matrix size 21x42: its non-pivot block N has 21 "
         "rows on its smaller side, more than the Ghouila-Houri budget admits "
@@ -263,18 +268,34 @@ def test_verdict_only_commands_run_no_minor_scan(tmp_path, monkeypatch):
     assert calls == [5]
 
 
-@pytest.mark.parametrize("cols", [1, 10])
-def test_check_prepared_past_both_tu_budgets(tmp_path, capsys, cols):
-    """Columns e_1 .. e_cols of Z^21 are distinct and polytopal, so their TU
-    check decides: past both budgets, with the text of ``check tu``."""
+@pytest.mark.parametrize("cols", [1, 3, 10])
+def test_check_prepared_past_both_tu_budgets(tmp_path, cols):
+    """Columns e_1 .. e_cols of Z^21: past the minor budget, and 21 rows
+    as given, but Ghouila-Houri decides them on their columns. So ``check
+    tu`` (auto and ``--method gh``) answers TU, and ``check prepared``
+    answers prepared, since the columns are distinct and polytopal."""
     m = IntMatrix.identity(21).submatrix(range(21), range(cols))
     path = _write(tmp_path, "tall.txt", m.to_text())
-    assert main(["check", "prepared", path]) == EXIT_BUDGET
+    for method in ([], ["--method", "gh"]):
+        rep = run(["check", "tu", path, *method])
+        assert (rep.exit_status, rep.result) == (EXIT_OK, {
+            "is_tu": True, "method": "ghouila-houri", "witness": None})
+    rep = run(["check", "prepared", path])
+    assert (rep.exit_status, rep.result) == (EXIT_OK, {"prepared": True})
+
+
+@pytest.mark.parametrize("argv", [["tu"], ["tu", "--method", "gh"],
+                                  ["prepared"]])
+def test_21_rows_on_both_sides_exit_3_with_one_text(tmp_path, capsys, argv):
+    """I_21 has 21 rows on its smaller side: every verdict-only route and
+    ``check tu`` exit 3 with Ghouila-Houri's one text, naming the shape."""
+    path = _write(tmp_path, "square.txt", IntMatrix.identity(21).to_text())
+    assert main(["check", argv[0], path, *argv[1:]]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"budget exceeded: matrix size 21x{cols} exceeds both the minor "
-        "budget (rows+cols <= 16) and the Ghouila-Houri budget (rows <= 20)\n")
+        "budget exceeded: matrix size 21x21 has 21 rows on its smaller side, "
+        "more than the Ghouila-Houri budget admits (rows <= 20)\n")
 
 
 def test_check_prepared_decides_a_wide_input_on_its_rows(tmp_path):

@@ -16,7 +16,6 @@ from tumax.families import (
     is_sporadic,
     sporadic_5x5,
     sporadic_5x10,
-    symmetric_closure,
     verify_extralemma,
 )
 from tumax.matrix import IntMatrix
@@ -80,15 +79,20 @@ def test_heller_family_shapes_and_certification():
         assert is_totally_unimodular(heller_family(m), "gh").is_tu
 
 
+def _symmetric_closure(m):
+    """(M | -M | 0): m's columns closed under negation, and the origin."""
+    return m.hstack(m.neg()).hstack(IntMatrix.zeros(m.rows, 1))
+
+
 def test_symmetric_closure():
     one = IntMatrix.from_rows([[1]])
-    assert symmetric_closure(one).columns() == [(1,), (-1,), (0,)]
+    assert _symmetric_closure(one).columns() == [(1,), (-1,), (0,)]
     rng = random.Random(20)
     from helpers import random_tu_matrix
 
     for _ in range(30):
         m = random_tu_matrix(rng, 3, 3)
-        closed = symmetric_closure(m)
+        closed = _symmetric_closure(m)
         assert is_totally_unimodular(closed).is_tu
         cols = set(m.columns())
         if (len(cols) == m.cols and (0,) * 3 not in cols

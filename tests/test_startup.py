@@ -56,8 +56,8 @@ def test_check_tu_loads_certify_and_no_other_command_module(tmp_path):
 
 def test_verdict_only_commands_load_no_other_command_module(tmp_path):
     """``check prepared`` and ``sum two`` decide TU through
-    ``certify.tu_holds``, which loads none of the polytope, graph, search
-    or LP modules, nor ``fractions``."""
+    ``certify.ghouila_houri_check``, which loads none of the polytope,
+    graph, search or LP modules, nor ``fractions``."""
     from specgen import random_spec
 
     prepared = tmp_path / "p.txt"

@@ -9,23 +9,20 @@ from tumax.certify import Functional, is_totally_unimodular, polytopal_certifica
 from tumax.errors import HypothesisError, PreconditionError, UsageError
 from tumax.families import bipartite_extremal
 from tumax.matrix import IntMatrix
-from tumax.sums import (
-    SumSpec,
-    compose,
-    delta_sum,
-    one_sum,
-    three_sum,
-    transport_functional,
-    two_sum,
-)
+from tumax.sums import SumSpec, compose, transport_functional
 
 from specgen import random_certificate, random_spec
 
 
+def _one_sum(a, b):
+    return compose(SumSpec("one-sum", a, b)).matrix
+
+
 def test_one_sum_identities():
-    assert one_sum(IntMatrix.identity(2), IntMatrix.identity(3)) == IntMatrix.identity(5)
+    assert (_one_sum(IntMatrix.identity(2), IntMatrix.identity(3))
+            == IntMatrix.identity(5))
     a = IntMatrix.from_rows([[1, -1], [0, 1]])
-    assert one_sum(a, IntMatrix(0, 0, ())) == a
+    assert _one_sum(a, IntMatrix(0, 0, ())) == a
 
 
 def test_two_sum_block_structure():
@@ -33,7 +30,7 @@ def test_two_sum_block_structure():
     u = (1, -1)
     v = (1, 1, 0)
     b = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1]])
-    m = two_sum(a, u, v, b)
+    m = compose(SumSpec("two-sum", a, b, u=u, v=v)).matrix
     assert m.to_lists() == [
         [1, 0, 1, 1, 0],
         [0, 1, -1, -1, 0],
@@ -45,15 +42,16 @@ def test_two_sum_block_structure():
 def test_two_sum_zero_u_reduces_to_block_diagonal():
     a = IntMatrix.identity(2)
     b = IntMatrix.identity(2)
-    m = two_sum(a, (0, 0), (1, 0), b)
-    assert m == one_sum(a, b)
+    m = compose(SumSpec("two-sum", a, b, u=(0, 0), v=(1, 0))).matrix
+    assert m == _one_sum(a, b)
 
 
 def test_two_sum_adds_standard_basis_column():
     prepared = bipartite_extremal(3)
     v = prepared.row(0)
     b = prepared.submatrix(range(1, 3), range(4))
-    m = two_sum(IntMatrix.from_rows([[1]]), (1,), v, b)
+    m = compose(SumSpec("two-sum", IntMatrix.from_rows([[1]]), b,
+                        u=(1,), v=v)).matrix
     assert m.col(0) == (1, 0, 0)
     assert m.submatrix(range(3), range(1, 5)) == prepared
     assert is_totally_unimodular(m).is_tu
@@ -63,7 +61,8 @@ def test_two_sum_adds_standard_basis_column():
 def test_two_sum_rejects_non_tu_factor():
     bad = IntMatrix.from_rows([[1, 1], [1, -1]])  # (A|u) with 2x2 minor -2
     with pytest.raises(PreconditionError):
-        two_sum(bad.submatrix(range(2), [0]), bad.col(1), (1,), IntMatrix.identity(1))
+        compose(SumSpec("two-sum", bad.submatrix(range(2), [0]),
+                        IntMatrix.identity(1), u=bad.col(1), v=(1,)))
 
 
 FACTOR_NAMES = {
@@ -97,7 +96,7 @@ def test_three_sum_zero_glue_is_block_diagonal():
     spec0 = SumSpec("three-sum", spec.a, spec.b, u1=spec.u1, u2=spec.u2,
                     u3=spec.u3, v1=spec.v1, v2=spec.v2, v3=spec.v3, c=zero)
     got = compose(spec0)
-    assert got.matrix == one_sum(spec.a, spec.b)
+    assert got.matrix == _one_sum(spec.a, spec.b)
     assert got.report.two_sum_shaped is False
 
 
@@ -124,15 +123,18 @@ def test_three_sum_validation_errors():
     bad_c = IntMatrix.from_rows([[7] * spec.b.cols
                                  for _ in range(spec.a.rows)])
     with pytest.raises(UsageError):
-        three_sum(spec.a, spec.u1, spec.u2, spec.u3,
-                  spec.v1, spec.v2, spec.v3, spec.b, bad_c)
+        compose(SumSpec("three-sum", spec.a, spec.b, u1=spec.u1, u2=spec.u2,
+                        u3=spec.u3, v1=spec.v1, v2=spec.v2, v3=spec.v3,
+                        c=bad_c))
     with pytest.raises(UsageError):
-        three_sum(spec.a, spec.u1, spec.u2, spec.u1,
-                  spec.v1, spec.v2, spec.v3, spec.b, spec.c)
+        compose(SumSpec("three-sum", spec.a, spec.b, u1=spec.u1, u2=spec.u2,
+                        u3=spec.u1, v1=spec.v1, v2=spec.v2, v3=spec.v3,
+                        c=spec.c))
     small = IntMatrix.identity(1)
     with pytest.raises(UsageError):
-        three_sum(small, (1,), (-1,), (0,), spec.v1, spec.v2, spec.v3,
-                  spec.b, IntMatrix.zeros(1, spec.b.cols))
+        compose(SumSpec("three-sum", small, spec.b, u1=(1,), u2=(-1,),
+                        u3=(0,), v1=spec.v1, v2=spec.v2, v3=spec.v3,
+                        c=IntMatrix.zeros(1, spec.b.cols)))
 
 
 def test_delta_sum_block_structure_and_x_cases():
@@ -155,17 +157,24 @@ def test_delta_sum_block_structure_and_x_cases():
 def test_delta_sum_zero_u_vprime_gives_block_triangles():
     a = IntMatrix.identity(2)
     b = IntMatrix.identity(2)
-    m = delta_sum(a, (0, 0), (1, 0), (0, 1), (0, 0), b, 1)
+    m = compose(SumSpec("delta-sum", a, b, u=(0, 0), u_prime=(1, 0),
+                        v=(0, 1), v_prime=(0, 0), x=1)).matrix
     for i in range(2):
         for j in range(2):
             assert m[2 + i, j] == 0
+
+
+def _with_x(spec, x):
+    """The delta-sum ``spec`` with x replaced."""
+    return SumSpec("delta-sum", spec.a, spec.b, u=spec.u, v=spec.v,
+                   u_prime=spec.u_prime, v_prime=spec.v_prime, x=x)
 
 
 def test_delta_sum_rejects_bad_x():
     rng = random.Random(54)
     spec = random_spec(rng, "delta-sum")
     with pytest.raises(UsageError):
-        delta_sum(spec.a, spec.u, spec.u_prime, spec.v, spec.v_prime, spec.b, 2)
+        compose(_with_x(spec, 2))
 
 
 def test_three_sum_incoherent_glue_is_not_tu():
@@ -328,8 +337,7 @@ def test_compose_vectors_accept_only_integers():
     rng = random.Random(62)
     spec = random_spec(rng, "delta-sum")
     with pytest.raises(UsageError, match="x must be"):
-        delta_sum(spec.a, spec.u, spec.u_prime, spec.v, spec.v_prime, spec.b,
-                  True)
+        compose(_with_x(spec, True))
 
 
 def test_transport_f_and_w_accept_only_integers():
