@@ -58,6 +58,10 @@ class Record:
     def __hash__(self):
         return hash(self._key(self))
 
+    def to_json_dict(self):
+        """The fields by name, in the order the class declares them."""
+        return {f: getattr(self, f) for f in self._fields}
+
     def __repr__(self):
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({inner})"

@@ -3,6 +3,10 @@ extension, and path-pattern analysis on trees.
 
 Arc order is significant everywhere: tree arcs fix the row order of a
 network matrix and digraph arcs fix its column order.
+
+Every tree computation walks one rooted orientation, whose DFS is also the
+tree test: network-matrix columns and path patterns come from one signed
+walk up it from the two ends of a path.
 """
 
 from functools import cached_property
@@ -21,7 +25,7 @@ class ArcGraph(Record):
 
     @staticmethod
     def from_arcs(vertices, arcs):
-        arcs = tuple(int_vector(arc, "arcs") for arc in arcs)
+        arcs = tuple(_pair(arc, "arc") for arc in arcs)
         if type(vertices) is not int or vertices < 0:
             raise UsageError(f"vertex count must be a nonnegative integer, "
                              f"got {vertices!r}")
@@ -32,33 +36,9 @@ class ArcGraph(Record):
 
     def is_tree(self):
         """Underlying undirected graph is a tree spanning all vertices."""
-        return self._spanning_tree
+        return self._rooted is not None
 
-    # The instance is immutable, so the tree test and the rooted
-    # orientation are computed on first use and kept with it.
-    @cached_property
-    def _spanning_tree(self):
-        if len(self.arcs) != self.vertices - 1:
-            return False
-        if self.vertices <= 1:
-            return True
-        adj = [[] for _ in range(self.vertices)]
-        for a, b in self.arcs:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = [False] * self.vertices
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.vertices
-
+    # the instance is immutable, so its orientation is kept once computed
     @cached_property
     def _rooted(self):
         return _rooted_orientation(self)
@@ -120,15 +100,26 @@ def parse_paths_text(text):
     return paths
 
 
-def _rooted_orientation(tree):
-    """Parent pointers and parent-arc signs for the tree rooted at vertex 0.
+def _pair(values, name):
+    """``values`` as a pair of ints, or UsageError."""
+    pair = int_vector(values, name)
+    if len(pair) != 2:
+        raise UsageError(f"{name} must be a pair of vertices, got {pair!r}")
+    return pair
+
+
+def _rooted_orientation(graph):
+    """Parent pointers and parent-arc signs of the graph as a tree rooted at
+    vertex 0, or None when it is no tree spanning all its vertices.
 
     psign[v] is +1 when the tree arc between v and parent[v] is directed
     v -> parent[v] (so walking up crosses it forwards).
     """
-    n = tree.vertices
+    n = graph.vertices
+    if len(graph.arcs) != n - 1:
+        return None
     adj = [[] for _ in range(n)]
-    for idx, (a, b) in enumerate(tree.arcs):
+    for idx, (a, b) in enumerate(graph.arcs):
         adj[a].append((b, idx, 1))
         adj[b].append((a, idx, -1))
     parent = [-1] * n
@@ -136,21 +127,39 @@ def _rooted_orientation(tree):
     psign = [0] * n
     depth = [0] * n
     seen = [False] * n
-    if n:
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for (w, idx, sign) in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    parc[w] = idx
-                    # ``sign`` is for crossing v -> w; walking up is opposite
-                    psign[w] = -sign
-                    depth[w] = depth[v] + 1
-                    stack.append(w)
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for (w, idx, sign) in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                parent[w] = v
+                parc[w] = idx
+                # ``sign`` is for crossing v -> w; walking up is opposite
+                psign[w] = -sign
+                depth[w] = depth[v] + 1
+                stack.append(w)
+    # n - 1 arcs reaching all n vertices make a tree
+    if reached != n:
+        return None
     return tuple(parent), tuple(parc), tuple(psign), tuple(depth)
+
+
+def _tree_path(rooted, s, t):
+    """(arc index, sign) for each tree arc on the s-t path of a rooted
+    orientation; the sign is +1 when the path crosses the arc along it."""
+    parent, parc, psign, depth = rooted
+    a, b = s, t
+    while a != b:
+        if depth[a] >= depth[b]:
+            yield parc[a], psign[a]
+            a = parent[a]
+        else:
+            yield parc[b], -psign[b]
+            b = parent[b]
 
 
 def network_matrix(tree, digraph):
@@ -164,19 +173,12 @@ def network_matrix(tree, digraph):
         raise StructureError("first argument must be a spanning directed tree")
     if digraph.vertices > tree.vertices:
         raise UsageError("digraph vertex set exceeds the tree's")
-    parent, parc, psign, depth = tree._rooted
     nrows = len(tree.arcs)
     cols = []
     for (s, t) in digraph.arcs:
         col = [0] * nrows
-        a, b = s, t
-        while a != b:
-            if depth[a] >= depth[b]:
-                col[parc[a]] = psign[a]
-                a = parent[a]
-            else:
-                col[parc[b]] = -psign[b]
-                b = parent[b]
+        for idx, sign in _tree_path(tree._rooted, s, t):
+            col[idx] = sign
         cols.append(col)
     return IntMatrix.from_columns(cols, rows=nrows)
 
@@ -214,50 +216,20 @@ def transpose_extension(mprime, tree, digraph):
     return TransposeExtension(result, ext_tree, ext_digraph)
 
 
-class Pattern(Record):
-    """Subset of path indices using some tree edge, as a bitset over [m]."""
-
-    mask: int
-    npaths: int
-
-    def members(self):
-        return tuple(j for j in range(self.npaths) if self.mask >> j & 1)
-
-    def size(self):
-        return bin(self.mask).count("1")
-
-    def is_odd(self):
-        return self.size() % 2 == 1
-
-
-def _path_arc_indices(tree, parent, parc, depth, s, t):
-    idxs = []
-    a, b = s, t
-    while a != b:
-        if depth[a] >= depth[b]:
-            idxs.append(parc[a])
-            a = parent[a]
-        else:
-            idxs.append(parc[b])
-            b = parent[b]
-    return idxs
-
-
 def edge_patterns(tree, paths):
-    """Distinct nonempty patterns of the given endpoint pairs on a tree."""
-    return {Pattern(mask, len(paths)) for mask in _edge_masks(tree, paths)}
+    """The distinct nonempty patterns of the given endpoint pairs on a tree.
 
-
-def _edge_masks(tree, paths):
-    """The distinct nonzero pattern masks of ``edge_patterns``."""
+    The pattern of a tree arc is the set of paths through it, as a mask
+    whose bit j stands for path j: a Python int, so of any width.
+    """
     if not tree.is_tree():
         raise StructureError("pattern analysis requires a tree")
-    parent, parc, psign, depth = tree._rooted
     masks = [0] * len(tree.arcs)
-    for j, (s, t) in enumerate(paths):
+    for j, path in enumerate(paths):
+        s, t = _pair(path, "path")
         if not (0 <= s < tree.vertices and 0 <= t < tree.vertices):
             raise UsageError(f"path endpoint ({s},{t}) not a tree vertex")
-        for idx in _path_arc_indices(tree, parent, parc, depth, s, t):
+        for idx, _ in _tree_path(tree._rooted, s, t):
             masks[idx] |= 1 << j
     return set(masks) - {0}
 
@@ -271,9 +243,6 @@ class PatternReport(Record):
     odd_bound: Optional[int]
     odd_bound_ok: Optional[bool]
 
-    def to_json_dict(self):
-        return self.__dict__.copy()
-
 
 def verify_pattern_bounds(tree, paths):
     """Count distinct (odd) patterns against the 3m-3 and 3m-5 bounds.
@@ -283,7 +252,7 @@ def verify_pattern_bounds(tree, paths):
     fields are None.
     """
     m = len(paths)
-    masks = _edge_masks(tree, paths)
+    masks = edge_patterns(tree, paths)
     count = len(masks)
     odd = sum(mask.bit_count() & 1 for mask in masks)
     bound = 3 * m - 3 if m >= 2 else None
@@ -333,9 +302,6 @@ class NetworkColumnReport(Record):
     equality: bool
     ok: Optional[bool]
 
-    def to_json_dict(self):
-        return self.__dict__.copy()
-
 
 def verify_network_column_bound(tree, digraph):
     """Check |A| <= (|A0|+1)^2/4 for applicable instances.
@@ -369,9 +335,6 @@ class TransposeRowReport(Record):
     distinct_pos_odd_rows: int
     odd_bound: Optional[int]
     odd_ok: Optional[bool]
-
-    def to_json_dict(self):
-        return self.__dict__.copy()
 
 
 def verify_transpose_row_bound(m):

@@ -126,10 +126,6 @@ class IntMatrix(Record):
         return IntMatrix(self.cols, self.rows,
                          tuple(self.col(j) for j in range(self.cols)))
 
-    def neg(self):
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-e for e in row) for row in self.entries))
-
     def submatrix(self, row_idx, col_idx):
         ri = as_index_set(row_idx, self.rows, "row")
         ci = as_index_set(col_idx, self.cols, "column")

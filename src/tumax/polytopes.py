@@ -529,9 +529,6 @@ class VertexBoundReport(Record):
     ok: bool
     tight: bool
 
-    def to_json_dict(self):
-        return self.__dict__.copy()
-
 
 def vertex_bound_check(ps):
     """Vertex count of a certified unimodular polytope against its bound."""

@@ -322,6 +322,19 @@ def _network_cases(out):
     network("build", "not-a-tree", {"tree.txt": cycle, "digraph.txt": path})
     network("patterns", "not-a-tree", {"tree.txt": cycle,
                                        "paths.txt": ["0 1"]})
+    # n - 1 arcs that are no tree: a triangle beside an isolated vertex,
+    # and a self-loop; no vertex is no tree, while one vertex is one
+    triangle = _graph(4, [(0, 1), (1, 2), (2, 0)])
+    network("build", "isolated-vertex",
+            {"tree.txt": triangle, "digraph.txt": _graph(4, [(0, 3)])})
+    network("patterns", "isolated-vertex",
+            {"tree.txt": triangle, "paths.txt": ["0 1"]})
+    network("build", "self-loop",
+            {"tree.txt": _graph(2, [(1, 1)]), "digraph.txt": _graph(2, [])})
+    network("build", "no-vertices",
+            {"tree.txt": _graph(0, []), "digraph.txt": _graph(0, [])})
+    network("patterns", "one-vertex",
+            {"tree.txt": _graph(1, []), "paths.txt": ["0 0"]})
     network("build", "digraph-too-big",
             {"tree.txt": path, "digraph.txt": _graph(5, [(0, 4)])})
     network("patterns", "endpoint-out-of-range",

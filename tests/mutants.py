@@ -11,8 +11,9 @@ under a temporary directory, and run its tests there:
     python tests/mutants.py [NAME ...]
 
 It prints each mutant as killed or SURVIVED, and exits 1 when one
-survives. A survivor is a weakness of the tests: fix the tests, never
-the entry.
+survives. A run that outlasts the entry's ``timeout`` (600 s unless the
+entry sets one) counts as killed: a mutant that loops forever. A
+survivor is a weakness of the tests: fix the tests, never the entry.
 """
 
 import os
@@ -27,6 +28,9 @@ SRC = ROOT / "src" / "tumax"
 
 CERTIFY = "tests/test_certify.py::"
 CLI = "tests/test_cli.py::"
+GRAPHS = "tests/test_graphs.py::"
+KERNELS = "tests/test_kernels.py::"
+CORPUS = CLI + "test_cli_corpus_replays_byte_for_byte"
 FIRST_ENTRY = (CERTIFY + "test_gh_reports_the_first_entry_outside_the_signs_"
                "at_any_height")
 
@@ -87,6 +91,51 @@ MUTANTS = [
      "replacement": "if any(hnf.entries[k][p] > 2 for k, p in enumerate(pivots)):",
      "tests": [CERTIFY + "test_is_unimodular_examples",
                CERTIFY + "test_is_unimodular_matches_maximal_minor_oracle"]},
+    {"name": "tree-path-b-side-sign-flipped",
+     "file": "graphs.py",
+     "snippet": "yield parc[b], -psign[b]",
+     "replacement": "yield parc[b], psign[b]",
+     "tests": [GRAPHS + "test_network_matrix_tree_arc_columns",
+               GRAPHS + "test_network_matrix_against_bfs_oracle"]},
+    {"name": "tree-test-without-the-reached-count",
+     "file": "graphs.py",
+     "snippet": "    if reached != n:\n        return None\n",
+     "replacement": "",
+     "tests": [GRAPHS + "test_is_tree_matches_the_union_find_oracle", CORPUS]},
+    {"name": "tree-test-without-the-arc-count",
+     "file": "graphs.py",
+     "snippet": "    if len(graph.arcs) != n - 1:\n        return None\n",
+     "replacement": "",
+     "tests": [GRAPHS + "test_is_tree_matches_the_union_find_oracle", CORPUS]},
+    {"name": "tu-violation-scans-large-minors-first",
+     "file": "_pykernels.py",
+     "snippet": "    for k in range(2, min(nrows, ncols) + 1):",
+     "replacement": "    for k in range(min(nrows, ncols), 1, -1):",
+     "tests": [KERNELS + "test_tu_violation_witness_matches_oracle"]},
+    {"name": "max-tu-subset-keeps-a-stale-memo",
+     "file": "_pykernels.py",
+     "snippet": "        known[k + 1:] = [{}]",
+     "replacement": "        known[k + 1:] = known[k + 1:] or [{}]",
+     "tests": [KERNELS + "test_max_tu_subset_matches_reference_dfs"]},
+    {"name": "bland-tie-break-takes-the-largest-basis-index",
+     "file": "lp.py",
+     "snippet": "and basis[i] < basis[leaving]):",
+     "replacement": "and basis[i] > basis[leaving]):",
+     "tests": ["tests/test_lp.py::"
+               "test_feasible_nonneg_ends_on_a_degenerate_system"],
+     "timeout": 60},
+    {"name": "lattice-isomorphic-without-the-profile-filter",
+     "file": "polytopes.py",
+     "snippet": ("    if sorted(p_profiles) != sorted(q_profiles):\n"
+                 "        return False\n"),
+     "replacement": "",
+     "tests": ["tests/test_polytopes.py::"
+               "test_classify_isomorphism_work_is_pinned"]},
+    {"name": "no-broken-pipe-catch",
+     "file": "cli.py",
+     "snippet": "    except BrokenPipeError:",
+     "replacement": "    except ConnectionResetError:",
+     "tests": [CLI + "test_reader_closing_early_leaves_the_exit_status"]},
 ]
 
 
@@ -109,7 +158,8 @@ def _run(mutant, workdir):
         status = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
              "no:cacheprovider", *mutant["tests"]],
-            cwd=workdir, env=env, capture_output=True, timeout=600).returncode
+            cwd=workdir, env=env, capture_output=True,
+            timeout=mutant.get("timeout", 600)).returncode
     except subprocess.TimeoutExpired:
         return "killed"  # by the timeout
     return {0: "SURVIVED", 1: "killed"}.get(status, "error")

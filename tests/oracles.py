@@ -237,6 +237,24 @@ def tree_path_arcs_bfs(nvertices, arcs, s, t):
     return path
 
 
+def is_spanning_tree(nvertices, arcs):
+    """Union-find: the arcs join all vertices and no arc closes a cycle.
+    The graph with no vertices is no tree."""
+    root = list(range(nvertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in arcs:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        root[ra] = rb
+    return nvertices >= 1 and len({find(v) for v in range(nvertices)}) == 1
+
+
 def network_column_bfs(nvertices, tree_arcs, s, t):
     """Network-matrix column for digraph arc s->t via the BFS path oracle."""
     col = [0] * len(tree_arcs)

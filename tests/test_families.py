@@ -81,7 +81,9 @@ def test_heller_family_shapes_and_certification():
 
 def _symmetric_closure(m):
     """(M | -M | 0): m's columns closed under negation, and the origin."""
-    return m.hstack(m.neg()).hstack(IntMatrix.zeros(m.rows, 1))
+    neg = IntMatrix(m.rows, m.cols,
+                    tuple(tuple(-e for e in row) for row in m.entries))
+    return m.hstack(neg).hstack(IntMatrix.zeros(m.rows, 1))
 
 
 def test_symmetric_closure():

@@ -8,7 +8,6 @@ from tumax.certify import is_totally_unimodular
 from tumax.errors import FormatError, StructureError, UsageError, WitnessMismatch
 from tumax.graphs import (
     ArcGraph,
-    Pattern,
     edge_patterns,
     network_matrix,
     parse_graph_text,
@@ -20,7 +19,7 @@ from tumax.graphs import (
 )
 from tumax.matrix import IntMatrix
 
-from oracles import network_column_bfs, random_tree_arcs
+from oracles import is_spanning_tree, network_column_bfs, random_tree_arcs
 
 
 def path_tree(n):
@@ -75,7 +74,44 @@ def test_arc_graphs_take_only_ints():
                            (3.5, [(0, 1)]), (True, [])):
         with pytest.raises(UsageError, match="integer"):
             ArcGraph.from_arcs(vertices, arcs)
+    for arcs in ([(0, 1, 2)], [(0,)], [()]):
+        with pytest.raises(UsageError, match="pair"):
+            ArcGraph.from_arcs(3, arcs)
     assert ArcGraph.from_arcs(3, [[0, 2]]).arcs == ((0, 2),)
+
+
+def test_paths_take_only_pairs_of_ints():
+    t = path_tree(3)
+    for paths, what in (([(0, 1.5)], "integer"), ([(0, True)], "integer"),
+                        ([(0, 1, 2)], "pair"), ([(0,)], "pair")):
+        for analysis in (edge_patterns, verify_pattern_bounds):
+            with pytest.raises(UsageError, match=what):
+                analysis(t, [(0, 1)] + paths)
+    assert edge_patterns(t, [[0, 2]]) == {1}
+
+
+def test_is_tree_matches_the_union_find_oracle():
+    rng = random.Random(39)
+    trees = 0
+    for n in range(8):
+        cases = [random_tree_arcs(rng, n)]
+        if n >= 4:
+            # n - 1 arcs: a cycle on n - 1 vertices beside an isolated one
+            cases.append([(v, (v + 1) % (n - 1)) for v in range(n - 1)])
+        for _ in range(60):
+            # n - 1 arcs most of the time, with self-loops and parallel arcs
+            k = max(0, n - 1 + rng.choice((0, 0, 0, -1, 1)))
+            cases.append([(rng.randrange(n), rng.randrange(n))
+                           for _ in range(k)] if n else [])
+        for arcs in cases:
+            want = is_spanning_tree(n, arcs)
+            assert ArcGraph.from_arcs(n, arcs).is_tree() == want, (n, arcs)
+            trees += want
+    assert not ArcGraph.from_arcs(0, []).is_tree()
+    assert ArcGraph.from_arcs(1, []).is_tree()
+    assert not ArcGraph.from_arcs(2, [(1, 1)]).is_tree()
+    assert not ArcGraph.from_arcs(3, [(0, 1), (0, 1)]).is_tree()
+    assert trees >= 20
 
 
 def test_arc_reversal_negates():
@@ -88,7 +124,7 @@ def test_arc_reversal_negates():
     # reversing a digraph arc negates its column
     flipped = [(b, a) for (a, b) in d_arcs]
     m2 = network_matrix(t, ArcGraph.from_arcs(n, flipped))
-    assert m2 == m.neg()
+    assert m2.entries == tuple(tuple(-x for x in row) for row in m.entries)
     # reversing a tree arc negates its row
     t2_arcs = [(arcs[0][1], arcs[0][0])] + arcs[1:]
     m3 = network_matrix(ArcGraph.from_arcs(n, t2_arcs),
@@ -141,16 +177,13 @@ def test_transpose_extension_witness_mismatch():
 
 def test_edge_patterns_two_crossing_paths():
     t = path_tree(4)
-    pats = edge_patterns(t, [(0, 2), (1, 3)])
-    masks = {p.members() for p in pats}
-    assert masks <= {(0,), (1,), (0, 1)}
-    assert len(pats) <= 3
+    # arc 0-1 carries path 0, arc 1-2 both, arc 2-3 path 1
+    assert edge_patterns(t, [(0, 2), (1, 3)]) == {0b01, 0b11, 0b10}
 
 
 def test_edge_patterns_disjoint_paths_are_singletons():
     t = path_tree(7)
-    pats = edge_patterns(t, [(0, 2), (3, 5)])
-    assert {p.members() for p in pats} == {(0,), (1,)}
+    assert edge_patterns(t, [(0, 2), (3, 5)]) == {0b01, 0b10}
 
 
 def test_edge_patterns_relabel_invariance():
@@ -159,15 +192,12 @@ def test_edge_patterns_relabel_invariance():
         n = rng.randint(3, 7)
         arcs = random_tree_arcs(rng, n)
         paths = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
-        base = {(p.mask, p.npaths) for p in
-                edge_patterns(ArcGraph.from_arcs(n, arcs), paths)}
+        base = edge_patterns(ArcGraph.from_arcs(n, arcs), paths)
         relab = list(range(n))
         rng.shuffle(relab)
         arcs2 = [(relab[a], relab[b]) for a, b in arcs]
         paths2 = [(relab[a], relab[b]) for a, b in paths]
-        got = {(p.mask, p.npaths) for p in
-               edge_patterns(ArcGraph.from_arcs(n, arcs2), paths2)}
-        assert got == base
+        assert edge_patterns(ArcGraph.from_arcs(n, arcs2), paths2) == base
 
 
 def test_pattern_bounds_star_and_random():
@@ -186,24 +216,26 @@ def test_pattern_bounds_star_and_random():
         assert rep.odd_bound_ok in (True, None)
 
 
-def test_edge_patterns_past_64_paths_match_the_bfs_oracle():
-    # a pattern is a set of paths, held in a Python int of any width
+def test_edge_patterns_match_the_bfs_oracle():
+    # a pattern is a set of paths, held in a Python int of any width: past
+    # 64 paths too
     rng = random.Random(36)
-    for _ in range(20):
+    for npaths in range(1, 141):
         n = rng.randint(2, 10)
         arcs = random_tree_arcs(rng, n)
-        paths = [(rng.randrange(n), rng.randrange(n))
-                 for _ in range(rng.randint(65, 140))]
+        paths = [(rng.randrange(n), rng.randrange(n)) for _ in range(npaths)]
         masks = [0] * len(arcs)
         for j, (s, t) in enumerate(paths):
             for i, e in enumerate(network_column_bfs(n, arcs, s, t)):
                 masks[i] |= bool(e) << j
         want = set(masks) - {0}
         t = ArcGraph.from_arcs(n, arcs)
-        assert {p.mask for p in edge_patterns(t, paths)} == want
+        assert edge_patterns(t, paths) == want
         rep = verify_pattern_bounds(t, paths)
-        assert rep.npaths == len(paths) and rep.pattern_count == len(want)
-        assert rep.bound_ok and rep.odd_bound_ok
+        assert rep.npaths == npaths and rep.pattern_count == len(want)
+        assert rep.odd_count == sum(mask.bit_count() & 1 for mask in want)
+        assert rep.bound_ok is (None if npaths < 2 else True)
+        assert rep.odd_bound_ok is (None if npaths < 3 else True)
 
 
 def test_pattern_m2_bound_only():
@@ -308,10 +340,3 @@ def test_graph_text_rejects_what_the_header_does_not_cover(text, line):
 
 def test_graph_text_allows_trailing_blank_lines():
     assert parse_graph_text("2 1\n0 1\n\n  \n") == ArcGraph(2, ((0, 1),))
-
-
-def test_pattern_helpers():
-    p = Pattern(0b101, 4)
-    assert p.members() == (0, 2)
-    assert p.size() == 2
-    assert not p.is_odd()

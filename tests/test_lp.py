@@ -71,6 +71,19 @@ def test_in_convex_hull_of_no_points_and_one_point():
     assert not in_convex_hull((far, -far + 1), [(far, -far)])
 
 
+def test_feasible_nonneg_ends_on_a_degenerate_system():
+    # zero right-hand sides make degenerate pivots; here the smallest basis
+    # index among the tied rows is what keeps the walk from cycling
+    a = [[-2, -2, 1, 2, 3, 3], [1, 1, 3, 2, 2, 0], [-1, 2, -2, -2, 3, 2]]
+    b = [1, 0, 0]
+    # infeasible by Farkas' lemma: y A >= 0 while y b < 0
+    y = (-2, 5, 3)
+    assert [sum(yi * row[j] for yi, row in zip(y, a))
+            for j in range(6)] == [6, 15, 7, 0, 13, 0]
+    assert sum(yi * bi for yi, bi in zip(y, b)) == -2
+    assert not feasible_nonneg(a, b)
+
+
 def test_feasible_nonneg_on_small_systems():
     # x + y = 1, x - y = 3 has the solution x = 2, y = -1: not nonnegative
     assert not feasible_nonneg([[1, 1], [1, -1]], [1, 3])

@@ -81,7 +81,7 @@ def test_arc_graph_equality_ignores_its_cached_properties():
     computed = ArcGraph.from_arcs(3, [(0, 1), (1, 2)])
     fresh = ArcGraph.from_arcs(3, [(0, 1), (1, 2)])
     assert computed.is_tree() and computed._rooted
-    assert "_spanning_tree" in vars(computed)
+    assert "_rooted" in vars(computed)
     assert computed == fresh and hash(computed) == hash(fresh)
     assert repr(computed) == repr(fresh)
 
