@@ -42,8 +42,13 @@ def as_index_set(indices, size, what="index"):
 
 def int_vector(values, name):
     """``values`` as a tuple of ints. Any other entry, such as 1.5 or
-    True, raises UsageError instead of being read as an integer."""
-    vec = tuple(values)
+    True, or a ``values`` that is no sequence, raises UsageError instead
+    of being read as an integer."""
+    try:
+        vec = tuple(values)
+    except TypeError:
+        raise UsageError(f"{name} must be a sequence of integers, "
+                         f"got {values!r}") from None
     for x in vec:
         if type(x) is not int:
             raise UsageError(f"{name} must hold integers, got {x!r}")
@@ -69,7 +74,11 @@ class IntMatrix(Record):
         """The matrix with these rows. Any entry that is not an int, such
         as 1.5 or True, raises UsageError instead of being read as an
         integer."""
-        rows_data = [tuple(row) for row in rows_data]
+        try:
+            rows_data = [tuple(row) for row in rows_data]
+        except TypeError:
+            raise UsageError(f"matrix rows must be sequences of integers, "
+                             f"got {rows_data!r}") from None
         r = len(rows_data)
         c = len(rows_data[0]) if r else 0
         for row in rows_data:

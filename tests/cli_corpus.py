@@ -417,6 +417,9 @@ def _sum_cases(out):
                                   '[1, -1]], "B": [[1]]}'])
     sum_("two", "vector-too-long", ['{"kind": "two-sum", "A": [[1]], '
                                     '"B": [[1]], "u": [1, 0], "v": [1]}'])
+    # a 0x0 A: the sum is B under an empty (A | u v^T)
+    sum_("two", "empty-a", ['{"kind": "two-sum", "A": [], '
+                            '"B": [[1, 0], [0, 1]], "u": [], "v": [1, 0]}'])
     out.append(("sum two/missing-file", ["sum", "two", "missing.txt"], []))
 
 

@@ -30,6 +30,7 @@ CERTIFY = "tests/test_certify.py::"
 CLI = "tests/test_cli.py::"
 GRAPHS = "tests/test_graphs.py::"
 KERNELS = "tests/test_kernels.py::"
+SUMS = "tests/test_sums.py::"
 CORPUS = CLI + "test_cli_corpus_replays_byte_for_byte"
 FIRST_ENTRY = (CERTIFY + "test_gh_reports_the_first_entry_outside_the_signs_"
                "at_any_height")
@@ -131,6 +132,23 @@ MUTANTS = [
      "replacement": "",
      "tests": ["tests/test_polytopes.py::"
                "test_classify_isomorphism_work_is_pinned"]},
+    {"name": "delta-sum-u-length-against-m1",
+     "file": "sums.py",
+     "snippet": '("u", "n1")',
+     "replacement": '("u", "m1")',
+     "tests": [SUMS + "test_compose_error_texts_and_precedence",
+               SUMS + "test_delta_sum_block_structure_and_x_cases"]},
+    {"name": "second-factor-tu-check-skipped",
+     "file": "sums.py",
+     "snippet": "zip((first_factor(spec), second_factor(spec)),",
+     "replacement": "zip((first_factor(spec),),",
+     "tests": [SUMS + "test_every_kind_refuses_a_non_tu_factor",
+               SUMS + "test_compose_error_texts_and_precedence"]},
+    {"name": "three-sum-transport-minus-row-sign-flipped",
+     "file": "sums.py",
+     "snippet": "((1, vl), (-1, _neg(vl)))",
+     "replacement": "((1, vl), (1, _neg(vl)))",
+     "tests": [SUMS + "test_transport_three_sum_reverifies"]},
     {"name": "no-broken-pipe-catch",
      "file": "cli.py",
      "snippet": "    except BrokenPipeError:",

@@ -80,6 +80,14 @@ def test_arc_graphs_take_only_ints():
     assert ArcGraph.from_arcs(3, [[0, 2]]).arcs == ((0, 2),)
 
 
+def test_arcs_and_paths_must_be_sequences():
+    with pytest.raises(UsageError) as info:
+        ArcGraph.from_arcs(3, [(0, 1), 5])
+    assert str(info.value) == "arc must be a sequence of integers, got 5"
+    with pytest.raises(UsageError, match="^path must be a sequence"):
+        verify_pattern_bounds(path_tree(3), [(0, 1), 7])
+
+
 def test_paths_take_only_pairs_of_ints():
     t = path_tree(3)
     for paths, what in (([(0, 1.5)], "integer"), ([(0, True)], "integer"),

@@ -218,3 +218,10 @@ def test_submatrix_and_stacking():
     assert m.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
     v = m.vstack(IntMatrix.from_rows([[7, 8, 9]]))
     assert v.rows == 3 and v.row(2) == (7, 8, 9)
+
+
+def test_from_rows_takes_only_sequences_of_rows():
+    with pytest.raises(UsageError) as info:
+        IntMatrix.from_rows([[1], 5])
+    assert str(info.value) == ("matrix rows must be sequences of integers, "
+                               "got [[1], 5]")

@@ -6,7 +6,12 @@ import re
 import pytest
 
 from tumax.certify import Functional, is_totally_unimodular, polytopal_certificate
-from tumax.errors import HypothesisError, PreconditionError, UsageError
+from tumax.errors import (
+    FormatError,
+    HypothesisError,
+    PreconditionError,
+    UsageError,
+)
 from tumax.families import bipartite_extremal
 from tumax.matrix import IntMatrix
 from tumax.sums import SumSpec, compose, transport_functional
@@ -367,3 +372,285 @@ def test_spec_json_round_trip():
         again = SumSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
         assert compose(again).matrix == compose(spec).matrix
+
+
+# Every error that compose, transport_functional and SumSpec.from_json_dict
+# report, with its exact text, and which of two faults each reports first.
+# The base specs are valid; each case changes some of their fields.
+_R = IntMatrix.from_rows
+
+
+def _two_at_origin(m):
+    """``m`` with the entry (0, 0) set to 2: a 1x1 minor that is not TU."""
+    return _R([(2,) + m.row(0)[1:]] + list(m.entries[1:]))
+
+
+_THREE_A = _R([[-1, -1, 0], [0, -1, 0], [0, -1, 0]])
+_THREE_B = _R([[0, -1, -1, 0], [0, 0, 0, 1]])
+_THREE_C = _R([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0]])
+BASE_SPECS = {
+    "one-sum": SumSpec("one-sum", IntMatrix.identity(1), IntMatrix.identity(1)),
+    # m1 = 1, n1 = 2, m2 = 2, n2 = 3
+    "two-sum": SumSpec("two-sum", _R([[1, 0]]), _R([[1, 0, 1], [0, 1, 0]]),
+                       u=(1,), v=(1, 1, 0)),
+    # m1 = 3, n1 = 3, m2 = 2, n2 = 4; C = u1 v1^T - u2 v2^T
+    "three-sum": SumSpec("three-sum", _THREE_A, _THREE_B,
+                         u1=(0, 1, 0), u2=(0, 0, 1), u3=(0, -1, -1),
+                         v1=(0, 1, 0, 0), v2=(0, 0, 1, 0), v3=(0, -1, -1, 0),
+                         c=_THREE_C),
+    # m1 = 2, n1 = 3, m2 = 2, n2 = 2
+    "delta-sum": SumSpec("delta-sum", _R([[1, 0, 0], [0, 1, 0]]),
+                         IntMatrix.identity(2), u=(0, 0, 0), v=(0, 1),
+                         u_prime=(1, 0), v_prime=(0, 0), x=1),
+}
+
+
+def _changed(kind, /, **changes):
+    base = BASE_SPECS[kind]
+    return SumSpec(**{**{f: getattr(base, f) for f in SumSpec._fields},
+                      **changes})
+
+
+def _vector_cases(kind, lengths):
+    for name, length in lengths:
+        yield (f"{kind}/{name}-missing", kind, {name: None}, UsageError,
+               f"{name} is required for this sum kind")
+        yield (f"{kind}/{name}-too-long", kind,
+               {name: getattr(BASE_SPECS[kind], name) + (0,)}, UsageError,
+               f"{name} must have length {length}, got {length + 1}")
+
+
+_TWO, _THREE, _DELTA = (BASE_SPECS[k] for k in ("two-sum", "three-sum",
+                                                 "delta-sum"))
+_BAD_ROW_C = _R([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]])  # columns +-u1
+_BAD_COLUMN_C = _R([[7, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0]])
+COMPOSE_ERRORS = [
+    ("unknown-kind", "one-sum", {"kind": "four-sum"}, UsageError,
+     "unknown sum kind 'four-sum'"),
+    ("one-sum/A-not-tu", "one-sum", {"a": _R([[2]])}, PreconditionError,
+     "A is not totally unimodular"),
+    ("one-sum/B-not-tu", "one-sum", {"b": _R([[2]])}, PreconditionError,
+     "B is not totally unimodular"),
+    ("one-sum/A-before-B", "one-sum", {"a": _R([[2]]), "b": _R([[2]])},
+     PreconditionError, "A is not totally unimodular"),
+    *_vector_cases("two-sum", (("u", 1), ("v", 3))),
+    ("two-sum/u-float", "two-sum", {"u": (1.5,)}, UsageError,
+     "u must hold integers, got 1.5"),
+    ("two-sum/v-bool", "two-sum", {"v": (1, True, 0)}, UsageError,
+     "v must hold integers, got True"),
+    ("two-sum/u-before-v", "two-sum", {"u": (1, 0), "v": None}, UsageError,
+     "u must have length 1, got 2"),
+    ("two-sum/first-factor-not-tu", "two-sum", {"u": (2,)},
+     PreconditionError, "(A|u) is not totally unimodular"),
+    ("two-sum/second-factor-not-tu", "two-sum",
+     {"b": _two_at_origin(_TWO.b)}, PreconditionError,
+     "(v^T;B) is not totally unimodular"),
+    ("two-sum/first-before-second", "two-sum",
+     {"a": _two_at_origin(_TWO.a), "b": _two_at_origin(_TWO.b)},
+     PreconditionError, "(A|u) is not totally unimodular"),
+    ("two-sum/length-before-tu", "two-sum",
+     {"a": _two_at_origin(_TWO.a), "v": (1,)}, UsageError,
+     "v must have length 3, got 1"),
+    ("three-sum/too-small", "three-sum", {"b": IntMatrix.identity(1)},
+     UsageError, "three-sum factors must each have size >= 4"),
+    ("three-sum/size-before-vectors", "three-sum",
+     {"a": IntMatrix.identity(1), "u1": None}, UsageError,
+     "three-sum factors must each have size >= 4"),
+    *_vector_cases("three-sum", (("u1", 3), ("u2", 3), ("u3", 3),
+                                 ("v1", 4), ("v2", 4), ("v3", 4))),
+    ("three-sum/u3-before-v1", "three-sum", {"u3": None, "v1": (0,)},
+     UsageError, "u3 is required for this sum kind"),
+    ("three-sum/u-sum", "three-sum", {"u3": (0, -1, 0)}, UsageError,
+     "u1 + u2 + u3 must be zero"),
+    ("three-sum/v-sum", "three-sum", {"v3": (0, -1, 0, 0)}, UsageError,
+     "v1 + v2 + v3 must be zero"),
+    ("three-sum/u-sum-before-v-sum", "three-sum",
+     {"u3": (0, -1, 0), "v3": (0, -1, 0, 0)}, UsageError,
+     "u1 + u2 + u3 must be zero"),
+    ("three-sum/C-missing", "three-sum", {"c": None}, UsageError,
+     "C must be a 3x4 matrix"),
+    ("three-sum/C-transposed", "three-sum", {"c": IntMatrix.zeros(4, 3)},
+     UsageError, "C must be a 3x4 matrix"),
+    ("three-sum/C-column", "three-sum", {"c": _BAD_COLUMN_C}, UsageError,
+     "column 0 of C is not one of +-u1,u2,u3,0"),
+    ("three-sum/C-row", "three-sum", {"c": _BAD_ROW_C}, UsageError,
+     "row 1 of C is not one of +-v1,v2,v3,0"),
+    ("three-sum/vector-before-C", "three-sum",
+     {"u2": (0, 0), "c": _BAD_COLUMN_C}, UsageError,
+     "u2 must have length 3, got 2"),
+    ("three-sum/zero-sum-before-C", "three-sum",
+     {"v3": (0, -1, 0, 0), "c": None}, UsageError,
+     "v1 + v2 + v3 must be zero"),
+    ("three-sum/first-factor-not-tu", "three-sum",
+     {"a": _two_at_origin(_THREE.a)}, PreconditionError,
+     "(A|u1|u2|u3) is not totally unimodular"),
+    ("three-sum/second-factor-not-tu", "three-sum",
+     {"b": _two_at_origin(_THREE.b)}, PreconditionError,
+     "(v1;v2;v3;B) is not totally unimodular"),
+    ("three-sum/C-before-tu", "three-sum",
+     {"a": _two_at_origin(_THREE.a), "c": _BAD_ROW_C}, UsageError,
+     "row 1 of C is not one of +-v1,v2,v3,0"),
+    ("delta-sum/too-small", "delta-sum",
+     {"a": IntMatrix.identity(1), "u": (0,), "u_prime": (1,)}, UsageError,
+     "delta-sum blocks must each have size >= 4"),
+    ("delta-sum/size-before-x", "delta-sum",
+     {"b": IntMatrix.identity(1), "x": 2}, UsageError,
+     "delta-sum blocks must each have size >= 4"),
+    *((f"delta-sum/x-{x!r}", "delta-sum", {"x": x}, UsageError,
+       "x must be +1 or -1") for x in (2, 0, None, True, 1.0)),
+    ("delta-sum/x-before-vectors", "delta-sum", {"x": 0, "u_prime": None},
+     UsageError, "x must be +1 or -1"),
+    *_vector_cases("delta-sum", (("u", 3), ("v", 2), ("u_prime", 2),
+                                 ("v_prime", 2))),
+    ("delta-sum/u-before-v-prime", "delta-sum", {"u": None, "v_prime": (0,)},
+     UsageError, "u is required for this sum kind"),
+    ("delta-sum/first-factor-not-tu", "delta-sum",
+     {"a": _two_at_origin(_DELTA.a)}, PreconditionError,
+     "(A u' u'; u^T 0 x) is not totally unimodular"),
+    ("delta-sum/second-factor-not-tu", "delta-sum",
+     {"b": _two_at_origin(_DELTA.b)}, PreconditionError,
+     "(v^T 0 x; B v' v') is not totally unimodular"),
+    ("delta-sum/length-before-tu", "delta-sum",
+     {"a": _two_at_origin(_DELTA.a), "u": (0, 0)}, UsageError,
+     "u must have length 3, got 2"),
+]
+
+
+def _raises_exactly(exc, message, call, *args):
+    with pytest.raises(exc) as info:
+        call(*args)
+    assert (type(info.value), str(info.value)) == (exc, message)
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_SPECS))
+def test_base_specs_compose(kind):
+    assert compose(BASE_SPECS[kind]).matrix.rows > 0
+
+
+@pytest.mark.parametrize("case, kind, changes, exc, message", COMPOSE_ERRORS,
+                         ids=[c[0] for c in COMPOSE_ERRORS])
+def test_compose_error_texts_and_precedence(case, kind, changes, exc,
+                                            message):
+    _raises_exactly(exc, message, compose, _changed(kind, **changes))
+
+
+_DROP = object()
+_VECTOR_NAMES = ("u", "v", "u_prime", "v_prime", "u1", "u2", "u3",
+                 "v1", "v2", "v3")
+JSON_ERRORS = [
+    ("not-an-object", [1, 2], FormatError, "a SumSpec must be a JSON object"),
+    ("unknown-kind", {"kind": "four-sum"}, UsageError,
+     "unknown sum kind 'four-sum'"),
+    ("kind-missing", {"kind": _DROP}, UsageError, "unknown sum kind None"),
+    ("kind-before-x", {"kind": "two", "x": 1.5}, UsageError,
+     "unknown sum kind 'two'"),
+    ("x-float", {"x": 1.5}, FormatError, "x must be an integer, got 1.5"),
+    ("x-bool", {"x": True}, FormatError, "x must be an integer, got True"),
+    ("x-before-A", {"x": "1", "A": _DROP}, FormatError,
+     "x must be an integer, got '1'"),
+    ("A-missing", {"A": _DROP}, FormatError, "a SumSpec needs the matrix 'A'"),
+    ("A-not-a-list", {"A": 5}, FormatError, "A must be a list of rows"),
+    ("A-row-not-a-list", {"A": [5]}, FormatError, "A must hold integers, got 5"),
+    ("A-float", {"A": [[1.5]]}, FormatError, "A must hold integers, got [1.5]"),
+    ("A-ragged", {"A": [[1], [1, 0]]}, UsageError,
+     "rows have inconsistent lengths"),
+    ("A-before-B", {"A": _DROP, "B": _DROP}, FormatError,
+     "a SumSpec needs the matrix 'A'"),
+    ("B-missing", {"B": _DROP}, FormatError, "a SumSpec needs the matrix 'B'"),
+    ("B-before-u", {"B": [[True]], "u": 5}, FormatError,
+     "B must hold integers, got [True]"),
+    *((f"{name}-float", {name: [1, 1.5]}, FormatError,
+       f"{name} must hold integers, got [1, 1.5]") for name in _VECTOR_NAMES),
+    *((f"{first}-before-{then}", {first: 5, then: [True]}, FormatError,
+       f"{first} must hold integers, got 5")
+      for first, then in zip(_VECTOR_NAMES, _VECTOR_NAMES[1:])),
+    ("v3-before-C", {"v3": [1.5], "C": 5}, FormatError,
+     "v3 must hold integers, got [1.5]"),
+    ("u-before-C", {"u": "1", "C": [[0.5]]}, FormatError,
+     "u must hold integers, got '1'"),
+    ("C-not-a-list", {"C": 5}, FormatError, "C must be a list of rows"),
+    ("C-float", {"C": [[0, 0.5]]}, FormatError,
+     "C must hold integers, got [0, 0.5]"),
+]
+
+
+@pytest.mark.parametrize("case, changes, exc, message", JSON_ERRORS,
+                         ids=[c[0] for c in JSON_ERRORS])
+def test_from_json_dict_error_texts_and_precedence(case, changes, exc,
+                                                   message):
+    # a one-sum object: the vectors and C are read whatever the kind
+    data = changes
+    if isinstance(changes, dict):
+        data = {"kind": "one-sum", "A": [[1]], "B": [[1]], **changes}
+        data = {k: v for k, v in data.items() if v is not _DROP}
+    _raises_exactly(exc, message, SumSpec.from_json_dict, data)
+
+
+def _e1_certificate(spec):
+    composed = compose(spec).matrix
+    f = Functional((1,) + (0,) * (composed.rows - 1))
+    return f, f.apply(composed)
+
+
+_F, _W = _e1_certificate(_TWO)  # a 3x5 composed matrix
+_ZERO_V3 = _changed("three-sum", v2=(0, -1, 0, 0), v3=(0, 0, 0, 0),
+                    c=IntMatrix.zeros(3, 4))
+_NO_V2_ROW = _changed("three-sum",
+                      c=_R([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]))
+TRANSPORT_ERRORS = [
+    ("one-sum", BASE_SPECS["one-sum"], (1,), (1,), UsageError,
+     "no transport is defined for a one-sum"),
+    ("one-sum-before-validation", _changed("one-sum", a=_R([[2]])), (1,),
+     (1,), UsageError, "no transport is defined for a one-sum"),
+    ("unknown-kind", _changed("two-sum", kind="four-sum"), _F, _W, UsageError,
+     "unknown sum kind 'four-sum'"),
+    ("spec-before-w", _changed("two-sum", u=None), _F, (1.5,) + _W[1:],
+     UsageError, "u is required for this sum kind"),
+    ("w-float", _TWO, _F, (1.5,) + _W[1:], UsageError,
+     "w must hold integers, got 1.5"),
+    ("w-too-short", _TWO, _F, _W[:-1], PreconditionError,
+     "w length must match the composed matrix"),
+    ("w-before-f", _TWO, Functional((0, 0, 0)), _W[:-1], PreconditionError,
+     "w length must match the composed matrix"),
+    ("f-zero", _TWO, Functional((0, 0, 0)), (0,) * 5, PreconditionError,
+     "certificate functional must be nonzero"),
+    ("f-too-short", _TWO, Functional((1,)), _W, UsageError,
+     "functional length must equal the row count"),
+    ("w-not-certified", _TWO, _F, tuple(x + 1 for x in _W), PreconditionError,
+     "f does not certify the composed matrix as w-valued"),
+    ("three-sum/zero-v3", _ZERO_V3, *_e1_certificate(_ZERO_V3),
+     HypothesisError, "row classification is ambiguous: some v_l = 0"),
+    ("three-sum/no-v2-row", _NO_V2_ROW, *_e1_certificate(_NO_V2_ROW),
+     HypothesisError, "+-v1 and +-v2 must both appear as rows of C"),
+]
+
+
+@pytest.mark.parametrize("case, spec, f, w, exc, message", TRANSPORT_ERRORS,
+                         ids=[c[0] for c in TRANSPORT_ERRORS])
+def test_transport_error_texts_and_precedence(case, spec, f, w, exc, message):
+    _raises_exactly(exc, message, transport_functional, spec, f, w)
+
+
+def test_transport_reads_list_vectors_as_compose_does():
+    spec = random_spec(random.Random(0), "three-sum")
+    as_lists = SumSpec("three-sum", spec.a, spec.b, c=spec.c, **{
+        name: list(getattr(spec, name))
+        for name in ("u1", "u2", "u3", "v1", "v2", "v3")})
+    assert compose(as_lists) == compose(spec)
+    f, w = _e1_certificate(spec)
+    assert transport_functional(as_lists, f, w) == transport_functional(
+        spec, f, w)
+
+
+def test_two_sum_with_an_empty_a_is_b():
+    b = IntMatrix.identity(2)
+    spec = SumSpec.from_json_dict(
+        {"kind": "two-sum", "A": [], "B": b.to_lists(), "u": [], "v": [1, 0]})
+    assert (spec.a.rows, spec.a.cols) == (0, 0)
+    assert compose(spec).matrix == b
+
+
+def test_compose_vectors_must_be_sequences():
+    one = IntMatrix.identity(1)
+    _raises_exactly(UsageError, "u must be a sequence of integers, got 5",
+                    compose, SumSpec("two-sum", one, one, u=5, v=(1,)))
