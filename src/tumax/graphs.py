@@ -25,7 +25,7 @@ class ArcGraph(Record):
 
     @staticmethod
     def from_arcs(vertices, arcs):
-        arcs = tuple(_pair(arc, "arc") for arc in arcs)
+        arcs = tuple(_pair(arc, "arc") for arc in _pair_list(arcs, "arcs"))
         if type(vertices) is not int or vertices < 0:
             raise UsageError(f"vertex count must be a nonnegative integer, "
                              f"got {vertices!r}")
@@ -98,6 +98,15 @@ def parse_paths_text(text):
         except ValueError:
             raise FormatError("non-integer endpoint", line=lineno)
     return paths
+
+
+def _pair_list(values, name):
+    """``values`` as a tuple, or UsageError when it is no sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise UsageError(f"{name} must be a sequence of vertex pairs, "
+                         f"got {values!r}") from None
 
 
 def _pair(values, name):
@@ -225,7 +234,7 @@ def edge_patterns(tree, paths):
     if not tree.is_tree():
         raise StructureError("pattern analysis requires a tree")
     masks = [0] * len(tree.arcs)
-    for j, path in enumerate(paths):
+    for j, path in enumerate(_pair_list(paths, "paths")):
         s, t = _pair(path, "path")
         if not (0 <= s < tree.vertices and 0 <= t < tree.vertices):
             raise UsageError(f"path endpoint ({s},{t}) not a tree vertex")
@@ -251,8 +260,8 @@ def verify_pattern_bounds(tree, paths):
     The bounds apply for m >= 2 and m >= 3 respectively; outside that the
     fields are None.
     """
-    m = len(paths)
     masks = edge_patterns(tree, paths)
+    m = len(paths)
     count = len(masks)
     odd = sum(mask.bit_count() & 1 for mask in masks)
     bound = 3 * m - 3 if m >= 2 else None

@@ -131,7 +131,7 @@ def invert_unimodular(m):
     The HNF of a matrix with determinant +-1 is the identity, so the HNF
     transform U (with U * m = I) is the inverse.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise UsageError("inverse requires a square matrix")
     h, u, pivots = row_hnf(m)
     if len(pivots) < m.rows:

@@ -1,15 +1,17 @@
-"""Dense matrices of exact integers: the substrate for every other module.
+"""Dense matrices of exact integers: the value type under every other module.
 
-Matrices are immutable values; all operations return new matrices, so
-instances can be shared freely. ``from_rows`` admits only ints that fit a
-signed 64-bit word, the bound on outside input; the plain constructor
-checks nothing, and every computation is exact, so results such as
-determinants and HNF transforms may be wider.
+An ``IntMatrix`` holds, validates and rearranges its entries but does no
+arithmetic: the exact kernel functions take its rows for determinants and
+ranks, and ``linsolve`` runs the eliminations. Matrices are immutable
+values, so instances can be shared freely. ``from_rows`` and
+``from_columns`` admit only ints that fit a signed 64-bit word, the bound
+on outside input. A matrix computed from such input (point differences,
+HNFs and their transforms) is built with the plain constructor, which
+checks nothing: every computation is exact, so its entries may be wider.
 """
 
 import re
 
-from . import kernels
 from ._record import Record, set_field
 from .errors import ArithmeticOverflow, FormatError, UsageError
 
@@ -55,6 +57,15 @@ def int_vector(values, name):
     return vec
 
 
+def _tuples(data, what):
+    """The sequences of ``data`` as a list of tuples, or UsageError."""
+    try:
+        return [tuple(seq) for seq in data]
+    except TypeError:
+        raise UsageError(f"matrix {what} must be sequences of integers, "
+                         f"got {data!r}") from None
+
+
 class IntMatrix(Record):
     """Immutable row-major integer matrix."""
 
@@ -74,11 +85,7 @@ class IntMatrix(Record):
         """The matrix with these rows. Any entry that is not an int, such
         as 1.5 or True, raises UsageError instead of being read as an
         integer."""
-        try:
-            rows_data = [tuple(row) for row in rows_data]
-        except TypeError:
-            raise UsageError(f"matrix rows must be sequences of integers, "
-                             f"got {rows_data!r}") from None
+        rows_data = _tuples(rows_data, "rows")
         r = len(rows_data)
         c = len(rows_data[0]) if r else 0
         for row in rows_data:
@@ -95,7 +102,7 @@ class IntMatrix(Record):
     @staticmethod
     def from_columns(cols_data, rows=None):
         """The matrix with these columns; entries as in ``from_rows``."""
-        cols_data = [tuple(col) for col in cols_data]
+        cols_data = _tuples(cols_data, "columns")
         if rows is None:
             rows = len(cols_data[0]) if cols_data else 0
         for col in cols_data:
@@ -129,11 +136,10 @@ class IntMatrix(Record):
         return tuple(r[j] for r in self.entries)
 
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.col(j) for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def submatrix(self, row_idx, col_idx):
         ri = as_index_set(row_idx, self.rows, "row")
@@ -154,51 +160,11 @@ class IntMatrix(Record):
         return IntMatrix(self.rows + other.rows, self.cols,
                          self.entries + other.entries)
 
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise UsageError("inner dimensions must agree")
-        rows = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            rows.append([sum(ri[k] * other.entries[k][j] for k in range(self.cols))
-                         for j in range(other.cols)])
-        return IntMatrix.from_rows(rows) if rows else IntMatrix(0, other.cols, ())
-
-    def is_square(self):
-        return self.rows == self.cols
-
     def to_lists(self):
         return [list(row) for row in self.entries]
 
-    # -- matrix_core operations -------------------------------------------
-
-    def det(self):
-        if not self.is_square():
-            raise UsageError("determinant requires a square matrix")
-        return kernels.det_entries(self.entries)
-
-    def minor(self, row_idx, col_idx):
-        ri = as_index_set(row_idx, self.rows, "row")
-        ci = as_index_set(col_idx, self.cols, "column")
-        if len(ri) != len(ci):
-            raise UsageError("minor needs equally many rows and columns")
-        return self.submatrix(ri, ci).det()
-
-    def rank(self):
-        return kernels.rank_entries(self.entries)
-
-    def first_duplicate_columns(self):
-        """Smallest (i, j) with equal columns, or None."""
-        seen = {}
-        for j in range(self.cols):
-            c = self.col(j)
-            if c in seen:
-                return (seen[c], j)
-            seen[c] = j
-        return None
-
     def columns_distinct(self):
-        return self.first_duplicate_columns() is None
+        return len(set(self.columns())) == self.cols
 
     # -- text format -------------------------------------------------------
 

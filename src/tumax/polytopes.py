@@ -195,7 +195,7 @@ def _embed(ps):
     base = ps.points[0]
     diffs = [tuple(p[i] - base[i] for i in range(ps.dim)) for p in ps.points[1:]]
     hnf, _, pivots = linsolve.row_hnf(
-        IntMatrix.from_columns(diffs, rows=ps.dim))
+        IntMatrix(ps.dim, len(diffs), tuple(zip(*diffs)) or ((),) * ps.dim))
     r = len(pivots)
     if r == ps.dim:
         # full rank: the coordinates are the differences themselves, so a
@@ -538,7 +538,7 @@ def vertex_bound_check(ps):
         raise PreconditionError(
             f"not a unimodular polytope; witness {verdict.witness}")
     d = pe.dim
-    bound = 10 if d == 4 else h(d + 1)
+    bound = h(d + 1)
     n = len(pe.points)
     return VertexBoundReport(d, n, bound, n <= bound, n == bound)
 

@@ -32,7 +32,7 @@ from helpers import (
     OVERFLOW_POLYTOPE_POINTS,
     random_unimodular,
 )
-from oracles import network_column_bfs, random_tree_arcs
+from oracles import matmul, network_column_bfs, random_tree_arcs
 from specgen import random_certificate, random_spec
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
@@ -60,11 +60,6 @@ def _identity(n):
 
 def _hstack(a, b):
     return [ra + rb for ra, rb in zip(a, b)]
-
-
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
 
 
 def _simplex_product(a, b):
@@ -135,7 +130,7 @@ def cases():
     for seed in range(4):
         check("unimodular", f"integer-{seed}", _lines(
             [[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)]))
-    check("unimodular", "scrambled", _lines(_matmul(
+    check("unimodular", "scrambled", _lines(matmul(
         random_unimodular(rng, 4, 8).entries,
         _hstack(_identity(4), _network(rng, 4, 3)))))
     check("unimodular", "rank-deficient", _lines([[1, 2], [2, 4]]))
@@ -159,7 +154,7 @@ def cases():
     for seed in range(3):
         check("polytopal", f"integer-{seed}", _lines(
             [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]))
-    check("polytopal", "scrambled", _lines(_matmul(
+    check("polytopal", "scrambled", _lines(matmul(
         random_unimodular(rng, 3, 9).entries,
         [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])))
 
@@ -475,6 +470,11 @@ def _token_cases(out):
     out.append(("verify vertex-bound/triangle-2^40",
                 ["verify", "vertex-bound", INPUT], big))
     out.append(("check tu/triangle-2^40", ["check", "tu", INPUT], big))
+    # the segment from -(2^63 - 1) to 2^63 - 1: its entries fit 64 bits,
+    # its difference does not
+    out.append(("check unimodular-polytope/wide-segment",
+                ["check", "unimodular-polytope", INPUT],
+                ["1 2", f"{1 - (1 << 63)} {(1 << 63) - 1}"]))
     for name, lines in (("signed", ["2 +2", "+1 -0", "-1 1"]),
                         ("underscore", ["1 2", "1_0 1"]),
                         ("arabic-indic", ["1 2", "1 \u0661"]),

@@ -30,6 +30,8 @@ CERTIFY = "tests/test_certify.py::"
 CLI = "tests/test_cli.py::"
 GRAPHS = "tests/test_graphs.py::"
 KERNELS = "tests/test_kernels.py::"
+MATRIX = "tests/test_matrix.py::"
+POLYTOPES = "tests/test_polytopes.py::"
 SUMS = "tests/test_sums.py::"
 CORPUS = CLI + "test_cli_corpus_replays_byte_for_byte"
 FIRST_ENTRY = (CERTIFY + "test_gh_reports_the_first_entry_outside_the_signs_"
@@ -45,6 +47,15 @@ GH_SCAN = ("    for i, row in enumerate(m.entries):\n"
 GH_ORIENT = ("    given = f\"matrix size {m.rows}x{m.cols} has\"\n"
              "    if m.cols < m.rows:\n"
              "        m = m.transpose()\n")
+# the polytopal and the unimodular precondition of normalize_standard_form
+NORMALIZE_POLYTOPAL = (
+    "    if not m.rows or linsolve.hnf_solver(hnf, u, frame)((1,) * m.cols) "
+    "is None:\n"
+    "        raise PreconditionError(\"matrix is not polytopal\")\n")
+NORMALIZE_UNIMODULAR = (
+    "    if not _hnf_is_unimodular(hnf, frame, "
+    "f\"matrix size {m.rows}x{m.cols}\"):\n"
+    "        raise PreconditionError(\"matrix is not unimodular\")\n")
 
 MUTANTS = [
     {"name": "gh-suffix-bound-too-tight",
@@ -130,8 +141,61 @@ MUTANTS = [
      "snippet": ("    if sorted(p_profiles) != sorted(q_profiles):\n"
                  "        return False\n"),
      "replacement": "",
-     "tests": ["tests/test_polytopes.py::"
-               "test_classify_isomorphism_work_is_pinned"]},
+     "tests": [POLYTOPES + "test_classify_isomorphism_work_is_pinned"]},
+    {"name": "lattice-isomorphic-profiles-compared-in-point-order",
+     "file": "polytopes.py",
+     "snippet": "    if sorted(p_profiles) != sorted(q_profiles):",
+     "replacement": "    if p_profiles != q_profiles:",
+     "tests": [POLYTOPES + "test_lattice_isomorphic_matches_oracle_with_"
+               "shuffled_points",
+               POLYTOPES + "test_classify_isomorphism_work_is_pinned"]},
+    {"name": "embedding-without-the-full-rank-skip",
+     "file": "polytopes.py",
+     "snippet": "    if r == ps.dim:",
+     "replacement": "    if r < 0:",
+     "tests": [POLYTOPES + "test_full_dimensional_sets_come_back_translated",
+               CORPUS]},
+    {"name": "embedding-projects-the-differences",
+     "file": "polytopes.py",
+     "snippet": "((0,) * r,) + tuple(zip(*hnf.entries[:r]))",
+     "replacement": "((0,) * r,) + tuple(p[:r] for p in diffs)",
+     "tests": [POLYTOPES + "test_affine_lattice_coordinates_keep_every_"
+               "simplex_index",
+               POLYTOPES + "test_wide_collinear_set_is_embedded_exactly"]},
+    {"name": "embedding-scaled-by-2",
+     "file": "polytopes.py",
+     "snippet": "((0,) * r,) + tuple(zip(*hnf.entries[:r]))",
+     "replacement": ("((0,) * r,) + tuple(tuple(2 * x for x in c) "
+                     "for c in zip(*hnf.entries[:r]))"),
+     "tests": [POLYTOPES + "test_affine_lattice_coordinates_keep_every_"
+               "simplex_index",
+               POLYTOPES + "test_affine_lattice_coordinates_matches_oracle_"
+               "after_embedding"]},
+    {"name": "embedding-through-the-input-check",
+     "file": "polytopes.py",
+     "snippet": ("IntMatrix(ps.dim, len(diffs), tuple(zip(*diffs)) or "
+                 "((),) * ps.dim)"),
+     "replacement": "IntMatrix.from_columns(diffs, rows=ps.dim)",
+     "tests": [POLYTOPES + "test_wide_segment_is_embedded_exactly",
+               CLI + "test_a_wide_segment_is_answered_exactly"]},
+    {"name": "adjugate-without-row-swaps",
+     "file": "polytopes.py",
+     "snippet": "        rows[k], rows[piv] = rows[piv], rows[k]\n",
+     "replacement": "",
+     "tests": [POLYTOPES + "test_adjugate_is_a_multiple_of_the_fraction_"
+               "inverse",
+               POLYTOPES + "test_lattice_isomorphic_random_transforms"]},
+    {"name": "normalize-preconditions-swapped",
+     "file": "polytopes.py",
+     "snippet": NORMALIZE_POLYTOPAL + NORMALIZE_UNIMODULAR,
+     "replacement": NORMALIZE_UNIMODULAR + NORMALIZE_POLYTOPAL,
+     "tests": [POLYTOPES + "test_normalize_raises_the_first_failing_"
+               "precondition"]},
+    {"name": "columns-distinct-misses-a-duplicate",
+     "file": "matrix.py",
+     "snippet": "return len(set(self.columns())) == self.cols",
+     "replacement": "return len(set(self.columns())) >= self.cols - 1",
+     "tests": [MATRIX + "test_columns_distinct_basic", CORPUS]},
     {"name": "delta-sum-u-length-against-m1",
      "file": "sums.py",
      "snippet": '("u", "n1")',

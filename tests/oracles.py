@@ -145,6 +145,13 @@ def coordinate_index_perms(cands, m):
             yield [index[permuted(c)] for c in cands]
 
 
+def matmul(a, b):
+    """The product of two matrices given as row sequences, as a list of
+    row lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 def rank_fractions(rows_data):
     """Rank over the rationals by plain Gaussian elimination."""
     a = [[Fraction(e) for e in row] for row in rows_data]

@@ -237,6 +237,19 @@ def test_check_unimodular_over_the_row_budget(tmp_path, capsys, n_entries):
         "(rows <= 20)\n")
 
 
+def test_a_wide_segment_is_answered_exactly(tmp_path, capsys):
+    """Entries of +-(2^63 - 1), whose difference 2^64 - 2 is computed, not
+    read: no 64-bit overflow error, but the segment's own witness (the
+    corpus entry ``check unimodular-polytope/wide-segment`` pins the
+    check)."""
+    path = _write(tmp_path, "wide.txt",
+                  "1 2\n-9223372036854775807 9223372036854775807\n")
+    assert main(["verify", "vertex-bound", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: not a unimodular polytope; witness ((0, 1), "
+        "18446744073709551614)\n")
+
+
 def _counting_minor_scans(monkeypatch):
     from tumax import kernels
 

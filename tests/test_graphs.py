@@ -86,6 +86,15 @@ def test_arcs_and_paths_must_be_sequences():
     assert str(info.value) == "arc must be a sequence of integers, got 5"
     with pytest.raises(UsageError, match="^path must be a sequence"):
         verify_pattern_bounds(path_tree(3), [(0, 1), 7])
+    # the whole arc or path list
+    with pytest.raises(UsageError) as info:
+        ArcGraph.from_arcs(3, 5)
+    assert str(info.value) == "arcs must be a sequence of vertex pairs, got 5"
+    for analysis in (edge_patterns, verify_pattern_bounds):
+        with pytest.raises(UsageError) as info:
+            analysis(path_tree(3), 7)
+        assert str(info.value) == ("paths must be a sequence of vertex "
+                                   "pairs, got 7")
 
 
 def test_paths_take_only_pairs_of_ints():

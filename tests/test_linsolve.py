@@ -15,6 +15,7 @@ from oracles import (
     det_cofactor,
     greedy_independent_columns,
     inverse_fractions,
+    matmul,
     rank_fractions,
     rational_row_solution,
 )
@@ -30,7 +31,7 @@ def test_row_hnf_transform_and_canonical_pivots():
     for _ in range(300):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 7))
         h, u, pivots = linsolve.row_hnf(m)
-        assert u.matmul(m) == h
+        assert matmul(u.entries, m.entries) == h.to_lists()
         assert abs(det_cofactor([list(r) for r in u.entries])) == 1
         assert len(pivots) == rank_fractions(m.to_lists())
         assert list(pivots) == sorted(set(pivots))
@@ -49,8 +50,7 @@ def test_row_hnf_returns_a_transform_past_64_bits():
     m = IntMatrix.from_rows(OVERFLOW_POLYTOPAL_ROWS)
     h, u, pivots = linsolve.row_hnf(m)
     assert max(abs(x) for row in u.entries for x in row) >= 1 << 63
-    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*m.entries)]
-            for row in u.entries] == h.to_lists()
+    assert matmul(u.entries, m.entries) == h.to_lists()
     assert abs(det_cofactor(u.to_lists())) == 1
     assert len(pivots) == rank_fractions(m.to_lists()) == 5
 
@@ -62,7 +62,8 @@ def test_invert_unimodular_matches_fraction_inverse():
             m = random_unimodular(rng, n, rng.randint(0, 10))
             inv = linsolve.invert_unimodular(m)
             assert inv.to_lists() == inverse_fractions(m.to_lists())
-            assert inv.matmul(m) == IntMatrix.identity(n)
+            assert matmul(inv.entries, m.entries) == IntMatrix.identity(
+                n).to_lists()
     assert linsolve.invert_unimodular(IntMatrix(0, 0, ())) == IntMatrix(0, 0, ())
 
 

@@ -1,26 +1,31 @@
-"""matrix surface: exact determinants, ranks, minors, column bookkeeping."""
+"""matrix surface: entries, validation, column bookkeeping and the text
+format; the determinant and rank kernels on matrix entries, against the
+cofactor and Fraction oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from tumax.errors import ArithmeticOverflow, FormatError, UsageError
+from tumax.kernels import det_entries, rank_entries
 from tumax.matrix import IntMatrix, parse_matrix_text
 
 from oracles import det_cofactor, rank_fractions
 
 
 def test_det_identity():
-    assert IntMatrix.identity(3).det() == 1
+    assert det_entries(IntMatrix.identity(3).entries) == 1
 
 
 def test_det_2x2_cofactor_case():
-    assert IntMatrix.from_rows([[1, 1], [1, -1]]).det() == -2
+    assert det_entries(((1, 1), (1, -1))) == -2 == det_cofactor([[1, 1],
+                                                                 [1, -1]])
 
 
 def test_det_empty_and_single():
-    assert IntMatrix.from_rows([]).det() == 1
-    assert IntMatrix.from_rows([[-7]]).det() == -7
+    assert det_entries(IntMatrix.from_rows([]).entries) == 1 == det_cofactor([])
+    assert det_entries(((-7,),)) == -7
 
 
 def test_det_matches_cofactor_oracle_randomized():
@@ -28,14 +33,14 @@ def test_det_matches_cofactor_oracle_randomized():
     for _ in range(1000):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert IntMatrix.from_rows(rows).det() == det_cofactor(rows)
+        assert det_entries(rows) == det_cofactor(rows)
 
 
 def test_det_random_sign_entries_5x5():
     rng = random.Random(1)
     for _ in range(200):
         rows = [[rng.randint(-1, 1) for _ in range(5)] for _ in range(5)]
-        assert IntMatrix.from_rows(rows).det() == det_cofactor(rows)
+        assert det_entries(rows) == det_cofactor(rows)
 
 
 def _parity(perm):
@@ -49,19 +54,20 @@ def test_det_permutation_parity():
     for _ in range(200):
         n = rng.randint(2, 5)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
+        det = det_cofactor(rows)
+        assert det_entries(rows) == det
         perm = list(range(n))
         rng.shuffle(perm)
-        permuted = IntMatrix.from_rows([rows[i] for i in perm])
-        assert permuted.det() == _parity(perm) * m.det()
-        col_permuted = IntMatrix.from_rows([[row[j] for j in perm] for row in rows])
-        assert col_permuted.det() == _parity(perm) * m.det()
+        assert det_entries([rows[i] for i in perm]) == _parity(perm) * det
+        col_permuted = [[row[j] for j in perm] for row in rows]
+        assert det_entries(col_permuted) == _parity(perm) * det
 
 
 def test_det_minor_rank_are_exact_near_64_bits():
-    """Entries near +-2**62 make minors far wider than 64 bits; det, minor
-    and rank still agree with the cofactor and Fraction oracles."""
-    assert IntMatrix.from_rows([[1 << 40, 0], [0, 1 << 40]]).det() == 1 << 80
+    """Entries near +-2**62 make minors far wider than 64 bits; the
+    determinant and rank kernels, on the whole matrix and on a submatrix,
+    still agree with the cofactor and Fraction oracles."""
+    assert det_entries(((1 << 40, 0), (0, 1 << 40))) == 1 << 80
     rng = random.Random(62)
 
     def entry():
@@ -78,16 +84,16 @@ def test_det_minor_rank_are_exact_near_64_bits():
             rows[-1] = [rng.choice((-1, 1)) * x for x in rows[0]]
         m = IntMatrix.from_rows(rows)
         rank = rank_fractions(rows)
-        assert m.rank() == rank, rows
+        assert rank_entries(m.entries) == rank, rows
         deficient += rank < r
         k = rng.randint(1, min(r, c))
         ri = sorted(rng.sample(range(r), k))
         ci = sorted(rng.sample(range(c), k))
         want = det_cofactor([[rows[i][j] for j in ci] for i in ri])
-        assert m.minor(ri, ci) == want, (rows, ri, ci)
+        assert det_entries(m.submatrix(ri, ci).entries) == want, (rows, ri, ci)
         wide += abs(want) >= 1 << 63
         if r == c:
-            assert m.det() == det_cofactor(rows), rows
+            assert det_entries(m.entries) == det_cofactor(rows), rows
     assert wide > 50 and deficient > 40
 
 
@@ -98,7 +104,7 @@ def test_entry_overflow_at_construction():
 
 def test_minor_single_entry():
     m = IntMatrix.from_rows([[3, 1], [4, 1]])
-    assert m.minor([1], [0]) == 4
+    assert det_entries(m.submatrix([1], [0]).entries) == 4
 
 
 def test_minor_full_equals_det():
@@ -107,22 +113,25 @@ def test_minor_full_equals_det():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         m = IntMatrix.from_rows(rows)
-        assert m.minor(range(n), range(n)) == m.det()
+        full = m.submatrix(range(n), range(n))
+        assert full == m
+        assert det_entries(full.entries) == det_cofactor(rows)
 
 
 def test_minor_usage_errors():
+    # the index sets of a minor: in range and strictly increasing
     m = IntMatrix.identity(3)
-    with pytest.raises(UsageError):
-        m.minor([0, 1], [0])
-    with pytest.raises(UsageError):
-        m.minor([0, 3], [0, 1])
-    with pytest.raises(UsageError):
-        m.minor([1, 0], [0, 1])
+    with pytest.raises(UsageError, match="row 3 out of range"):
+        m.submatrix([0, 3], [0, 1])
+    with pytest.raises(UsageError, match="column set must be strictly"):
+        m.submatrix([0, 1], [1, 0])
+    with pytest.raises(UsageError, match="row set must be strictly"):
+        m.submatrix([1, 0], [0, 1])
 
 
 def test_rank_zero_and_identity():
-    assert IntMatrix.zeros(3, 4).rank() == 0
-    assert IntMatrix.identity(5).rank() == 5
+    assert rank_entries(IntMatrix.zeros(3, 4).entries) == 0
+    assert rank_entries(IntMatrix.identity(5).entries) == 5
 
 
 def test_rank_matches_fraction_oracle_and_transpose():
@@ -132,14 +141,22 @@ def test_rank_matches_fraction_oracle_and_transpose():
         c = rng.randint(1, 6)
         rows = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
         m = IntMatrix.from_rows(rows)
-        assert m.rank() == rank_fractions(rows)
-        assert m.rank() == m.transpose().rank()
+        assert rank_entries(m.entries) == rank_fractions(rows)
+        assert rank_entries(m.transpose().entries) == rank_fractions(rows)
 
 
 def test_columns_distinct_basic():
     assert IntMatrix.identity(3).columns_distinct()
     doubled = IntMatrix.identity(2).hstack(IntMatrix.identity(2))
-    assert doubled.first_duplicate_columns() == (0, 2)
+    assert not doubled.columns_distinct()
+    rng = random.Random(5)
+    for _ in range(300):
+        r, c = rng.randint(0, 3), rng.randint(0, 5)
+        m = IntMatrix(r, c, tuple(tuple(rng.randint(-1, 1) for _ in range(c))
+                                  for _ in range(r)))
+        cols = [tuple(row[j] for row in m.entries) for j in range(c)]
+        want = all(cols[i] != cols[j] for i, j in combinations(range(c), 2))
+        assert m.columns_distinct() == want, m
 
 
 def test_text_round_trip_byte_identical():
@@ -191,6 +208,14 @@ def test_from_columns_accepts_only_integers():
         with pytest.raises(UsageError, match="integers"):
             IntMatrix.from_columns([(1, 0), (bad, 1)])
     assert IntMatrix.from_columns([(0, 1)]).entries == ((0,), (1,))
+
+
+def test_from_columns_takes_only_sequences_of_columns():
+    for cols in ([5], 5):
+        with pytest.raises(UsageError) as info:
+            IntMatrix.from_columns(cols)
+        assert str(info.value) == ("matrix columns must be sequences of "
+                                   f"integers, got {cols!r}")
 
 
 def test_from_columns_without_columns_keeps_the_rows():

@@ -39,6 +39,7 @@ from oracles import (
     inverse_fractions,
     is_unimodular_maximal_minors,
     lattice_isomorphic_bruteforce,
+    matmul,
     rank_fractions,
 )
 
@@ -428,6 +429,50 @@ def test_unimodular_polytope_past_64_bit_transforms():
     assert verdict.witness[0] == (0, 1, 2, 3, 4)
     diffs = [[x - b for x, b in zip(p, ps.points[0])] for p in ps.points[1:5]]
     assert abs(verdict.witness[1]) == _lattice_index(diffs) == 17
+
+
+def test_full_dimensional_sets_come_back_translated():
+    """The embedding of a full-dimensional set is its differences from the
+    first point, so a witness keeps the determinant of its own simplex."""
+    for pts in ([(0, 0), (3, 1), (1, 2)], [(5, -1), (2, 2), (4, 7), (0, 0)],
+                simplex_product(1, 2).points):
+        base = pts[0]
+        assert affine_lattice_coordinates(PointSet.from_points(pts)).points \
+            == tuple(tuple(x - b for x, b in zip(p, base)) for p in pts)
+
+
+# the widest entry that outside input may hold
+WIDE = (1 << 63) - 1
+
+
+def test_wide_segment_is_embedded_exactly():
+    """The segment from -WIDE to WIDE: its entries pass the 64-bit input
+    check and its difference 2 * WIDE does not, which only outside input
+    meets. Its embedding, verdict and isomorphism test are exact."""
+    seg = PointSet.from_points([(-WIDE,), (WIDE,)])
+    emb = affine_lattice_coordinates(seg)
+    assert emb == PointSet(1, ((0,), (2 * WIDE,)))
+    verdict = is_unimodular_polytope(emb)
+    assert (verdict.is_unimodular, verdict.witness) == (False,
+                                                        ((0, 1), 2 * WIDE))
+    with pytest.raises(PreconditionError,
+                       match="^not a unimodular polytope; witness"):
+        vertex_bound_check(seg)
+    unit = PointSet.from_points([(0,), (1,)])
+    assert not lattice_isomorphic(seg, unit)
+    assert not lattice_isomorphic(unit, seg)
+    assert lattice_isomorphic(seg, PointSet.from_points([(WIDE,), (-WIDE,)]))
+
+
+def test_wide_collinear_set_is_embedded_exactly():
+    """A rank-deficient set with the same wide differences, so the
+    embedding reads its coordinates off the HNF."""
+    pts = [(-WIDE, 0), (WIDE, 0), (0, 0)]
+    p = PointSet.from_points(pts)
+    assert affine_lattice_coordinates(p) == PointSet(
+        1, ((0,), (2 * WIDE,), (WIDE,)))
+    assert lattice_isomorphic(p, PointSet.from_points([(y, x) for x, y in pts]))
+    assert not lattice_isomorphic(p, PointSet.from_points([(0,), (2,), (1,)]))
 
 
 def test_embedding_runs_one_elimination_per_point_set(monkeypatch):
@@ -877,9 +922,9 @@ def test_normalize_lifted_square():
     assert res.matrix.col(3) == (-1, 1, 1)
     assert all(sum(res.matrix.col(j)) == 1 for j in range(4))
     # round trip: R * (I|B) equals M up to the recorded column permutation
-    rebuilt = res.transform.matmul(res.matrix)
+    rebuilt = list(zip(*matmul(res.transform.entries, res.matrix.entries)))
     for k, j in enumerate(res.permutation):
-        assert rebuilt.col(k) == m.col(j)
+        assert rebuilt[k] == m.col(j)
 
 
 def test_normalize_preconditions():
@@ -946,7 +991,7 @@ def test_prepared_full_rank_matrices_span_unimodular_polytopes():
     members.append(sporadic_5x10())
     members.extend(max_polytopal_tu_columns(m).witness for m in (3, 4))
     for m in members:
-        assert m.rank() == m.rows
+        assert rank_fractions(m.to_lists()) == m.rows
         ps = affine_lattice_coordinates(PointSet.from_matrix_columns(m))
         assert ps.dim == m.rows - 1
         # positive without an LP: unimodular simplices imply convex position

@@ -32,6 +32,23 @@ def test_importing_the_cli_loads_no_command_module():
     assert _loaded_after("import tumax.cli") == set()
 
 
+def test_commands_without_exact_arithmetic_load_no_kernel(tmp_path):
+    """``IntMatrix`` does no arithmetic, so importing the CLI, ``gen
+    heller`` and ``network build`` load neither kernel module."""
+    kernels = ("tumax.kernels", "tumax._pykernels")
+    assert _loaded_after("import tumax.cli", kernels) == set()
+    tree = tmp_path / "tree.txt"
+    tree.write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    digraph = tmp_path / "digraph.txt"
+    digraph.write_text("3 1\n0 2\n", encoding="utf-8")
+    for argv in (["gen", "heller", "--m", "3"],
+                 ["network", "build", str(tree), str(digraph)]):
+        loaded = _loaded_after(
+            "from tumax import cli\n"
+            f"assert cli.run({argv!r}).exit_status == 0", kernels)
+        assert loaded == set(), argv
+
+
 def test_a_search_loads_search_and_nothing_it_does_not_run():
     loaded = _loaded_after(
         "from tumax import cli\n"
