@@ -163,15 +163,12 @@ def _parser():
     v = ver_sub.add_parser("transpose-bound")
     v.add_argument("--samples", type=_int, default=1000)
     v.add_argument("--seed", type=_int, default=0)
-    v.add_argument("--max-tree-edges", type=_int, default=12)
-    v.add_argument("--max-arcs", type=_int, default=5)
     v = ver_sub.add_parser("vertex-bound")
     v.add_argument("file", help="points as matrix columns")
 
     cl = sub.add_parser("classify",
                         help="classify unimodular polytopes by dimension")
     cl.add_argument("--d", type=_int, required=True)
-    cl.add_argument("--unpruned", action="store_true")
     return p
 
 
@@ -362,8 +359,6 @@ def _verify(args):
     if what == "transpose-bound":
         if args.samples < 0:
             raise UsageError("--samples must be >= 0")
-        if args.max_tree_edges < 1 or args.max_arcs < 1:
-            raise UsageError("--max-tree-edges and --max-arcs must be >= 1")
         import random
 
         from . import graphs
@@ -371,9 +366,10 @@ def _verify(args):
         violations = 0
         checked = 0
         for _ in range(args.samples):
-            n = rng.randint(2, args.max_tree_edges + 1)
+            # a tree of 2..13 vertices and a digraph of 1..5 arcs on them
+            n = rng.randint(2, 13)
             tree = graphs.ArcGraph.from_arcs(n, _random_tree_arcs(rng, n))
-            na = rng.randint(1, args.max_arcs)
+            na = rng.randint(1, 5)
             d = graphs.ArcGraph.from_arcs(
                 n, [(rng.randrange(n), rng.randrange(n)) for _ in range(na)])
             rep = graphs.verify_transpose_row_bound(
@@ -397,7 +393,7 @@ def _verify(args):
 
 def _classify(args):
     from . import polytopes
-    res = polytopes.classify_unimodular(args.d, pruned=not args.unpruned)
+    res = polytopes.classify_unimodular(args.d)
     return CommandReport("classify", {"d": args.d},
                          {"dimension": args.d, "count": res.count,
                           "classes": res.to_json_list()},

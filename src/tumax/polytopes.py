@@ -433,12 +433,12 @@ def _cube_symmetry_index_perms(d):
     return [p for p in perms if p != identity]
 
 
-def _candidate_subsets(d, pruned):
+def _candidate_subsets(d):
     """The cube subsets that classification examines, one per orbit of
-    the cube group, as increasing tuples of cube point indices."""
+    the cube group and at most h(d+1) points each, as increasing tuples
+    of cube point indices."""
     perms = _cube_symmetry_index_perms(d)
-    max_size = min(h(d + 1) if pruned else 1 << d, 1 << d)
-    for mask in kernels.canonical_masks(1 << d, perms, d + 1, max_size):
+    for mask in kernels.canonical_masks(1 << d, perms, d + 1, h(d + 1)):
         yield tuple(i for i in range(1 << d) if mask >> i & 1)
 
 
@@ -468,7 +468,7 @@ class ClassificationResult(Record):
         return [c.to_json_dict() for c in self.classes]
 
 
-def classify_unimodular(d, pruned=True):
+def classify_unimodular(d):
     """All isomorphism classes of unimodular polytopes of dimension d.
 
     Enumerates vertex subsets of the 0/1 cube (every unimodular polytope
@@ -489,10 +489,8 @@ def classify_unimodular(d, pruned=True):
     lattice point but its vertices. So every survivor is in convex
     position and its hull meets the cube exactly in the chosen points.
 
-    ``pruned`` caps subset sizes at the proven vertex bound h(d+1); the
-    unpruned mode (d <= 3) enumerates every size, keeping those checks
-    independent of the bound being verified. d = 5 exceeds desk scale;
-    d >= 6 is out of scope.
+    Subset sizes are capped at the proven vertex bound h(d+1). d = 5
+    exceeds desk scale; d >= 6 is out of scope.
     """
     if d < 1:
         raise UsageError("classification needs d >= 1")
@@ -500,14 +498,12 @@ def classify_unimodular(d, pruned=True):
         raise BudgetExceeded("d = 5 classification exceeds desk scale")
     if d > 5:
         raise UsageError("classification beyond d = 5 is not supported")
-    if not pruned and d > 3:
-        raise UsageError("unpruned enumeration is limited to d <= 3")
 
     cube = list(product((0, 1), repeat=d))
     memo = {}
     classes = []
     examined = 0
-    for idx in _candidate_subsets(d, pruned):
+    for idx in _candidate_subsets(d):
         examined += 1
         dets = _unimodular_dets(cube, idx, memo)
         if dets is None or not any(dets):

@@ -5,7 +5,8 @@ positive-odd-sum normalizations.
 Searches run over the normalized form (I_m | M') where only M' needs
 testing, as an extension of a TU matrix by the identity block preserves
 total unimodularity. ``verify`` mode explores without assuming the bound
-being verified; ``fast`` mode adds symmetry reduction and stops once the
+being verified; ``fast`` mode adds symmetry reduction for m <= 7 (past
+that it builds no table of the m! row permutations) and stops once the
 target value is reached.
 """
 
@@ -142,8 +143,9 @@ def max_polytopal_tu_columns(m, mode="verify", node_budget=None, max_m=None):
     """Maximum column count of a prepared TU matrix (I_m | M') with m rows.
 
     ``verify`` explores the full candidate space; ``fast`` adds symmetry
-    reduction and the proven bound as a stopping target. The result
-    records the bound h(m) and whether the search reproduced it.
+    reduction (for m <= 7 only) and the proven bound as a stopping
+    target. The result records the bound h(m) and whether the search
+    reproduced it.
     """
     return _max_columns(m, "polytopal", 2, mode, node_budget, max_m)
 

@@ -431,12 +431,8 @@ def _verify_cases(out):
                 ["--format", "text", "verify", "extralemma", "--max", "10"],
                 {}))
     verify("transpose-bound", "--samples", "40", "--seed", "3")
-    verify("transpose-bound", "--samples", "25", "--seed", "4",
-           "--max-tree-edges", "3", "--max-arcs", "2")
     verify("transpose-bound", "--samples", "0")
     verify("transpose-bound", "--samples", "-1")
-    verify("transpose-bound", "--max-tree-edges", "0")
-    verify("transpose-bound", "--max-arcs", "0")
     for m in (2, 3, 4):
         verify("polytopal-bound", "--m", str(m))
     verify("polytopal-bound", "--m", "4", "--mode", "fast")

@@ -34,6 +34,8 @@ MATRIX = "tests/test_matrix.py::"
 POLYTOPES = "tests/test_polytopes.py::"
 SUMS = "tests/test_sums.py::"
 CORPUS = CLI + "test_cli_corpus_replays_byte_for_byte"
+CLASSIFY_FROM_TU = (POLYTOPES
+                    + "test_classification_reproduced_from_tu_matrices")
 FIRST_ENTRY = (CERTIFY + "test_gh_reports_the_first_entry_outside_the_signs_"
                "at_any_height")
 
@@ -185,6 +187,16 @@ MUTANTS = [
      "tests": [POLYTOPES + "test_adjugate_is_a_multiple_of_the_fraction_"
                "inverse",
                POLYTOPES + "test_lattice_isomorphic_random_transforms"]},
+    {"name": "classify-size-cap-one-short",
+     "file": "polytopes.py",
+     "snippet": "perms, d + 1, h(d + 1))",
+     "replacement": "perms, d + 1, h(d + 1) - 1)",
+     "tests": [CLASSIFY_FROM_TU, CLI + "test_classify_json_matches_golden"]},
+    {"name": "classify-determinant-filter-one-sided",
+     "file": "polytopes.py",
+     "snippet": "if det > 1 or det < -1:",
+     "replacement": "if det > 1:",
+     "tests": [CLASSIFY_FROM_TU, CLI + "test_classify_json_matches_golden"]},
     {"name": "normalize-preconditions-swapped",
      "file": "polytopes.py",
      "snippet": NORMALIZE_POLYTOPAL + NORMALIZE_UNIMODULAR,

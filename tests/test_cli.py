@@ -141,8 +141,6 @@ def test_exit_code_contract_corpus(tmp_path):
         (["verify", "polytopal-bound", "--m", "x"], EXIT_USAGE),
         (["verify", "transpose-bound", "--samples", "40"], EXIT_OK),
         (["verify", "transpose-bound", "--samples", "-4"], EXIT_USAGE),
-        (["verify", "transpose-bound", "--max-tree-edges", "0"], EXIT_USAGE),
-        (["verify", "transpose-bound", "--max-arcs", "0"], EXIT_USAGE),
         (["verify", "vertex-bound", ex4], EXIT_OK),
         (["classify", "--d", "2"], EXIT_OK),
         (["classify", "--d", "5"], EXIT_BUDGET),

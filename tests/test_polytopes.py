@@ -3,7 +3,7 @@
 import random
 import sys
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -37,6 +37,7 @@ from oracles import (
     det_cofactor,
     in_convex_hull_caratheodory,
     inverse_fractions,
+    is_tu_by_minor_table,
     is_unimodular_maximal_minors,
     lattice_isomorphic_bruteforce,
     matmul,
@@ -292,10 +293,10 @@ def test_classify_survivors_pass_both_hull_filters():
     """Every cube subset that passes classify's rank and determinant
     filters is in convex position and meets the cube only in itself."""
     survivors = {}
-    for d, pruned in ((1, False), (2, False), (3, False), (4, True)):
+    for d in (1, 2, 3, 4):
         survivors[d] = 0
         cube = list(product((0, 1), repeat=d))
-        for idx in polytopes._candidate_subsets(d, pruned):
+        for idx in polytopes._candidate_subsets(d):
             ps = PointSet(d, tuple(cube[i] for i in idx))
             if (_affine_rank(ps.points) != d
                     or kernels.unimodular_violation(ps.points) is not None):
@@ -940,10 +941,69 @@ def test_classification_low_dimensions():
     res3 = classify_unimodular(3)
     assert res3.count == 4
     assert max(c.vertex_count for c in res3.classes) == h(4)
-    # unpruned enumeration is independent of the vertex-bound theorem
-    for d in (1, 2, 3):
-        assert classify_unimodular(d, pruned=False).count == \
-            classify_unimodular(d).count
+
+
+def _tu_sets_beside_identity(n):
+    """Every TU (I_n | S) whose columns sum to 1 and are distinct, one per
+    orbit of the n! row permutations, as the list of its columns.
+
+    A DFS over the sorted index sets S of the candidate columns (entries
+    in {-1, 0, 1}, sum 1, not a unit vector) keeps a set only when no
+    row permutation maps it to a lex-smaller sorted set, and only when
+    the minor table shows (I_n | S) TU. Both properties hold for every
+    prefix of a set that has them, so a rejected set has no descendant
+    to keep: a sorted set keeps its prefix P as its smallest elements,
+    and an image of P that is lex-smaller makes the image of the whole
+    set lex-smaller."""
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cands = [c for c in product((-1, 0, 1), repeat=n)
+             if sum(c) == 1 and c not in identity]
+    index = {c: i for i, c in enumerate(cands)}
+    perms = [[index[tuple(c[s] for s in sigma)] for c in cands]
+             for sigma in permutations(range(n))]
+    found = []
+    stack = [[]]
+    while stack:
+        chosen = stack.pop()
+        if any(sorted(map(p.__getitem__, chosen)) < chosen for p in perms):
+            continue
+        cols = identity + [cands[i] for i in chosen]
+        if not is_tu_by_minor_table([list(r) for r in zip(*cols)]):
+            continue
+        found.append(cols)
+        start = chosen[-1] + 1 if chosen else 0
+        stack.extend(chosen + [j] for j in range(start, len(cands)))
+    return found
+
+
+def test_classification_reproduced_from_tu_matrices():
+    """The classes of ``classify_unimodular`` come back from the matrix
+    side, with no cube, no orbit walk and no vertex bound: the columns
+    of a TU (I_{d+1} | S) with column sums 1 span a unimodular d-polytope
+    in {x : sum x = 1}, and every unimodular d-polytope arises so. Row
+    permutations are lattice isomorphisms, and so is dropping the last
+    coordinate, which maps that hyperplane onto Z^d. The sets merged by
+    ``lattice_isomorphic`` must match classify's classes one to one, and
+    the oracle confirms each matched pair."""
+    for d, nsets, nclasses in ((1, 1, 1), (2, 2, 2), (3, 5, 4), (4, 44, 13)):
+        sets = _tu_sets_beside_identity(d + 1)
+        assert len(sets) == nsets
+        classes = []
+        for cols in sets:
+            ps = PointSet.from_points([c[:-1] for c in cols])
+            if not any(lattice_isomorphic(q, ps) for q in classes):
+                classes.append(ps)
+        assert len(classes) == nclasses
+        expected = classify_unimodular(d).classes
+        matched = []
+        for ps in classes:
+            match = [c for c in expected
+                     if lattice_isomorphic(c.vertices, ps)]
+            assert len(match) == 1, (d, ps.points)
+            assert lattice_isomorphic_bruteforce(ps.points,
+                                                 match[0].vertices.points)
+            matched.append(match[0])
+        assert len(set(matched)) == len(expected) == nclasses
 
 
 def test_classification_gating():

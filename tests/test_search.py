@@ -8,7 +8,7 @@ import pytest
 from tumax import _pykernels, kernels
 from tumax._pykernels import _PackedMinors
 from tumax.certify import is_prepared, is_totally_unimodular
-from tumax.cli import EXIT_BUDGET, run
+from tumax.cli import EXIT_BUDGET, EXIT_OK, run
 from tumax.errors import UsageError
 from tumax.families import bipartite_extremal, h
 from tumax.matrix import IntMatrix
@@ -217,6 +217,23 @@ def test_heller_m5_cli_search_ends_at_its_node_budget():
     assert (search["nodes"], search["complete"]) == (400, False)
     assert len(search["witness"][0]) == search["max_columns"] == 31
     assert is_tu_by_minor_table(search["witness"])
+
+
+def test_polytopal_m8_fast_search_has_no_symmetry_reduction(monkeypatch):
+    # past m = 7 fast mode builds no table of the m! row permutations and
+    # only stops at the target h(m)
+    def build(*args):
+        raise AssertionError("fast mode built the permutations at m = 8")
+
+    monkeypatch.setattr("tumax.search._index_perms", build)
+    report = run(["verify", "polytopal-bound", "--m", "8", "--max-m", "8",
+                  "--mode", "fast"])
+    search = report.result["search"]
+    assert report.exit_status == EXIT_OK
+    assert report.result["matches_expected"] is True
+    assert ((search["max_columns"], search["nodes"], search["complete"])
+            == (20, 73, True))
+    assert is_prepared(IntMatrix.from_rows(search["witness"]))
 
 
 def test_heller_m6_stops_where_a_block_outgrows_the_table():
