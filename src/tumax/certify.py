@@ -1,5 +1,5 @@
 """Certification of matrix properties: total unimodularity, unimodularity,
-polytopality, w-valuedness, preparedness.
+polytopality, preparedness.
 
 Two independent total-unimodularity oracles are provided: exhaustive
 minor enumeration (the ordered minor scan ``kernels.tu_violation``) and
@@ -18,7 +18,6 @@ from typing import Optional
 from . import kernels, linsolve
 from ._record import Record
 from .errors import BudgetExceeded, PreconditionError, UsageError
-from .matrix import int_vector
 
 MINOR_SIZE_BUDGET = 16  # rows + cols admitted to full minor enumeration
 GH_ROW_BUDGET = 20  # row count admitted to the 2^m subset enumeration
@@ -223,37 +222,26 @@ def _hnf_is_unimodular(hnf, pivots, given):
                               min(n.rows, n.cols)) from None
 
 
-def w_valued_certificate(m, w):
-    """Nonzero integral f with f * M = w, or None.
-
-    The Hermite-normal-form lattice solve decides integral solvability
-    directly (a system with no rational solution has no integral one
-    either). The returned certificate is the canonical one (kernel-row
-    coefficients zero), re-verified before returning.
-    """
-    w = int_vector(w, "w")
-    if len(w) != m.cols:
-        raise UsageError("w length must equal the column count")
-    f = linsolve.solve_left_integer(m, w)
-    if f is None:
-        return None
-    if all(c == 0 for c in f):
-        kv = linsolve.left_kernel_vector(m)
-        if kv is None:
-            return None
-        f = kv
-    cert = Functional(f)
-    if cert.apply(m) != w:
-        raise AssertionError("certificate failed re-verification")
-    return cert
-
-
 def polytopal_certificate(m):
-    """Integral f evaluating to 1 on every column, or None."""
+    """Integral f evaluating to 1 on every column, or None.
+
+    The Hermite-normal-form lattice solve ``linsolve.solve_left_integer``
+    decides integral solvability directly (a system with no rational
+    solution has no integral one either). The returned certificate is the
+    canonical one (kernel-row coefficients zero), re-verified before
+    returning.
+    """
     if m.cols == 0:
         # vacuous: any functional works; pick a canonical nonzero one
         return Functional(tuple([1] + [0] * (m.rows - 1))) if m.rows else None
-    return w_valued_certificate(m, (1,) * m.cols)
+    ones = (1,) * m.cols
+    f = linsolve.solve_left_integer(m, ones)
+    if f is None:
+        return None
+    cert = Functional(f)
+    if cert.apply(m) != ones:
+        raise AssertionError("certificate failed re-verification")
+    return cert
 
 
 def is_prepared(m):

@@ -88,6 +88,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def _check_value(self, action, value):
+        # argparse's own invalid-choice text differs between patch
+        # releases (3.13.13 stopped quoting the choices); this one is fixed
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 @functools.cache
 def _parser():

@@ -1,7 +1,7 @@
-"""Bound functions, their exhaustive verification, and every explicit
-extremal matrix family: the complete-digraph family, symmetric closures,
-bipartite incidence extremal matrices, and the fixed 5x5/5x10/4x10
-sporadic matrices with their equivalence test.
+"""The bound function h, its exhaustive verification, and every explicit
+extremal matrix family: the complete-digraph family, bipartite incidence
+extremal matrices, and the fixed 5x5/5x10/4x10 sporadic matrices with
+their equivalence test.
 """
 
 from ._record import Record
@@ -9,18 +9,8 @@ from .errors import UsageError
 from .matrix import IntMatrix
 
 
-def g(x):
-    """Exact rational (x+1)^2 / 4."""
-    # imported here, so that importing this module for h (all that the
-    # searches use) loads neither fractions nor decimal
-    from fractions import Fraction
-    if x < 1:
-        raise UsageError("g is defined for integers >= 1")
-    return Fraction((x + 1) * (x + 1), 4)
-
-
 def h(x):
-    """floor(g(x)) with the single exceptional value h(5) = 10."""
+    """floor((x+1)^2 / 4), with the single exceptional value h(5) = 10."""
     if x < 1:
         raise UsageError("h is defined for integers >= 1")
     if x == 5:

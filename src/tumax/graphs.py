@@ -43,11 +43,6 @@ class ArcGraph(Record):
     def _rooted(self):
         return _rooted_orientation(self)
 
-    def to_text(self):
-        lines = [f"{self.vertices} {len(self.arcs)}"]
-        lines.extend(f"{a} {b}" for a, b in self.arcs)
-        return "\n".join(lines) + "\n"
-
 
 def parse_graph_text(text):
     """Parse the graph text format: `vertices arcs` then `tail head` lines."""

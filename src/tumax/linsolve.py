@@ -112,19 +112,6 @@ def solve_left_integer(m, w):
     return hnf_solver(*row_hnf(m))(w)
 
 
-def left_kernel_vector(m):
-    """Canonical nonzero integer f with f * m = 0, or None when full row rank."""
-    h, u, pivots = row_hnf(m)
-    r = len(pivots)
-    if r == m.rows:
-        return None
-    vec = list(u.entries[r])
-    lead = next((x for x in vec if x != 0), 0)
-    if lead < 0:
-        vec = [-x for x in vec]
-    return tuple(vec)
-
-
 def invert_unimodular(m):
     """Exact integer inverse of a square matrix with determinant +-1.
 

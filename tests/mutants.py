@@ -36,6 +36,10 @@ SUMS = "tests/test_sums.py::"
 CORPUS = CLI + "test_cli_corpus_replays_byte_for_byte"
 CLASSIFY_FROM_TU = (POLYTOPES
                     + "test_classification_reproduced_from_tu_matrices")
+# the classify golden file and CLASSIFY_FROM_TU kill no orbit-walk mutant:
+# extra or missing cube orbits leave the 13 classes of d = 4 as they are,
+# and only the orbit counts pin the walk there
+ORBITS_D4 = POLYTOPES + "test_classify_d4_examines_313_cube_orbits"
 FIRST_ENTRY = (CERTIFY + "test_gh_reports_the_first_entry_outside_the_signs_"
                "at_any_height")
 
@@ -197,6 +201,23 @@ MUTANTS = [
      "snippet": "if det > 1 or det < -1:",
      "replacement": "if det > 1:",
      "tests": [CLASSIFY_FROM_TU, CLI + "test_classify_json_matches_golden"]},
+    {"name": "orbit-walk-skips-a-permutation",
+     "file": "_pykernels.py",
+     "snippet": "pairs = [(table(p[:8]), table(p[8:])) for p in perms]",
+     "replacement": "pairs = [(table(p[:8]), table(p[8:])) for p in perms[1:]]",
+     "tests": [KERNELS + "test_canonical_masks_cube_symmetries", ORBITS_D4]},
+    {"name": "orbit-walk-drops-the-high-byte",
+     "file": "_pykernels.py",
+     "snippet": "seen[lo[low] | hi[high]] = 1",
+     "replacement": "seen[lo[low]] = 1",
+     "tests": [KERNELS + "test_canonical_masks_partial_byte_matches_oracle",
+               KERNELS + "test_canonical_masks_cube_symmetries", ORBITS_D4]},
+    {"name": "orbit-walk-without-the-size-floor",
+     "file": "_pykernels.py",
+     "snippet": "if pc < min_size or pc > max_size:",
+     "replacement": "if pc > max_size:",
+     "tests": [KERNELS + "test_canonical_masks_partial_byte_matches_oracle",
+               ORBITS_D4]},
     {"name": "normalize-preconditions-swapped",
      "file": "polytopes.py",
      "snippet": NORMALIZE_POLYTOPAL + NORMALIZE_UNIMODULAR,

@@ -12,6 +12,11 @@ from math import lcm
 from operator import itemgetter
 
 
+def g(x):
+    """The exact rational (x+1)^2 / 4, the reference for ``families.h``."""
+    return Fraction((x + 1) * (x + 1), 4)
+
+
 def det_cofactor(rows):
     """Determinant by Laplace expansion along the first row."""
     n = len(rows)

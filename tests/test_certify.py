@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from tumax import certify
+from tumax import certify, linsolve
 from tumax.certify import (
     Functional,
     ghouila_houri_check,
@@ -13,9 +13,8 @@ from tumax.certify import (
     is_totally_unimodular,
     is_unimodular,
     polytopal_certificate,
-    w_valued_certificate,
 )
-from tumax.errors import BudgetExceeded, PreconditionError, UsageError
+from tumax.errors import BudgetExceeded, PreconditionError
 from tumax.families import (
     bipartite_extremal,
     ex4_matrix,
@@ -389,42 +388,30 @@ def test_polytopal_certificate_past_64_bit_transforms():
 
 
 def test_w_valued_examples():
-    assert w_valued_certificate(IntMatrix.identity(3), (1, 3, 5)).coeffs == (1, 3, 5)
-    assert w_valued_certificate(IntMatrix.from_rows([[1, -1]]), (1, 1)) is None
-
-
-def test_w_valued_accepts_only_integer_w():
-    # a float or a bool is no integer, even where it equals one
-    assert w_valued_certificate(IntMatrix.identity(2), (1, 1)).coeffs == (1, 1)
-    for w in ((1.7, True), (1, True), (1, 1.0)):
-        with pytest.raises(UsageError, match="^w must hold integers"):
-            w_valued_certificate(IntMatrix.identity(2), w)
+    # a w-valued functional for any w other than all-ones is the lattice
+    # solve that polytopal_certificate runs
+    assert linsolve.solve_left_integer(IntMatrix.identity(3),
+                                       (1, 3, 5)) == (1, 3, 5)
+    assert linsolve.solve_left_integer(IntMatrix.from_rows([[1, -1]]),
+                                       (1, 1)) is None
+    assert polytopal_certificate(IntMatrix.from_rows([[1, -1]])) is None
 
 
 def test_w_valued_round_trip_property():
+    # w = f * M lies in the row lattice of M, so the lattice solve finds
+    # some f' with f' * M = w, for w = 0 too
     rng = random.Random(15)
+    zero_targets = 0
     for _ in range(120):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        m = random_sign_matrix(rng, rows, cols)
+        m = random_sign_matrix(rng, rows, cols).to_lists()
         f = [rng.randint(-3, 3) for _ in range(rows)]
-        w = Functional(tuple(f)).apply(m)
-        cert = w_valued_certificate(m, w)
-        if any(w):
-            assert cert is not None
-            assert cert.apply(m) == w
-        elif cert is not None:
-            assert not cert.is_zero()
-            assert cert.apply(m) == w
-
-
-def test_w_valued_zero_target_needs_kernel():
-    # full-row-rank matrix: only f = 0 solves f*M = 0, so no certificate
-    assert w_valued_certificate(IntMatrix.identity(2), (0, 0)) is None
-    # rank-deficient: a nonzero kernel functional exists
-    m = IntMatrix.from_rows([[1, 0], [1, 0]])
-    cert = w_valued_certificate(m, (0, 0))
-    assert cert is not None and not cert.is_zero()
-    assert cert.apply(m) == (0, 0)
+        w = matmul([f], m)[0]
+        solved = linsolve.solve_left_integer(IntMatrix.from_rows(m), w)
+        assert solved is not None
+        assert matmul([list(solved)], m)[0] == w
+        zero_targets += not any(w)
+    assert zero_targets > 0
 
 
 def test_polytopal_iff_rational_hyperplane_on_tu_instances():

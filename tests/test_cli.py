@@ -1,5 +1,6 @@
 """cli surface: formats, exit-code contract, gen/check round trips."""
 
+import argparse
 import json
 import random
 import subprocess
@@ -385,6 +386,23 @@ def test_cli_corpus_replays_byte_for_byte(tmp_path):
                    entry["exit"]):
             moved.append((entry["name"], got))
     assert moved == []
+
+
+def test_invalid_choice_texts_are_tumax_own(tmp_path, monkeypatch):
+    """The corpus's invalid-choice errors (a subcommand name, ``--method``,
+    ``--variant``, ``--mode``) replay with argparse's own choice check
+    made to fail, so no stored text depends on the CPython release."""
+    def not_called(parser, action, value):
+        raise AssertionError("argparse's _check_value was called")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", not_called)
+    entries = [e for e in json.loads(CORPUS.read_text())
+               if "invalid choice" in e["stderr"]]
+    assert len(entries) == 5
+    for entry in entries:
+        got = replay(entry["argv"], entry["input"], tmp_path)
+        assert got == (stdout_text(entry["stdout"]), entry["stderr"],
+                       entry["exit"]), entry["name"]
 
 
 def test_main_prints_json_for_checks(tmp_path, capsys):
