@@ -10,6 +10,10 @@ with the scan's first witness. Callers that need only the bool
 ``polytopes.is_unimodular_polytope``, the factor checks of ``sums``) take
 ``ghouila_houri_check``, which never runs the scan. It is the one place
 that orients a matrix and tests ``GH_ROW_BUDGET``.
+
+Certificates and witnesses are plain int data: a polytopality
+certificate is the tuple f with f * M = 1 on every column, and a
+verdict's witness is the minor ``(rows, cols, minor)``.
 """
 
 from itertools import combinations
@@ -26,46 +30,23 @@ METHOD_MINORS = "minor-enumeration"
 METHOD_GH = "ghouila-houri"
 
 
-class Functional(Record):
-    """Integer row covector; evaluates matrices column-wise."""
-
-    coeffs: tuple
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def evaluate(self, column):
-        if len(column) != len(self.coeffs):
-            raise UsageError("functional/column length mismatch")
-        return sum(c * x for c, x in zip(self.coeffs, column))
-
-    def apply(self, m):
-        """f * M as a tuple of per-column values."""
-        if m.rows != len(self.coeffs):
-            raise UsageError("functional length must equal the row count")
-        return tuple(self.evaluate(m.col(j)) for j in range(m.cols))
-
-
-class MinorWitness(Record):
-    rows: tuple
-    cols: tuple
-    value: int
+def apply_functional(f, m):
+    """f * M as a tuple of per-column values, for an int sequence f."""
+    if m.rows != len(f):
+        raise UsageError("functional length must equal the row count")
+    return tuple(sum(c * x for c, x in zip(f, col)) for col in m.columns())
 
 
 class TuVerdict(Record):
     is_tu: bool
     method: str
-    witness: Optional[MinorWitness] = None
+    witness: Optional[tuple] = None  # (rows, cols, minor)
 
     def to_json_dict(self):
         w = None
         if self.witness is not None:
-            w = {"rows": list(self.witness.rows),
-                 "cols": list(self.witness.cols),
-                 "minor": self.witness.value}
+            rows, cols, minor = self.witness
+            w = {"rows": list(rows), "cols": list(cols), "minor": minor}
         return {"is_tu": self.is_tu, "method": self.method, "witness": w}
 
 
@@ -102,9 +83,7 @@ def is_totally_unimodular(m, method="auto"):
     hit = kernels.tu_violation(m.entries)
     if hit is None:
         return TuVerdict(True, METHOD_MINORS)
-    rows, cols, value = hit
-    return TuVerdict(False, METHOD_MINORS,
-                     MinorWitness(tuple(rows), tuple(cols), value))
+    return TuVerdict(False, METHOD_MINORS, hit)
 
 
 def _past_gh_budget(subject, rows):
@@ -142,7 +121,7 @@ def ghouila_houri_check(m):
     for i, row in enumerate(m.entries):
         for j, e in enumerate(row):
             if e not in (-1, 0, 1):
-                return TuVerdict(False, METHOD_GH, MinorWitness((i,), (j,), e))
+                return TuVerdict(False, METHOD_GH, ((i,), (j,), e))
     given = f"matrix size {m.rows}x{m.cols} has"
     if m.cols < m.rows:
         m = m.transpose()
@@ -233,15 +212,14 @@ def polytopal_certificate(m):
     """
     if m.cols == 0:
         # vacuous: any functional works; pick a canonical nonzero one
-        return Functional(tuple([1] + [0] * (m.rows - 1))) if m.rows else None
+        return (1,) + (0,) * (m.rows - 1) if m.rows else None
     ones = (1,) * m.cols
     f = linsolve.solve_left_integer(m, ones)
     if f is None:
         return None
-    cert = Functional(f)
-    if cert.apply(m) != ones:
+    if apply_functional(f, m) != ones:
         raise AssertionError("certificate failed re-verification")
-    return cert
+    return f
 
 
 def is_prepared(m):

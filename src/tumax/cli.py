@@ -200,7 +200,7 @@ def _check(args):
         return CommandReport(
             "check polytopal", {"file": args.file},
             {"polytopal": cert is not None,
-             "functional": list(cert.coeffs) if cert else None},
+             "functional": None if cert is None else list(cert)},
             EXIT_OK if cert is not None else EXIT_FAIL)
     if what == "prepared":
         ok = certify.is_prepared(m)
@@ -308,7 +308,7 @@ def _sum(args):
                                         tuple(_int_list("--w", args.w)))
         parts = [{"factor": p.factor.to_lists(),
                   "w": list(p.w_part),
-                  "functional": list(p.functional.coeffs)}
+                  "functional": list(p.functional)}
                  for p in res.parts]
         return CommandReport("sum transport", {"spec": args.spec},
                              {"kind": res.kind, "parts": parts}, EXIT_OK)
@@ -458,6 +458,3 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_status
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -275,9 +275,8 @@ def verify_pattern_bounds(tree, paths):
 def _underlying_bipartite(digraph):
     color = [-1] * digraph.vertices
     adj = [[] for _ in range(digraph.vertices)]
+    # a loop makes its vertex its own neighbour, which the colouring rejects
     for a, b in digraph.arcs:
-        if a == b:
-            return False
         adj[a].append(b)
         adj[b].append(a)
     for start in range(digraph.vertices):

@@ -24,6 +24,10 @@ def feasible_nonneg(a_rows, b):
     (A | I | b), so the division is exact. Signs are those of the true
     values, and the ratio test compares rhs_i / t_i by cross-multiplying,
     so every decision is the one a rational tableau would take.
+
+    The entering column has a positive sum over the artificial rows, so
+    one of them has a positive entry in it, and the ratio test always
+    finds a leaving row: phase 1 is bounded below by 0.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
@@ -66,8 +70,6 @@ def feasible_nonneg(a_rows, b):
                 if here < best or (here == best
                                    and basis[i] < basis[leaving]):
                     leaving = i
-        if leaving < 0:
-            return False
         piv_row = tab[leaving]
         piv_rhs = rhs[leaving]
         piv = piv_row[entering]

@@ -12,7 +12,7 @@ spec it returns, whose vectors are int tuples.
 from typing import Optional
 
 from ._record import Record
-from .certify import Functional, ghouila_houri_check
+from .certify import apply_functional, ghouila_houri_check
 from .errors import FormatError, HypothesisError, PreconditionError, UsageError
 from .matrix import IntMatrix, int_vector
 
@@ -245,7 +245,7 @@ def _assemble(spec):
 class TransportedFactor(Record):
     factor: IntMatrix
     w_part: tuple
-    functional: Functional
+    functional: tuple
 
 
 class TransportResult(Record):
@@ -259,8 +259,9 @@ def transport_functional(spec, f, w):
     The spec is validated as ``compose`` validates it. For a 2-sum the
     certificate lands on (v^T;B); for a 3-sum (requiring +-v1 and +-v2
     among the glue rows) on (v1;v2;B); for a delta-sum two certificates
-    land on (A;u^T) and (v^T;B). Every transported functional is
-    re-verified against its factor before returning.
+    land on (A;u^T) and (v^T;B). f and w are sequences of ints, and each
+    transported functional is an int tuple, re-verified against its factor
+    before returning.
     """
     if spec.kind == "one-sum":
         raise UsageError("no transport is defined for a one-sum")
@@ -269,15 +270,14 @@ def transport_functional(spec, f, w):
     w = int_vector(w, "w")
     if len(w) != composed.cols:
         raise PreconditionError("w length must match the composed matrix")
-    if not isinstance(f, Functional):
-        f = Functional(int_vector(f, "f"))
-    if f.is_zero():
+    f = int_vector(f, "f")
+    if not any(f):
         raise PreconditionError("certificate functional must be nonzero")
-    if f.apply(composed) != w:
+    if apply_functional(f, composed) != w:
         raise PreconditionError("f does not certify the composed matrix as w-valued")
 
     m1, n1 = spec.a.rows, spec.a.cols
-    f1, f2 = f.coeffs[:m1], f.coeffs[m1:]
+    f1, f2 = f[:m1], f[m1:]
     w1, w2 = w[:n1], w[n1:]
     if spec.kind == "two-sum":
         parts = [(second_factor(spec), w2, (_dot(f1, spec.u),) + f2)]
@@ -307,9 +307,8 @@ def transport_functional(spec, f, w):
                  (IntMatrix.from_rows([spec.v]).vstack(spec.b), w2,
                   (_dot(f1, spec.u_prime),) + f2)]
     transported = []
-    for factor, w_part, coeffs in parts:
-        functional = Functional(coeffs)
-        if functional.apply(factor) != w_part:
+    for factor, w_part, functional in parts:
+        if apply_functional(functional, factor) != w_part:
             raise AssertionError("transported functional failed re-verification")
         transported.append(TransportedFactor(factor, w_part, functional))
     return TransportResult(spec.kind, tuple(transported))

@@ -383,7 +383,7 @@ def _sum_cases(out):
         f, w = random_certificate(rng, composed)
         sum_("transport", f"{kind}-random",
              [json.dumps(spec.to_json_dict())],
-             "--f=" + ",".join(map(str, f.coeffs)),
+             "--f=" + ",".join(map(str, f)),
              "--w=" + " ".join(map(str, w)))
     two = [json.dumps(specs["two", 0].to_json_dict())]
     shape = compose(specs["two", 0]).matrix

@@ -49,7 +49,7 @@ GH_SCAN = ("    for i, row in enumerate(m.entries):\n"
            "        for j, e in enumerate(row):\n"
            "            if e not in (-1, 0, 1):\n"
            "                return TuVerdict(False, METHOD_GH, "
-           "MinorWitness((i,), (j,), e))\n")
+           "((i,), (j,), e))\n")
 GH_ORIENT = ("    given = f\"matrix size {m.rows}x{m.cols} has\"\n"
              "    if m.cols < m.rows:\n"
              "        m = m.transpose()\n")
@@ -125,6 +125,13 @@ MUTANTS = [
      "snippet": "    if len(graph.arcs) != n - 1:\n        return None\n",
      "replacement": "",
      "tests": [GRAPHS + "test_is_tree_matches_the_union_find_oracle", CORPUS]},
+    {"name": "bipartite-check-misses-odd-cycles",
+     "file": "graphs.py",
+     "snippet": ("                elif color[w] == color[v]:\n"
+                 "                    return False\n"),
+     "replacement": "",
+     "tests": [GRAPHS + "test_underlying_bipartite_examples",
+               GRAPHS + "test_underlying_bipartite_matches_the_colouring_oracle"]},
     {"name": "tu-violation-scans-large-minors-first",
      "file": "_pykernels.py",
      "snippet": "    for k in range(2, min(nrows, ncols) + 1):",

@@ -267,6 +267,13 @@ def is_spanning_tree(nvertices, arcs):
     return nvertices >= 1 and len({find(v) for v in range(nvertices)}) == 1
 
 
+def is_bipartite_bruteforce(nvertices, arcs):
+    """Some 2-colouring of the vertices splits every arc's ends, tried
+    over all 2^n colourings. A loop's ends never split."""
+    return any(all((mask >> a ^ mask >> b) & 1 for a, b in arcs)
+               for mask in range(1 << nvertices))
+
+
 def network_column_bfs(nvertices, tree_arcs, s, t):
     """Network-matrix column for digraph arc s->t via the BFS path oracle."""
     col = [0] * len(tree_arcs)

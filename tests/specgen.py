@@ -17,7 +17,7 @@ from tumax.graphs import ArcGraph, network_matrix
 from tumax.matrix import IntMatrix
 from tumax.sums import SumSpec
 
-from oracles import random_tree_arcs
+from oracles import matmul, random_tree_arcs
 
 
 def _random_digraph_arcs(rng, n, count):
@@ -141,12 +141,14 @@ def random_spec(rng, kind):
     return GENERATORS[kind](rng)
 
 
-def random_certificate(rng, matrix):
-    """A nonzero functional and the w it induces on ``matrix``."""
-    from tumax.certify import Functional
+def functional_values(f, matrix):
+    """f * matrix as a tuple, by the oracle product."""
+    return tuple(matmul([f], matrix.entries)[0])
 
+
+def random_certificate(rng, matrix):
+    """A nonzero int tuple f and the w = f * matrix it induces."""
     while True:
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(matrix.rows))
-        if any(coeffs):
-            f = Functional(coeffs)
-            return f, f.apply(matrix)
+        f = tuple(rng.randint(-3, 3) for _ in range(matrix.rows))
+        if any(f):
+            return f, functional_values(f, matrix)

@@ -42,7 +42,7 @@ from oracles import (
     network_column_bfs,
     random_tree_arcs,
 )
-from specgen import random_certificate, random_spec
+from specgen import functional_values, random_certificate, random_spec
 
 _DURATIONS = {}
 
@@ -259,14 +259,15 @@ def test_criterion6d_transport_recertifies():
             continue
         m1 = spec.a.rows
         for part in res.parts:
-            assert part.functional.apply(part.factor) == part.w_part
+            assert (functional_values(part.functional, part.factor)
+                    == part.w_part)
         if kind == "two-sum":
-            assert res.parts[0].functional.coeffs[1:] == f.coeffs[m1:]
+            assert res.parts[0].functional[1:] == f[m1:]
         elif kind == "three-sum":
-            assert res.parts[0].functional.coeffs[2:] == f.coeffs[m1:]
+            assert res.parts[0].functional[2:] == f[m1:]
         else:
-            assert res.parts[0].functional.coeffs[:m1] == f.coeffs[:m1]
-            assert res.parts[1].functional.coeffs[1:] == f.coeffs[m1:]
+            assert res.parts[0].functional[:m1] == f[:m1]
+            assert res.parts[1].functional[1:] == f[m1:]
         per_part[kind] += 1
     _report("criterion-6d", "(part of 10min)", started,
             "transported certificates re-verify, 100 specs per lemma part")

@@ -7,7 +7,6 @@ import pytest
 
 from tumax import certify, linsolve
 from tumax.certify import (
-    Functional,
     ghouila_houri_check,
     is_prepared,
     is_totally_unimodular,
@@ -48,25 +47,24 @@ def test_sporadic_5x10_is_tu_by_both_methods():
 def test_ex4_is_not_tu():
     v = is_totally_unimodular(ex4_matrix())
     assert not v.is_tu
-    assert abs(v.witness.value) >= 2
+    rows, cols, minor = v.witness
+    assert abs(minor) >= 2
     # the witness is a genuine minor of the input
     m = ex4_matrix()
-    assert det_cofactor([[m[i, j] for j in v.witness.cols]
-                         for i in v.witness.rows]) == v.witness.value
+    assert det_cofactor([[m[i, j] for j in cols] for i in rows]) == minor
 
 
 def test_small_violation_witness():
     v = is_totally_unimodular(IntMatrix.from_rows([[1, 1], [1, -1]]))
     assert not v.is_tu
-    assert v.witness.value == -2
-    assert v.witness.rows == (0, 1) and v.witness.cols == (0, 1)
+    assert v.witness == ((0, 1), (0, 1), -2)
 
 
 def test_entry_outside_range_gives_1x1_witness():
     for method in ("minor-enumeration", "ghouila-houri"):
         v = is_totally_unimodular(IntMatrix.from_rows([[0, 2], [1, 0]]), method)
         assert not v.is_tu
-        assert v.witness == certify.MinorWitness((0,), (1,), 2)
+        assert v.witness == ((0,), (1,), 2)
 
 
 def test_gh_identity_and_small_negative():
@@ -168,7 +166,7 @@ def test_gh_reports_the_first_entry_outside_the_signs_at_any_height():
         padded += [[0] * (3 + pad_cols)] * pad_rows
         v = ghouila_houri_check(IntMatrix.from_rows(padded))
         assert v == certify.TuVerdict(False, certify.METHOD_GH,
-                                      certify.MinorWitness((1,), (1,), -2))
+                                      ((1,), (1,), -2))
 
 
 def test_gh_decides_20_rows_and_raises_past_them():
@@ -373,8 +371,8 @@ def test_is_unimodular_random_integer_matrices():
 
 
 def test_polytopal_certificate_examples():
-    assert polytopal_certificate(sporadic_5x10()) == Functional((1, 1, 1, 1, 1))
-    assert polytopal_certificate(IntMatrix.identity(4)) == Functional((1,) * 4)
+    assert polytopal_certificate(sporadic_5x10()) == (1, 1, 1, 1, 1)
+    assert polytopal_certificate(IntMatrix.identity(4)) == (1,) * 4
     doubled = IntMatrix.from_columns([(1, 2), (2, 4)])
     assert polytopal_certificate(doubled) is None
 

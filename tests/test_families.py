@@ -115,7 +115,7 @@ def test_sporadic_5x10_properties():
     assert (m.rows, m.cols) == (5, 10)
     assert m.cols == h(5)
     assert is_prepared(m)
-    assert polytopal_certificate(m).coeffs == (1, 1, 1, 1, 1)
+    assert polytopal_certificate(m) == (1, 1, 1, 1, 1)
 
 
 def test_sporadic_5x10_against_independent_transcription():

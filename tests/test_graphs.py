@@ -8,6 +8,7 @@ from tumax.certify import is_totally_unimodular
 from tumax.errors import FormatError, StructureError, UsageError, WitnessMismatch
 from tumax.graphs import (
     ArcGraph,
+    _underlying_bipartite,
     edge_patterns,
     network_matrix,
     parse_graph_text,
@@ -19,7 +20,12 @@ from tumax.graphs import (
 )
 from tumax.matrix import IntMatrix
 
-from oracles import is_spanning_tree, network_column_bfs, random_tree_arcs
+from oracles import (
+    is_bipartite_bruteforce,
+    is_spanning_tree,
+    network_column_bfs,
+    random_tree_arcs,
+)
 
 
 def path_tree(n):
@@ -300,6 +306,47 @@ def test_network_column_bound_random_sweep():
         assert rep.bound_ok
         assert rep.bipartite
     assert applicable_seen >= 300
+
+
+def _cycle(n, start=0):
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+BIPARTITE_CASES = [
+    ("no-vertices", 0, [], True),
+    ("isolated-vertices", 3, [], True),
+    ("triangle", 3, _cycle(3), False),
+    ("five-cycle", 5, _cycle(5), False),
+    ("four-cycle", 4, _cycle(4), True),
+    ("six-cycle", 6, _cycle(6), True),
+    ("antiparallel-pair", 2, [(0, 1), (1, 0)], True),
+    ("loop-alone", 1, [(0, 0)], False),
+    ("loop-on-a-path", 3, [(0, 1), (1, 2), (2, 2)], False),
+    ("forest", 7, [(0, 1), (1, 2), (1, 3), (4, 5)], True),
+    ("even-then-odd-component", 7, _cycle(4) + _cycle(3, start=4), False),
+    ("odd-cycle-past-a-tree", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                  (5, 3)], False),
+]
+
+
+@pytest.mark.parametrize("case, n, arcs, want", BIPARTITE_CASES,
+                         ids=[c[0] for c in BIPARTITE_CASES])
+def test_underlying_bipartite_examples(case, n, arcs, want):
+    assert is_bipartite_bruteforce(n, arcs) is want
+    assert _underlying_bipartite(ArcGraph.from_arcs(n, arcs)) is want
+
+
+def test_underlying_bipartite_matches_the_colouring_oracle():
+    rng = random.Random(38)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        arcs = [(rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, n + 2))]
+        want = is_bipartite_bruteforce(n, arcs)
+        assert _underlying_bipartite(ArcGraph.from_arcs(n, arcs)) is want, arcs
+        seen[want] += 1
+    assert min(seen.values()) >= 100
 
 
 def test_transpose_row_bound_reports():

@@ -3,7 +3,7 @@
 import pytest
 
 from tumax._record import Record
-from tumax.certify import MinorWitness, TuVerdict
+from tumax.certify import TuVerdict
 from tumax.cli import CommandReport
 from tumax.graphs import ArcGraph, PatternReport
 from tumax.matrix import IntMatrix
@@ -23,7 +23,8 @@ class OtherPair(Record):
 
 def test_equal_fields_give_equal_records_with_equal_hashes():
     for a, b in [(Pair(1, 2), Pair(left=1, right=2)),
-                 (MinorWitness((0,), (1,), 2), MinorWitness((0,), (1,), 2)),
+                 (TuVerdict(False, "ghouila-houri", ((0,), (1,), 2)),
+                  TuVerdict(False, "ghouila-houri", ((0,), (1,), 2))),
                  (IntMatrix(1, 2, ((3, 4),)), IntMatrix.from_rows([[3, 4]])),
                  (PointSet(1, ((0,), (1,))), PointSet.from_points([(0,), (1,)]))]:
         assert a == b and not a != b

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from tumax.certify import Functional, is_totally_unimodular, polytopal_certificate
+from tumax.certify import is_totally_unimodular, polytopal_certificate
 from tumax.errors import (
     FormatError,
     HypothesisError,
@@ -16,7 +16,7 @@ from tumax.families import bipartite_extremal
 from tumax.matrix import IntMatrix
 from tumax.sums import SumSpec, compose, transport_functional
 
-from specgen import random_certificate, random_spec
+from specgen import functional_values, random_certificate, random_spec
 
 
 def _one_sum(a, b):
@@ -228,9 +228,9 @@ def test_transport_two_sum_formula_and_reverify():
             continue
         (part,) = res.parts
         m1 = spec.a.rows
-        fu = sum(c * x for c, x in zip(f.coeffs[:m1], spec.u))
-        assert part.functional.coeffs == (fu,) + f.coeffs[m1:]
-        assert part.functional.apply(part.factor) == part.w_part
+        fu = sum(c * x for c, x in zip(f[:m1], spec.u))
+        assert part.functional == (fu,) + f[m1:]
+        assert functional_values(part.functional, part.factor) == part.w_part
         assert part.w_part == w[spec.a.cols:]
 
 
@@ -246,7 +246,7 @@ def test_transport_three_sum_reverifies():
         except (HypothesisError, PreconditionError):
             continue
         (part,) = res.parts
-        assert part.functional.apply(part.factor) == part.w_part
+        assert functional_values(part.functional, part.factor) == part.w_part
         assert part.factor.rows == spec.b.rows + 2
         hits += 1
     assert hits >= 30
@@ -261,12 +261,13 @@ def test_transport_delta_sum_formulas():
         res = transport_functional(spec, f, w)
         first, second = res.parts
         m1 = spec.a.rows
-        fv = sum(c * x for c, x in zip(f.coeffs[m1:], spec.v_prime))
-        fu = sum(c * x for c, x in zip(f.coeffs[:m1], spec.u_prime))
-        assert first.functional.coeffs == f.coeffs[:m1] + (fv,)
-        assert second.functional.coeffs == (fu,) + f.coeffs[m1:]
-        assert first.functional.apply(first.factor) == first.w_part
-        assert second.functional.apply(second.factor) == second.w_part
+        fv = sum(c * x for c, x in zip(f[m1:], spec.v_prime))
+        fu = sum(c * x for c, x in zip(f[:m1], spec.u_prime))
+        assert first.functional == f[:m1] + (fv,)
+        assert second.functional == (fu,) + f[m1:]
+        assert functional_values(first.functional, first.factor) == first.w_part
+        assert (functional_values(second.functional, second.factor)
+                == second.w_part)
 
 
 def test_transport_distinct_column_inheritance():
@@ -320,13 +321,13 @@ def test_transport_precondition_errors():
     composed = compose(spec).matrix
     with pytest.raises(UsageError):
         transport_functional(random_spec(rng, "one-sum"),
-                             Functional((1,)), (1,))
+                             (1,), (1,))
     f, w = random_certificate(rng, composed)
     wrong = tuple(x + 1 for x in w)
     with pytest.raises(PreconditionError):
         transport_functional(spec, f, wrong)
     with pytest.raises(PreconditionError):
-        transport_functional(spec, Functional((0,) * composed.rows),
+        transport_functional(spec, (0,) * composed.rows,
                              (0,) * composed.cols)
 
 
@@ -356,11 +357,11 @@ def test_transport_f_and_w_accept_only_integers():
             break
         except PreconditionError:
             continue
-    # plain integer tuples are read as the Functional and w they spell
-    assert transport_functional(spec, f.coeffs, list(w)) == want
+    # any int sequence is read as the f or w it spells
+    assert transport_functional(spec, list(f), list(w)) == want
     for bad in (0.5, True):
         with pytest.raises(UsageError, match="^f must hold integers"):
-            transport_functional(spec, (bad,) + f.coeffs[1:], w)
+            transport_functional(spec, (bad,) + f[1:], w)
         with pytest.raises(UsageError, match="^w must hold integers"):
             transport_functional(spec, f, (bad,) + w[1:])
 
@@ -588,8 +589,8 @@ def test_from_json_dict_error_texts_and_precedence(case, changes, exc,
 
 def _e1_certificate(spec):
     composed = compose(spec).matrix
-    f = Functional((1,) + (0,) * (composed.rows - 1))
-    return f, f.apply(composed)
+    f = (1,) + (0,) * (composed.rows - 1)
+    return f, functional_values(f, composed)
 
 
 _F, _W = _e1_certificate(_TWO)  # a 3x5 composed matrix
@@ -610,11 +611,11 @@ TRANSPORT_ERRORS = [
      "w must hold integers, got 1.5"),
     ("w-too-short", _TWO, _F, _W[:-1], PreconditionError,
      "w length must match the composed matrix"),
-    ("w-before-f", _TWO, Functional((0, 0, 0)), _W[:-1], PreconditionError,
+    ("w-before-f", _TWO, (0, 0, 0), _W[:-1], PreconditionError,
      "w length must match the composed matrix"),
-    ("f-zero", _TWO, Functional((0, 0, 0)), (0,) * 5, PreconditionError,
+    ("f-zero", _TWO, (0, 0, 0), (0,) * 5, PreconditionError,
      "certificate functional must be nonzero"),
-    ("f-too-short", _TWO, Functional((1,)), _W, UsageError,
+    ("f-too-short", _TWO, (1,), _W, UsageError,
      "functional length must equal the row count"),
     ("w-not-certified", _TWO, _F, tuple(x + 1 for x in _W), PreconditionError,
      "f does not certify the composed matrix as w-valued"),
