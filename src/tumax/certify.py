@@ -22,6 +22,7 @@ from typing import Optional
 from . import kernels, linsolve
 from ._record import Record
 from .errors import BudgetExceeded, PreconditionError, UsageError
+from .matrix import int_vector
 
 MINOR_SIZE_BUDGET = 16  # rows + cols admitted to full minor enumeration
 GH_ROW_BUDGET = 20  # row count admitted to the 2^m subset enumeration
@@ -31,7 +32,9 @@ METHOD_GH = "ghouila-houri"
 
 
 def apply_functional(f, m):
-    """f * M as a tuple of per-column values, for an int sequence f."""
+    """f * M as a tuple of per-column values, for an int sequence f; any
+    other entry, such as 0.5 or True, raises UsageError."""
+    f = int_vector(f, "f")
     if m.rows != len(f):
         raise UsageError("functional length must equal the row count")
     return tuple(sum(c * x for c, x in zip(f, col)) for col in m.columns())

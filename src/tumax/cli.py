@@ -304,14 +304,12 @@ def _sum(args):
                           line=exc.lineno) from exc
     spec = sums.SumSpec.from_json_dict(data)
     if args.what == "transport":
-        res = sums.transport_functional(spec, tuple(_int_list("--f", args.f)),
-                                        tuple(_int_list("--w", args.w)))
-        parts = [{"factor": p.factor.to_lists(),
-                  "w": list(p.w_part),
-                  "functional": list(p.functional)}
-                 for p in res.parts]
+        transported = sums.transport_functional(
+            spec, _int_list("--f", args.f), _int_list("--w", args.w))
+        parts = [{"factor": p.factor.to_lists(), "w": list(p.w_part),
+                  "functional": list(p.functional)} for p in transported]
         return CommandReport("sum transport", {"spec": args.spec},
-                             {"kind": res.kind, "parts": parts}, EXIT_OK)
+                             {"kind": spec.kind, "parts": parts}, EXIT_OK)
     expected_kind = {"one": "one-sum", "two": "two-sum",
                      "three": "three-sum", "delta": "delta-sum"}[args.what]
     if spec.kind != expected_kind:
@@ -320,15 +318,13 @@ def _sum(args):
     res = sums.compose(spec)
     m = res.matrix
     result = {"rows": m.rows, "cols": m.cols, "matrix": m.to_lists(),
-              "report": {"kind": res.report.kind,
-                         "two_sum_shaped": res.report.two_sum_shaped}}
+              "report": {"kind": spec.kind,
+                         "two_sum_shaped": res.two_sum_shaped}}
     return CommandReport(f"sum {args.what}", {"spec": args.spec}, result,
                          EXIT_OK, artifact_text=m.to_text())
 
 
 def _random_tree_arcs(rng, nvertices):
-    if nvertices <= 1:
-        return []
     arcs = []
     for v in range(1, nvertices):
         u = rng.randrange(v)

@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all modules.
 
 Every error the library raises deliberately derives from ``TumaxError``,
-so CLI code can map the family to an exit status in one place.
+so CLI code can map the family to an exit status in one place. Below it
+there is one class per thing a caller does differently: ``UsageError``,
+``FormatError``, ``BudgetExceeded`` (exit 3) and ``PreconditionError``.
 """
 
 
@@ -9,12 +11,9 @@ class TumaxError(Exception):
     """Base class for all library errors."""
 
 
-class ArithmeticOverflow(TumaxError, ArithmeticError):
-    """An input matrix entry lies outside the signed 64-bit range."""
-
-
 class UsageError(TumaxError, ValueError):
-    """Caller violated an operation's contract (sizes, ranges, kinds)."""
+    """Caller violated an operation's contract (sizes, ranges, kinds, an
+    entry that is no int or lies outside the signed 64-bit range)."""
 
 
 class FormatError(TumaxError, ValueError):
@@ -31,17 +30,7 @@ class BudgetExceeded(TumaxError, RuntimeError):
     """A configured enumeration/search budget was exhausted."""
 
 
-class StructureError(TumaxError, ValueError):
-    """A graph input does not have the required structure (e.g. not a tree)."""
-
-
-class WitnessMismatch(TumaxError, ValueError):
-    """A supplied realization or certificate does not reproduce its matrix."""
-
-
 class PreconditionError(TumaxError, ValueError):
-    """A documented mathematical precondition does not hold for the input."""
-
-
-class HypothesisError(TumaxError, ValueError):
-    """A lemma hypothesis required by a transport construction fails."""
+    """A documented mathematical precondition does not hold for the input:
+    not TU, not a tree, a realization that does not reproduce its matrix,
+    a lemma hypothesis."""

@@ -13,8 +13,8 @@ from functools import cached_property
 from typing import Optional
 
 from ._record import Record
-from .errors import FormatError, StructureError, UsageError, WitnessMismatch
-from .matrix import IntMatrix, int_tokens, int_vector
+from .errors import FormatError, PreconditionError, UsageError
+from .matrix import IntMatrix, int_pair, int_tokens, pair_list
 
 
 class ArcGraph(Record):
@@ -25,7 +25,7 @@ class ArcGraph(Record):
 
     @staticmethod
     def from_arcs(vertices, arcs):
-        arcs = tuple(_pair(arc, "arc") for arc in _pair_list(arcs, "arcs"))
+        arcs = tuple(int_pair(arc, "arc") for arc in pair_list(arcs, "arcs"))
         if type(vertices) is not int or vertices < 0:
             raise UsageError(f"vertex count must be a nonnegative integer, "
                              f"got {vertices!r}")
@@ -95,23 +95,6 @@ def parse_paths_text(text):
     return paths
 
 
-def _pair_list(values, name):
-    """``values`` as a tuple, or UsageError when it is no sequence."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise UsageError(f"{name} must be a sequence of vertex pairs, "
-                         f"got {values!r}") from None
-
-
-def _pair(values, name):
-    """``values`` as a pair of ints, or UsageError."""
-    pair = int_vector(values, name)
-    if len(pair) != 2:
-        raise UsageError(f"{name} must be a pair of vertices, got {pair!r}")
-    return pair
-
-
 def _rooted_orientation(graph):
     """Parent pointers and parent-arc signs of the graph as a tree rooted at
     vertex 0, or None when it is no tree spanning all its vertices.
@@ -174,7 +157,7 @@ def network_matrix(tree, digraph):
     own orientation.
     """
     if not tree.is_tree():
-        raise StructureError("first argument must be a spanning directed tree")
+        raise PreconditionError("first argument must be a spanning directed tree")
     if digraph.vertices > tree.vertices:
         raise UsageError("digraph vertex set exceeds the tree's")
     nrows = len(tree.arcs)
@@ -203,7 +186,7 @@ def transpose_extension(mprime, tree, digraph):
     network matrix again.
     """
     if network_matrix(tree, digraph) != mprime.transpose():
-        raise WitnessMismatch("realization does not reproduce the matrix")
+        raise PreconditionError("realization does not reproduce the matrix")
     k = len(digraph.arcs)
     new_tree_arcs = []
     new_digraph_arcs = []
@@ -227,10 +210,10 @@ def edge_patterns(tree, paths):
     whose bit j stands for path j: a Python int, so of any width.
     """
     if not tree.is_tree():
-        raise StructureError("pattern analysis requires a tree")
+        raise PreconditionError("pattern analysis requires a tree")
     masks = [0] * len(tree.arcs)
-    for j, path in enumerate(_pair_list(paths, "paths")):
-        s, t = _pair(path, "path")
+    for j, path in enumerate(pair_list(paths, "paths")):
+        s, t = int_pair(path, "path")
         if not (0 <= s < tree.vertices and 0 <= t < tree.vertices):
             raise UsageError(f"path endpoint ({s},{t}) not a tree vertex")
         for idx, _ in _tree_path(tree._rooted, s, t):
@@ -255,6 +238,7 @@ def verify_pattern_bounds(tree, paths):
     The bounds apply for m >= 2 and m >= 3 respectively; outside that the
     fields are None.
     """
+    paths = pair_list(paths, "paths")
     masks = edge_patterns(tree, paths)
     m = len(paths)
     count = len(masks)

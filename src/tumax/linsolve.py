@@ -9,7 +9,7 @@ solve f * M = w for a row vector f.
 """
 
 from .errors import UsageError
-from .matrix import IntMatrix
+from .matrix import IntMatrix, int_vector
 
 
 def _xgcd(a, b):
@@ -107,9 +107,10 @@ def solve_left_integer(m, w):
 
     Solves over the lattice spanned by the rows of ``m`` using the row
     HNF; coefficients of the kernel rows are fixed to zero, which makes
-    the returned solution deterministic.
+    the returned solution deterministic. ``w`` is a sequence of ints; any
+    other entry, such as 2.0 or True, raises UsageError.
     """
-    return hnf_solver(*row_hnf(m))(w)
+    return hnf_solver(*row_hnf(m))(int_vector(w, "w"))
 
 
 def invert_unimodular(m):

@@ -7,6 +7,9 @@ floating point and no rational arithmetic anywhere, so convex-position
 decisions are as exact as the determinant computations.
 """
 
+from .errors import UsageError
+from .matrix import int_vector
+
 
 def feasible_nonneg(a_rows, b):
     """Is {x >= 0 : A x = b} nonempty? Exact phase-1 simplex.
@@ -84,11 +87,16 @@ def feasible_nonneg(a_rows, b):
 
 
 def in_convex_hull(point, points):
-    """Exact membership of the integer point ``point`` in conv(points)."""
-    pts = list(points)
+    """Exact membership of the integer point ``point`` in conv(points).
+    Each point is a sequence of ints of the length of ``point``; any other
+    raises UsageError."""
+    point = int_vector(point, "point")
+    pts = [int_vector(q, "points") for q in points]
     if not pts:
         return False
     d = len(point)
+    if any(len(q) != d for q in pts):
+        raise UsageError("points must have the dimension of the point")
     a_rows = [[q[k] for q in pts] for k in range(d)]
     a_rows.append([1] * len(pts))
     b = list(point) + [1]

@@ -13,7 +13,7 @@ checks nothing: every computation is exact, so its entries may be wider.
 import re
 
 from ._record import Record, set_field
-from .errors import ArithmeticOverflow, FormatError, UsageError
+from .errors import FormatError, UsageError
 
 _LIMIT = 1 << 63
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+").fullmatch
@@ -33,7 +33,7 @@ def as_index_set(indices, size, what="index"):
     """Validate a strictly increasing, in-range index tuple."""
     idx = tuple(indices)
     for t, i in enumerate(idx):
-        if not isinstance(i, int):
+        if type(i) is not int:
             raise UsageError(f"{what} set must contain integers, got {i!r}")
         if i < 0 or i >= size:
             raise UsageError(f"{what} {i} out of range [0, {size})")
@@ -55,6 +55,23 @@ def int_vector(values, name):
         if type(x) is not int:
             raise UsageError(f"{name} must hold integers, got {x!r}")
     return vec
+
+
+def pair_list(values, name):
+    """``values`` as a tuple, or UsageError when it is no sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise UsageError(f"{name} must be a sequence of vertex pairs, "
+                         f"got {values!r}") from None
+
+
+def int_pair(values, name):
+    """``values`` as a pair of ints, or UsageError."""
+    pair = int_vector(values, name)
+    if len(pair) != 2:
+        raise UsageError(f"{name} must be a pair of vertices, got {pair!r}")
+    return pair
 
 
 def _tuples(data, what):
@@ -96,7 +113,7 @@ class IntMatrix(Record):
                     raise UsageError(
                         f"matrix entries must be integers, got {e!r}")
                 if e >= _LIMIT or e <= -_LIMIT:
-                    raise ArithmeticOverflow(f"entry {e} exceeds 64-bit range")
+                    raise UsageError(f"entry {e} exceeds 64-bit range")
         return IntMatrix(r, c, tuple(rows_data))
 
     @staticmethod

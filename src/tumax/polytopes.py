@@ -11,10 +11,10 @@ from typing import Optional
 from . import kernels, linsolve
 from ._record import Record, set_field
 from .certify import _hnf_is_unimodular, is_totally_unimodular
-from .errors import BudgetExceeded, PreconditionError, StructureError, UsageError
+from .errors import BudgetExceeded, PreconditionError, UsageError
 from .families import h
 from .lp import in_convex_hull
-from .matrix import IntMatrix, int_vector
+from .matrix import IntMatrix, int_pair, int_vector, pair_list
 
 
 class PointSet(Record):
@@ -137,16 +137,21 @@ def is_unimodular_polytope(ps):
 
 
 def edge_polytope(nvertices, part_a, edges):
-    """Points e_i + e_j for the edges of a bipartite graph with given parts."""
-    part_a = frozenset(part_a)
+    """Points e_i + e_j for the edges of a bipartite graph with given parts;
+    a vertex count, part A or edge list not made of ints raises UsageError."""
+    if type(nvertices) is not int or nvertices < 0:
+        raise UsageError(f"vertex count must be a nonnegative integer, "
+                         f"got {nvertices!r}")
+    part_a = frozenset(int_vector(part_a, "part A"))
     if not part_a <= set(range(nvertices)):
         raise UsageError("part A references unknown vertices")
     pts = []
-    for (u, v) in edges:
+    for edge in pair_list(edges, "edges"):
+        u, v = int_pair(edge, "edge")
         if not (0 <= u < nvertices and 0 <= v < nvertices):
             raise UsageError(f"edge ({u},{v}) references unknown vertex")
         if (u in part_a) == (v in part_a):
-            raise StructureError(
+            raise PreconditionError(
                 f"edge ({u},{v}) stays inside one part; graph is not "
                 f"bipartite with the declared parts")
         p = [0] * nvertices

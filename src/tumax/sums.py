@@ -13,7 +13,7 @@ from typing import Optional
 
 from ._record import Record
 from .certify import apply_functional, ghouila_houri_check
-from .errors import FormatError, HypothesisError, PreconditionError, UsageError
+from .errors import FormatError, PreconditionError, UsageError
 from .matrix import IntMatrix, int_vector
 
 _KIND_TABLE = {
@@ -99,14 +99,9 @@ _VECTORS = tuple(sorted({name for vectors, _ in _KIND_TABLE.values()
                          for name, _dim in vectors}, key=SumSpec._fields.index))
 
 
-class ComposeReport(Record):
-    kind: str
-    two_sum_shaped: Optional[bool]
-
-
 class ComposeResult(Record):
     matrix: IntMatrix
-    report: ComposeReport
+    two_sum_shaped: Optional[bool]  # None unless the kind is three-sum
 
 
 def _outer(col, row):
@@ -216,8 +211,8 @@ def compose(spec):
     """Validate a SumSpec and build the composed matrix.
 
     Structural violations raise UsageError; factors failing the TU
-    precondition raise PreconditionError. The report flags a 3-sum whose
-    nonzero glue rows all equal a single +-row (the 2-sum shape).
+    precondition raise PreconditionError. ``two_sum_shaped`` flags a 3-sum
+    whose nonzero glue rows all equal a single +-row (the 2-sum shape).
     """
     return _assemble(_validated(spec))
 
@@ -238,8 +233,7 @@ def _assemble(spec):
     else:
         top_right = _outer(spec.u_prime, spec.v)
         bottom_left = _outer(spec.v_prime, spec.u)
-    return ComposeResult(_block(a, top_right, bottom_left, b),
-                         ComposeReport(kind, shaped))
+    return ComposeResult(_block(a, top_right, bottom_left, b), shaped)
 
 
 class TransportedFactor(Record):
@@ -248,20 +242,15 @@ class TransportedFactor(Record):
     functional: tuple
 
 
-class TransportResult(Record):
-    kind: str
-    parts: tuple  # of TransportedFactor
-
-
 def transport_functional(spec, f, w):
     """Push a w-valuedness certificate of the composed matrix to the factors.
 
     The spec is validated as ``compose`` validates it. For a 2-sum the
     certificate lands on (v^T;B); for a 3-sum (requiring +-v1 and +-v2
     among the glue rows) on (v1;v2;B); for a delta-sum two certificates
-    land on (A;u^T) and (v^T;B). f and w are sequences of ints, and each
-    transported functional is an int tuple, re-verified against its factor
-    before returning.
+    land on (A;u^T) and (v^T;B). f and w are sequences of ints. Returns a
+    tuple of TransportedFactor, one per factor in that order, whose
+    functional is an int tuple re-verified against its factor.
     """
     if spec.kind == "one-sum":
         raise UsageError("no transport is defined for a one-sum")
@@ -284,7 +273,7 @@ def transport_functional(spec, f, w):
     elif spec.kind == "three-sum":
         vs = (spec.v1, spec.v2, spec.v3)
         if (0,) * spec.b.cols in vs:
-            raise HypothesisError("row classification is ambiguous: some v_l = 0")
+            raise PreconditionError("row classification is ambiguous: some v_l = 0")
         # v_l = +-v_k for l != k would make the third vector 0 or +-2 v_l,
         # which the check above and the TU check of (v1;v2;v3;B) exclude:
         # so each nonzero row of C is +-v_l for exactly one l
@@ -296,7 +285,7 @@ def transport_functional(spec, f, w):
                 l, sign = signed[row]
                 part[l] = part.get(l, 0) + sign * fi
         if 0 not in part or 1 not in part:
-            raise HypothesisError(
+            raise PreconditionError(
                 "+-v1 and +-v2 must both appear as rows of C")
         base3 = part.get(2, 0)
         factor = IntMatrix.from_rows([spec.v1, spec.v2]).vstack(spec.b)
@@ -306,9 +295,8 @@ def transport_functional(spec, f, w):
                   f1 + (_dot(f2, spec.v_prime),)),
                  (IntMatrix.from_rows([spec.v]).vstack(spec.b), w2,
                   (_dot(f1, spec.u_prime),) + f2)]
-    transported = []
-    for factor, w_part, functional in parts:
-        if apply_functional(functional, factor) != w_part:
+    parts = tuple(TransportedFactor(*p) for p in parts)
+    for p in parts:
+        if apply_functional(p.functional, p.factor) != p.w_part:
             raise AssertionError("transported functional failed re-verification")
-        transported.append(TransportedFactor(factor, w_part, functional))
-    return TransportResult(spec.kind, tuple(transported))
+    return parts

@@ -236,6 +236,17 @@ MUTANTS = [
      "snippet": "return len(set(self.columns())) == self.cols",
      "replacement": "return len(set(self.columns())) >= self.cols - 1",
      "tests": [MATRIX + "test_columns_distinct_basic", CORPUS]},
+    {"name": "index-set-takes-bools",
+     "file": "matrix.py",
+     "snippet": "        if type(i) is not int:\n",
+     "replacement": "        if not isinstance(i, int):\n",
+     "tests": [MATRIX + "test_index_sets_take_only_ints"]},
+    {"name": "lattice-solve-without-the-int-check",
+     "file": "linsolve.py",
+     "snippet": "    return hnf_solver(*row_hnf(m))(int_vector(w, \"w\"))",
+     "replacement": "    return hnf_solver(*row_hnf(m))(w)",
+     "tests": ["tests/test_linsolve.py::"
+               "test_solve_left_integer_takes_only_int_targets"]},
     {"name": "delta-sum-u-length-against-m1",
      "file": "sums.py",
      "snippet": '("u", "n1")',

@@ -7,13 +7,14 @@ import pytest
 
 from tumax import certify, linsolve
 from tumax.certify import (
+    apply_functional,
     ghouila_houri_check,
     is_prepared,
     is_totally_unimodular,
     is_unimodular,
     polytopal_certificate,
 )
-from tumax.errors import BudgetExceeded, PreconditionError
+from tumax.errors import BudgetExceeded, PreconditionError, UsageError
 from tumax.families import (
     bipartite_extremal,
     ex4_matrix,
@@ -433,3 +434,12 @@ def test_verdict_json_shape():
                  "witness": {"rows": [0, 1], "cols": [0, 1], "minor": -2}}
     d = ghouila_houri_check(IntMatrix.identity(2)).to_json_dict()
     assert d == {"is_tu": True, "method": "ghouila-houri", "witness": None}
+
+
+@pytest.mark.parametrize("bad", [2.0, 0.5, True])
+def test_apply_functional_takes_only_int_functionals(bad):
+    m = IntMatrix.from_rows([[2, 0], [0, 1]])
+    assert apply_functional([1, 1], m) == (2, 1)
+    with pytest.raises(UsageError) as info:
+        apply_functional((bad, 1), m)
+    assert str(info.value) == f"f must hold integers, got {bad!r}"

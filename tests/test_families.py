@@ -206,3 +206,7 @@ def test_is_sporadic_group_invariance():
 def test_is_sporadic_shape_check():
     with pytest.raises(UsageError):
         is_sporadic(IntMatrix.identity(4))
+    # an entry outside {-1, 0, 1} answers False before any search
+    rows = sporadic_5x5(1).to_lists()
+    rows[0][0] = 2
+    assert not is_sporadic(IntMatrix.from_rows(rows))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tumax.certify import is_totally_unimodular
-from tumax.errors import FormatError, StructureError, UsageError, WitnessMismatch
+from tumax.errors import FormatError, PreconditionError, UsageError
 from tumax.graphs import (
     ArcGraph,
     _underlying_bipartite,
@@ -66,7 +66,8 @@ def test_network_matrix_is_tu():
 
 def test_network_matrix_errors():
     not_tree = ArcGraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(StructureError):
+    with pytest.raises(PreconditionError,
+                       match="^first argument must be a spanning directed tree$"):
         network_matrix(not_tree, ArcGraph.from_arcs(3, []))
     with pytest.raises(UsageError):
         ArcGraph.from_arcs(2, [(0, 5)])
@@ -101,6 +102,13 @@ def test_arcs_and_paths_must_be_sequences():
             analysis(path_tree(3), 7)
         assert str(info.value) == ("paths must be a sequence of vertex "
                                    "pairs, got 7")
+
+
+def test_pattern_bounds_read_the_paths_once():
+    t = path_tree(4)
+    paths = [(0, 3), (1, 2), (2, 3)]
+    assert (verify_pattern_bounds(t, iter(paths))
+            == verify_pattern_bounds(t, paths))
 
 
 def test_paths_take_only_pairs_of_ints():
@@ -194,7 +202,8 @@ def test_transpose_extension_witness_mismatch():
     t = path_tree(3)
     d = ArcGraph.from_arcs(3, [(0, 2)])
     wrong = IntMatrix.from_rows([[1, 0]])
-    with pytest.raises(WitnessMismatch):
+    with pytest.raises(PreconditionError,
+                       match="^realization does not reproduce the matrix$"):
         transpose_extension(wrong, t, d)
 
 

@@ -111,6 +111,16 @@ def test_solve_left_integer_none_without_rational_solution():
     assert no_rational >= 50 and solved >= 50
 
 
+@pytest.mark.parametrize("bad", [2.0, 1.5, True])
+def test_solve_left_integer_takes_only_int_targets(bad):
+    # diag(2, 1): the target (2.0, 1.0) would be solved by (1.0, 1.0)
+    m = IntMatrix.from_rows([[2, 0], [0, 1]])
+    assert linsolve.solve_left_integer(m, [2, 1]) == (1, 1)
+    with pytest.raises(UsageError) as info:
+        linsolve.solve_left_integer(m, [bad, 1])
+    assert str(info.value) == f"w must hold integers, got {bad!r}"
+
+
 def test_leftmost_affine_frame_is_greedy():
     """The frame that lattice_isomorphic reads off the embedding's
     elimination: the leftmost affinely independent points."""

@@ -4,6 +4,9 @@ which shares no code with it."""
 import random
 from itertools import combinations
 
+import pytest
+
+from tumax.errors import UsageError
 from tumax.lp import feasible_nonneg, in_convex_hull
 
 from oracles import in_convex_hull_caratheodory
@@ -69,6 +72,24 @@ def test_in_convex_hull_of_no_points_and_one_point():
     far = (1 << 62) - 1
     assert in_convex_hull((far, -far), [(far, -far)])
     assert not in_convex_hull((far, -far + 1), [(far, -far)])
+
+
+def test_in_convex_hull_refuses_points_of_another_dimension():
+    # read by its first coordinate alone, (0,) would lie in the hull
+    for points in ([(0, 5), (0, 7)], [(0,), (0, 7)]):
+        with pytest.raises(UsageError) as info:
+            in_convex_hull((0,), points)
+        assert str(info.value) == "points must have the dimension of the point"
+
+
+def test_in_convex_hull_takes_only_int_points():
+    # with 0.5 in the pivots, (0.5,) was found in the hull of 0 and -3
+    for point, points, message in (
+            ((0.5,), [(0,), (-3,)], "point must hold integers, got 0.5"),
+            ((0,), [(True,), (-3,)], "points must hold integers, got True")):
+        with pytest.raises(UsageError) as info:
+            in_convex_hull(point, points)
+        assert str(info.value) == message
 
 
 def test_feasible_nonneg_ends_on_a_degenerate_system():

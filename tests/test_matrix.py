@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from tumax.errors import ArithmeticOverflow, FormatError, UsageError
+from tumax.errors import FormatError, UsageError
 from tumax.kernels import det_entries, rank_entries
 from tumax.matrix import IntMatrix, parse_matrix_text
 
@@ -98,7 +98,8 @@ def test_det_minor_rank_are_exact_near_64_bits():
 
 
 def test_entry_overflow_at_construction():
-    with pytest.raises(ArithmeticOverflow):
+    with pytest.raises(UsageError, match="^entry 9223372036854775808 exceeds "
+                                         "64-bit range$"):
         IntMatrix.from_rows([[1 << 63]])
 
 
@@ -127,6 +128,17 @@ def test_minor_usage_errors():
         m.submatrix([0, 1], [1, 0])
     with pytest.raises(UsageError, match="row set must be strictly"):
         m.submatrix([1, 0], [0, 1])
+
+
+def test_index_sets_take_only_ints():
+    # True and False are no row or column indices, though they equal 1 and 0
+    m = IntMatrix.identity(2)
+    with pytest.raises(UsageError) as info:
+        m.submatrix([True], [0])
+    assert str(info.value) == "row set must contain integers, got True"
+    with pytest.raises(UsageError) as info:
+        m.submatrix([1], [False])
+    assert str(info.value) == "column set must contain integers, got False"
 
 
 def test_rank_zero_and_identity():

@@ -12,7 +12,6 @@ from tumax import _pykernels, kernels, linsolve, polytopes
 from tumax.errors import (
     BudgetExceeded,
     PreconditionError,
-    StructureError,
     UsageError,
 )
 from tumax.families import ex4_matrix, h, sporadic_5x10
@@ -314,8 +313,26 @@ def test_edge_polytope_k22_and_single_edge():
     single = edge_polytope(2, {0}, [(0, 1)])
     assert len(single.points) == 1
     assert _affine_rank(single.points) == 0
-    with pytest.raises(StructureError):
+    with pytest.raises(PreconditionError, match=r"^edge \(0,1\) stays inside "
+                                                r"one part"):
         edge_polytope(4, {0, 1}, [(0, 1)])
+
+
+@pytest.mark.parametrize("nvertices, part_a, edges, message", [
+    (3, [0], [(0, 1, 2)], "edge must be a pair of vertices, got (0, 1, 2)"),
+    (3, [0], [(0, 1.0)], "edge must hold integers, got 1.0"),
+    (3, [0], [5], "edge must be a sequence of integers, got 5"),
+    (3, [0], 5, "edges must be a sequence of vertex pairs, got 5"),
+    (3, 0, [(0, 1)], "part A must be a sequence of integers, got 0"),
+    (3, [True], [(0, 1)], "part A must hold integers, got True"),
+    (3.0, [0], [(0, 1)], "vertex count must be a nonnegative integer, "
+                         "got 3.0"),
+])
+def test_edge_polytope_takes_only_int_vertices_and_pairs(nvertices, part_a,
+                                                         edges, message):
+    with pytest.raises(UsageError) as info:
+        edge_polytope(nvertices, part_a, edges)
+    assert str(info.value) == message
 
 
 def test_edge_polytope_k33_unimodular():

@@ -8,7 +8,6 @@ import pytest
 from tumax.certify import is_totally_unimodular, polytopal_certificate
 from tumax.errors import (
     FormatError,
-    HypothesisError,
     PreconditionError,
     UsageError,
 )
@@ -102,7 +101,7 @@ def test_three_sum_zero_glue_is_block_diagonal():
                     u3=spec.u3, v1=spec.v1, v2=spec.v2, v3=spec.v3, c=zero)
     got = compose(spec0)
     assert got.matrix == _one_sum(spec.a, spec.b)
-    assert got.report.two_sum_shaped is False
+    assert got.two_sum_shaped is False
 
 
 def test_three_sum_two_sum_shape_is_flagged():
@@ -117,7 +116,7 @@ def test_three_sum_two_sum_shape_is_flagged():
         shaped = SumSpec("three-sum", spec.a, spec.b, u1=spec.u1, u2=spec.u2,
                          u3=spec.u3, v1=spec.v1, v2=spec.v2, v3=spec.v3, c=glue)
         got = compose(shaped)
-        assert got.report.two_sum_shaped
+        assert got.two_sum_shaped
         return
     pytest.fail("no usable spec generated")
 
@@ -223,10 +222,9 @@ def test_transport_two_sum_formula_and_reverify():
         composed = compose(spec).matrix
         f, w = random_certificate(rng, composed)
         try:
-            res = transport_functional(spec, f, w)
+            (part,) = transport_functional(spec, f, w)
         except PreconditionError:
             continue
-        (part,) = res.parts
         m1 = spec.a.rows
         fu = sum(c * x for c, x in zip(f[:m1], spec.u))
         assert part.functional == (fu,) + f[m1:]
@@ -242,10 +240,9 @@ def test_transport_three_sum_reverifies():
         composed = compose(spec).matrix
         f, w = random_certificate(rng, composed)
         try:
-            res = transport_functional(spec, f, w)
-        except (HypothesisError, PreconditionError):
+            (part,) = transport_functional(spec, f, w)
+        except PreconditionError:
             continue
-        (part,) = res.parts
         assert functional_values(part.functional, part.factor) == part.w_part
         assert part.factor.rows == spec.b.rows + 2
         hits += 1
@@ -258,8 +255,7 @@ def test_transport_delta_sum_formulas():
         spec = random_spec(rng, "delta-sum")
         composed = compose(spec).matrix
         f, w = random_certificate(rng, composed)
-        res = transport_functional(spec, f, w)
-        first, second = res.parts
+        first, second = transport_functional(spec, f, w)
         m1 = spec.a.rows
         fv = sum(c * x for c, x in zip(f[m1:], spec.v_prime))
         fu = sum(c * x for c, x in zip(f[:m1], spec.u_prime))
@@ -268,6 +264,11 @@ def test_transport_delta_sum_formulas():
         assert functional_values(first.functional, first.factor) == first.w_part
         assert (functional_values(second.functional, second.factor)
                 == second.w_part)
+
+
+# the texts of the transport hypotheses that a random certificate can miss
+_HYPOTHESIS = re.compile("row classification is ambiguous|"
+                         "[+]-v1 and [+]-v2 must both appear")
 
 
 def test_transport_distinct_column_inheritance():
@@ -281,10 +282,11 @@ def test_transport_distinct_column_inheritance():
                 continue
             f, w = random_certificate(rng, composed)
             try:
-                res = transport_functional(spec, f, w)
-            except HypothesisError:
+                parts = transport_functional(spec, f, w)
+            except PreconditionError as exc:
+                assert _HYPOTHESIS.match(str(exc)), exc
                 continue
-            for part in res.parts:
+            for part in parts:
                 assert part.factor.columns_distinct()
             checked[kind] += 1
     assert all(v >= 20 for v in checked.values())
@@ -301,7 +303,8 @@ def test_transport_hypothesis_errors():
                      u3=spec.u3, v1=spec.v1, v2=spec.v2, v3=spec.v3, c=glue)
     composed = compose(shaped).matrix
     f, w = random_certificate(rng, composed)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(PreconditionError, match="^[+]-v1 and [+]-v2 must "
+                                                "both appear"):
         transport_functional(shaped, f, w)
     # degenerate classification: v2 = -v1 forces v3 = 0
     n2 = spec.b.cols
@@ -311,7 +314,8 @@ def test_transport_hypothesis_errors():
                     v3=(0,) * n2, c=IntMatrix.zeros(spec.a.rows, n2))
     composed = compose(degen).matrix
     f, w = random_certificate(rng, composed)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(PreconditionError, match="^row classification is "
+                                                "ambiguous"):
         transport_functional(degen, f, w)
 
 
@@ -525,7 +529,10 @@ def _raises_exactly(exc, message, call, *args):
 
 @pytest.mark.parametrize("kind", sorted(BASE_SPECS))
 def test_base_specs_compose(kind):
-    assert compose(BASE_SPECS[kind]).matrix.rows > 0
+    got = compose(BASE_SPECS[kind])
+    assert got.matrix.rows > 0
+    # only a 3-sum can have the 2-sum shape
+    assert (got.two_sum_shaped is None) == (kind != "three-sum")
 
 
 @pytest.mark.parametrize("case, kind, changes, exc, message", COMPOSE_ERRORS,
@@ -620,9 +627,9 @@ TRANSPORT_ERRORS = [
     ("w-not-certified", _TWO, _F, tuple(x + 1 for x in _W), PreconditionError,
      "f does not certify the composed matrix as w-valued"),
     ("three-sum/zero-v3", _ZERO_V3, *_e1_certificate(_ZERO_V3),
-     HypothesisError, "row classification is ambiguous: some v_l = 0"),
+     PreconditionError, "row classification is ambiguous: some v_l = 0"),
     ("three-sum/no-v2-row", _NO_V2_ROW, *_e1_certificate(_NO_V2_ROW),
-     HypothesisError, "+-v1 and +-v2 must both appear as rows of C"),
+     PreconditionError, "+-v1 and +-v2 must both appear as rows of C"),
 ]
 
 
