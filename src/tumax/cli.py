@@ -12,6 +12,18 @@ of these: ``main`` returns the report's own status and prints no error.
 Each handler imports the modules it calls, inside the branch that calls
 them, so a command loads only what it runs: ``verify polytopal-bound``
 never imports ``certify``, ``polytopes`` or ``fractions``.
+
+The grammar is one table, ``_LEAVES``: the arguments of each leaf,
+keyed by ``(command, subcommand)`` or ``("classify",)``. A command line
+whose first tokens name a leaf is parsed by that leaf's parser alone,
+built on first use with the prog the tree gives it (``tumax check tu``);
+the namespace gets ``format=None``, ``command`` and ``what`` as
+argparse's subparser step would set them. Any other command line, and
+one that leaves arguments over after its leaf, goes to the whole
+argparse tree, built from the same table: a top-level option given
+first, an unknown command, a missing subcommand, ``--help`` at a group.
+So every message, help text and exit status is the tree's, and a
+request costs one parser instead of three nested ones.
 """
 
 import argparse
@@ -97,87 +109,126 @@ class _ArgumentParser(argparse.ArgumentParser):
                 action, f"invalid choice: {value!r} (choose from {choices})")
 
 
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_FILE = _arg("file")
+_SPEC = _arg("spec", help="SumSpec JSON file")
+_M = _arg("--m", type=_int, required=True)
+_SEARCH = (_M,
+           _arg("--mode", choices=("verify", "fast"), default="verify"),
+           _arg("--budget-nodes", type=_int, default=None),
+           _arg("--max-m", type=_int, default=None))
+
+# The grammar: the help line of each command, and the arguments of each
+# leaf parser, keyed by (command, subcommand) or ("classify",) in the
+# order the help lists them. The tree and the leaf parsers are built
+# from it.
+_COMMAND_HELP = {
+    "check": "certify matrix/polytope properties",
+    "gen": "generate the explicit matrix families",
+    "network": "network matrices and their bounds",
+    "sum": "compose TU matrices",
+    "verify": "verify the quantitative bounds",
+    "classify": "classify unimodular polytopes by dimension",
+}
+_LEAVES = {
+    ("check", "tu"): (
+        _FILE, _arg("--method", default="auto",
+                    choices=("auto", "minor-enumeration", "minors",
+                             "ghouila-houri", "gh"))),
+    ("check", "unimodular"): (_FILE,),
+    ("check", "polytopal"): (_FILE,),
+    ("check", "prepared"): (_FILE,),
+    ("check", "unimodular-polytope"): (_FILE,),
+    ("gen", "heller"): (_M,),
+    ("gen", "bipartite"): (_M,),
+    ("gen", "sporadic-5x10"): (),
+    ("gen", "sporadic-5x5"): (
+        _arg("--variant", type=_int, required=True, choices=(1, 2)),),
+    ("gen", "ex4"): (),
+    ("gen", "simplex-product"): (_arg("--a", type=_int, required=True),
+                                 _arg("--b", type=_int, required=True)),
+    ("gen", "edge-polytope"): (
+        _arg("--complete", nargs=2, type=_int, metavar=("A", "B"),
+             help="use the complete bipartite graph K_{A,B}"),
+        _arg("--graph", help="graph file (arcs read as undirected edges)"),
+        _arg("--part-a", help="comma-separated vertices of part A")),
+    ("network", "build"): (_arg("tree"), _arg("digraph")),
+    ("network", "patterns"): (_arg("tree"), _arg("paths")),
+    ("network", "bounds"): (_arg("tree"), _arg("digraph")),
+    ("sum", "one"): (_SPEC,),
+    ("sum", "two"): (_SPEC,),
+    ("sum", "three"): (_SPEC,),
+    ("sum", "delta"): (_SPEC,),
+    ("sum", "transport"): (
+        _SPEC, _arg("--f", required=True, help="certificate functional"),
+        _arg("--w", required=True, help="target values, one per column")),
+    ("verify", "extralemma"): (_arg("--max", type=_int, default=200),),
+    ("verify", "polytopal-bound"): _SEARCH,
+    ("verify", "heller-bound"): _SEARCH,
+    ("verify", "odd-bound"): _SEARCH,
+    ("verify", "transpose-bound"): (
+        _arg("--samples", type=_int, default=1000),
+        _arg("--seed", type=_int, default=0)),
+    ("verify", "vertex-bound"): (
+        _arg("file", help="points as matrix columns"),),
+    ("classify",): (_arg("--d", type=_int, required=True),),
+}
+
+
+def _add_arguments(parser, key):
+    for names, kwargs in _LEAVES[key]:
+        parser.add_argument(*names, **kwargs)
+    return parser
+
+
 @functools.cache
 def _parser():
+    """The whole tree: ``tumax [--format F] COMMAND [SUBCOMMAND] ...``."""
     p = _ArgumentParser(prog="tumax",
                         description="exact TU-matrix and unimodular-"
                                     "polytope toolkit")
     p.add_argument("--format", choices=("json", "text"), default=None,
                    help="override the command's default output format")
     sub = p.add_subparsers(dest="command", required=True)
-
-    chk = sub.add_parser("check", help="certify matrix/polytope properties")
-    chk_sub = chk.add_subparsers(dest="what", required=True)
-    for name in ("tu", "unimodular", "polytopal", "prepared",
-                 "unimodular-polytope"):
-        c = chk_sub.add_parser(name)
-        c.add_argument("file")
-        if name == "tu":
-            c.add_argument("--method", default="auto",
-                           choices=("auto", "minor-enumeration", "minors",
-                                    "ghouila-houri", "gh"))
-
-    gen = sub.add_parser("gen", help="generate the explicit matrix families")
-    gen_sub = gen.add_subparsers(dest="what", required=True)
-    g = gen_sub.add_parser("heller")
-    g.add_argument("--m", type=_int, required=True)
-    g = gen_sub.add_parser("bipartite")
-    g.add_argument("--m", type=_int, required=True)
-    gen_sub.add_parser("sporadic-5x10")
-    g = gen_sub.add_parser("sporadic-5x5")
-    g.add_argument("--variant", type=_int, required=True, choices=(1, 2))
-    gen_sub.add_parser("ex4")
-    g = gen_sub.add_parser("simplex-product")
-    g.add_argument("--a", type=_int, required=True)
-    g.add_argument("--b", type=_int, required=True)
-    g = gen_sub.add_parser("edge-polytope")
-    g.add_argument("--complete", nargs=2, type=_int, metavar=("A", "B"),
-                   help="use the complete bipartite graph K_{A,B}")
-    g.add_argument("--graph", help="graph file (arcs read as undirected edges)")
-    g.add_argument("--part-a", help="comma-separated vertices of part A")
-
-    net = sub.add_parser("network", help="network matrices and their bounds")
-    net_sub = net.add_subparsers(dest="what", required=True)
-    n = net_sub.add_parser("build")
-    n.add_argument("tree")
-    n.add_argument("digraph")
-    n = net_sub.add_parser("patterns")
-    n.add_argument("tree")
-    n.add_argument("paths")
-    n = net_sub.add_parser("bounds")
-    n.add_argument("tree")
-    n.add_argument("digraph")
-
-    sm = sub.add_parser("sum", help="compose TU matrices")
-    sm_sub = sm.add_subparsers(dest="what", required=True)
-    for name in ("one", "two", "three", "delta"):
-        s = sm_sub.add_parser(name)
-        s.add_argument("spec", help="SumSpec JSON file")
-    s = sm_sub.add_parser("transport")
-    s.add_argument("spec", help="SumSpec JSON file")
-    s.add_argument("--f", required=True, help="certificate functional")
-    s.add_argument("--w", required=True, help="target values, one per column")
-
-    ver = sub.add_parser("verify", help="verify the quantitative bounds")
-    ver_sub = ver.add_subparsers(dest="what", required=True)
-    v = ver_sub.add_parser("extralemma")
-    v.add_argument("--max", type=_int, default=200)
-    for name in ("polytopal-bound", "heller-bound", "odd-bound"):
-        v = ver_sub.add_parser(name)
-        v.add_argument("--m", type=_int, required=True)
-        v.add_argument("--mode", choices=("verify", "fast"), default="verify")
-        v.add_argument("--budget-nodes", type=_int, default=None)
-        v.add_argument("--max-m", type=_int, default=None)
-    v = ver_sub.add_parser("transpose-bound")
-    v.add_argument("--samples", type=_int, default=1000)
-    v.add_argument("--seed", type=_int, default=0)
-    v = ver_sub.add_parser("vertex-bound")
-    v.add_argument("file", help="points as matrix columns")
-
-    cl = sub.add_parser("classify",
-                        help="classify unimodular polytopes by dimension")
-    cl.add_argument("--d", type=_int, required=True)
+    groups = {}
+    for key in _LEAVES:
+        command = key[0]
+        if len(key) == 1:
+            leaf = sub.add_parser(command, help=_COMMAND_HELP[command])
+        else:
+            if command not in groups:
+                groups[command] = sub.add_parser(
+                    command, help=_COMMAND_HELP[command]).add_subparsers(
+                        dest="what", required=True)
+            leaf = groups[command].add_parser(key[1])
+        _add_arguments(leaf, key)
     return p
+
+
+@functools.cache
+def _leaf(key):
+    """The parser of one leaf alone, with the prog the tree gives it."""
+    return _add_arguments(_ArgumentParser(prog=" ".join(("tumax",) + key)),
+                          key)
+
+
+def _parse_args(argv):
+    """``_parser().parse_args(argv)``, parsed by the leaf alone when the
+    first tokens of ``argv`` name one and the leaf takes all the rest;
+    the namespace then gets what argparse's subparser step sets."""
+    key = tuple(argv[:1])
+    if key not in _LEAVES:
+        key = tuple(argv[:2])
+    if key in _LEAVES:
+        args, rest = _leaf(key).parse_known_args(argv[len(key):])
+        if not rest:
+            return argparse.Namespace(format=None,
+                                      **dict(zip(("command", "what"), key)),
+                                      **vars(args))
+    return _parser().parse_args(argv)
 
 
 def _check(args):
@@ -406,7 +457,7 @@ def _classify(args):
 
 def run(argv):
     """Parse and execute; returns a CommandReport (no printing)."""
-    return _execute(_parser().parse_args(argv))
+    return _execute(_parse_args(argv))
 
 
 def _execute(args):
@@ -433,7 +484,7 @@ def _human_lines(report):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         report = _execute(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

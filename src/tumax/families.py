@@ -10,8 +10,9 @@ from .matrix import IntMatrix
 
 
 def h(x):
-    """floor((x+1)^2 / 4), with the single exceptional value h(5) = 10."""
-    if x < 1:
+    """floor((x+1)^2 / 4), with the single exceptional value h(5) = 10.
+    Any ``x`` but an int >= 1, such as 2.5 or True, raises UsageError."""
+    if type(x) is not int or x < 1:
         raise UsageError("h is defined for integers >= 1")
     if x == 5:
         return 10

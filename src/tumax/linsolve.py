@@ -74,9 +74,12 @@ def row_hnf(m):
 
 def hnf_solver(h, u, pivots):
     """The function w -> solve_left_integer(m, w) for (h, u, pivots) =
-    row_hnf(m), so that one HNF of ``m`` serves every right-hand side."""
+    row_hnf(m), so that one HNF of ``m`` serves every right-hand side.
+    A target ``w`` is a sequence of ints; any other entry, such as 2.0 or
+    True, raises UsageError."""
 
     def solve(w):
+        w = int_vector(w, "w")
         if len(w) != h.cols:
             raise UsageError("target length must equal the column count")
         resid = list(w)
@@ -107,10 +110,10 @@ def solve_left_integer(m, w):
 
     Solves over the lattice spanned by the rows of ``m`` using the row
     HNF; coefficients of the kernel rows are fixed to zero, which makes
-    the returned solution deterministic. ``w`` is a sequence of ints; any
-    other entry, such as 2.0 or True, raises UsageError.
+    the returned solution deterministic. ``w`` is read as by
+    ``hnf_solver``.
     """
-    return hnf_solver(*row_hnf(m))(int_vector(w, "w"))
+    return hnf_solver(*row_hnf(m))(w)
 
 
 def invert_unimodular(m):

@@ -243,10 +243,12 @@ MUTANTS = [
      "tests": [MATRIX + "test_index_sets_take_only_ints"]},
     {"name": "lattice-solve-without-the-int-check",
      "file": "linsolve.py",
-     "snippet": "    return hnf_solver(*row_hnf(m))(int_vector(w, \"w\"))",
-     "replacement": "    return hnf_solver(*row_hnf(m))(w)",
+     "snippet": "        w = int_vector(w, \"w\")\n",
+     "replacement": "",
      "tests": ["tests/test_linsolve.py::"
-               "test_solve_left_integer_takes_only_int_targets"]},
+               "test_solve_left_integer_takes_only_int_targets",
+               "tests/test_linsolve.py::"
+               "test_hnf_solver_takes_only_int_targets"]},
     {"name": "delta-sum-u-length-against-m1",
      "file": "sums.py",
      "snippet": '("u", "n1")',
@@ -264,6 +266,16 @@ MUTANTS = [
      "snippet": "((1, vl), (-1, _neg(vl)))",
      "replacement": "((1, vl), (1, _neg(vl)))",
      "tests": [SUMS + "test_transport_three_sum_reverifies"]},
+    {"name": "leaf-route-ignores-left-over-arguments",
+     "file": "cli.py",
+     "snippet": "        if not rest:\n",
+     "replacement": "        if True:\n",
+     "tests": [CLI + "test_leaf_parsers_match_the_tree"]},
+    {"name": "h-takes-non-ints",
+     "file": "families.py",
+     "snippet": "    if type(x) is not int or x < 1:\n",
+     "replacement": "    if x < 1:\n",
+     "tests": ["tests/test_families.py::test_h_takes_only_ints"]},
     {"name": "no-broken-pipe-catch",
      "file": "cli.py",
      "snippet": "    except BrokenPipeError:",

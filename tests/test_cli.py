@@ -1,14 +1,17 @@
 """cli surface: formats, exit-code contract, gen/check round trips."""
 
 import argparse
+import io
 import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from tumax import cli
 from tumax.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, run
 from tumax.errors import UsageError
 from tumax.families import bipartite_extremal, sporadic_5x10
@@ -179,6 +182,69 @@ def test_run_raises_usage_error_on_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--help"])
     assert exc.value.code == 0
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the namespace, the UsageError text, or
+    the exit code and printed text of ``--help``."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return "namespace", parse(argv)
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+# command lines the corpus lacks: each leaves the leaf route somewhere
+# argparse treats specially
+LEAF_ROUTE_EDGES = [
+    ["--format", "json", "check", "tu", "m.txt"],
+    ["--format=text", "gen", "ex4"],
+    ["check", "tu", "m.txt", "--format", "json"],
+    ["check", "tu", "m.txt", "extra.txt"],
+    ["classify", "--d", "2", "3"],
+    ["check", "tu", "--", "m.txt"],
+    ["check", "tu", "--method", "gh", "--", "-m.txt"],
+    ["verify", "polytopal-bound", "--m", "3", "--mo", "fast"],
+    ["verify", "polytopal-bound", "--m=3"],
+    ["verify", "polytopal-bound", "--m", "3", "--m", "4"],
+    ["verify", "heller-bound", "--m"],
+    ["check"],
+    ["check", "tu"],
+    ["check", "frobnicate", "m.txt"],
+    ["frobnicate", "tu"],
+    [],
+    ["gen", "simplex-product", "--a", "-1", "--b", "2"],
+    ["gen", "simplex-product", "--a", "-1"],
+    ["gen", "edge-polytope", "--complete", "1", "-2"],
+    ["check", "tu", "m.txt", "-h"],
+    ["check", "--help"],
+    ["--help"],
+    ["classify", "--help"],
+]
+
+
+def test_leaf_parsers_match_the_tree():
+    """Each leaf parser, built alone on first use, prints the help of the
+    tree's parser for the same leaf; and every command line of the corpus
+    and of ``LEAF_ROUTE_EDGES`` parses to the namespace, usage error or
+    help that the whole tree gives."""
+    tree = cli._parser()
+    for key in cli._LEAVES:
+        assert _parsed(tree.parse_args, [*key, "--help"]) == \
+            ("exit", 0, cli._leaf(key).format_help()), key
+    argvs = [e["argv"] for e in json.loads(CORPUS.read_text())]
+    for argv in argvs + LEAF_ROUTE_EDGES:
+        assert _parsed(cli._parse_args, argv) == \
+            _parsed(tree.parse_args, argv), argv
+    # the leaf route gives the namespace of argparse's subparser step
+    assert vars(cli._parse_args(["check", "tu", "m.txt"])) == {
+        "format": None, "command": "check", "what": "tu", "file": "m.txt",
+        "method": "auto"}
+    assert vars(cli._parse_args(["classify", "--d", "2"])) == {
+        "format": None, "command": "classify", "d": 2}
 
 
 def test_classify_d5_exceeds_desk_scale(capsys):

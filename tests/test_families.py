@@ -32,6 +32,15 @@ def test_h_values():
         h(0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", 0, -1])
+def test_h_takes_only_ints(bad):
+    """h(2.5) was 3.0 and h(True) was 1: a non-int argument is refused
+    with the text of the range check."""
+    with pytest.raises(UsageError) as info:
+        h(bad)
+    assert str(info.value) == "h is defined for integers >= 1"
+
+
 def test_h_g_relations():
     for x in range(1, 1001):
         assert h(x) <= g(x + 1)

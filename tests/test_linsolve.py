@@ -121,6 +121,20 @@ def test_solve_left_integer_takes_only_int_targets(bad):
     assert str(info.value) == f"w must hold integers, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [2.0, 1.5, True])
+def test_hnf_solver_takes_only_int_targets(bad):
+    """One HNF, many targets: each target is read as ints first, so the
+    float (2.0, 1.0) is refused, not solved by (1.0, 1.0)."""
+    solve = linsolve.hnf_solver(*linsolve.row_hnf(
+        IntMatrix.from_rows([[2, 0], [0, 1]])))
+    assert solve((2, 1)) == (1, 1)
+    with pytest.raises(UsageError) as info:
+        solve([bad, 1])
+    assert str(info.value) == f"w must hold integers, got {bad!r}"
+    with pytest.raises(UsageError, match="w must hold integers"):
+        solve((bad, 1, 0))  # the type before the length
+
+
 def test_leftmost_affine_frame_is_greedy():
     """The frame that lattice_isomorphic reads off the embedding's
     elimination: the leftmost affinely independent points."""

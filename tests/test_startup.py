@@ -17,15 +17,20 @@ HEAVY = ("tumax.certify", "tumax.families", "tumax.graphs", "tumax.polytopes",
          "fractions")
 
 
-def _loaded_after(code, names=HEAVY):
-    """The modules of ``names`` in ``sys.modules`` after running ``code``
+def _fresh(code, value):
+    """The JSON value of the expression ``value`` after running ``code``
     in a new interpreter with ``src`` first on the path."""
     script = (f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
-              "import json\n"
-              f"print(json.dumps([m for m in {names!r} if m in sys.modules]))")
+              f"import json\nprint(json.dumps({value}))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    return json.loads(out.splitlines()[-1])
+
+
+def _loaded_after(code, names=HEAVY):
+    """The modules of ``names`` in ``sys.modules`` after running ``code``
+    in a new interpreter."""
+    return set(_fresh(code, f"[m for m in {names!r} if m in sys.modules]"))
 
 
 def test_importing_the_cli_loads_no_command_module():
@@ -119,3 +124,44 @@ def test_polytope_commands_load_neither_fractions_nor_decimal(tmp_path):
             f"assert cli.run({argv!r}).exit_status == {status}",
             ("tumax.polytopes", "tumax.lp", "fractions", "decimal"))
         assert loaded == {"tumax.polytopes", "tumax.lp"}, argv
+
+
+def test_a_leaf_command_line_builds_its_own_leaf_and_never_the_tree(
+        tmp_path):
+    """A command line that names a leaf is parsed by that leaf's parser
+    alone, built on first use: the argparse tree of every command is
+    never built."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 3\n1 0 1\n0 1 1\n", encoding="utf-8")
+    for argv in (["check", "tu", str(path)],
+                 ["verify", "polytopal-bound", "--m", "3"]):
+        built = _fresh(
+            "from tumax import cli\n"
+            f"assert cli.run({argv!r}).exit_status == 0\n"
+            "leaves = cli._leaf.cache_info()\n"
+            f"cli._leaf({tuple(argv[:2])!r})",
+            "[cli._parser.cache_info().currsize, leaves.currsize, "
+            "cli._leaf.cache_info().hits - leaves.hits]")
+        # no tree, one leaf built, and it is this command line's
+        assert built == [0, 1, 1], argv
+
+
+def test_usage_errors_keep_their_text_in_a_fresh_process():
+    """An error the leaf raises, and the errors that only the tree can
+    word (arguments left over, a missing subcommand), print as before."""
+    for argv, err in (
+            (["check", "tu"], "tumax check tu: the following arguments "
+                              "are required: file"),
+            (["verify", "polytopal-bound", "--m", "x"],
+             "tumax verify polytopal-bound: argument --m: invalid int "
+             "value: 'x'"),
+            (["verify", "polytopal-bound", "--m", "3", "--workers", "2"],
+             "tumax: unrecognized arguments: --workers 2"),
+            (["check"], "tumax check: the following arguments are "
+                        "required: what")):
+        script = (f"import sys\nsys.path.insert(0, {SRC!r})\n"
+                  f"from tumax.cli import main\nsys.exit(main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", f"error: {err}\n"), argv
