@@ -12,7 +12,7 @@ from array import array
 from itertools import combinations
 from math import comb
 
-from .errors import UsageError
+from .matrix import int_arg
 
 
 def det_entries(rows):
@@ -316,6 +316,8 @@ def max_tu_subset(cands, perms=None, stop_at=-1, node_budget=-1):
 
     Returns (best_size, witness_indices, nodes, complete).
     """
+    for name, k in (("stop_at", stop_at), ("node_budget", node_budget)):
+        int_arg(k, -1, f"{name} must be an integer >= -1, got {k!r}")
     cand = [tuple(c) for c in cands]
     ncand = len(cand)
     m = len(cand[0]) if cand else 0
@@ -453,9 +455,10 @@ def canonical_masks(npoints, perms, min_size, max_size):
     values with top bit ``bit`` are those below it with the image of that
     bit added.
     """
-    if npoints > MAX_ORBIT_POINTS:
-        raise UsageError(f"canonical_masks takes at most {MAX_ORBIT_POINTS} "
-                         f"points, got {npoints}")
+    int_arg(npoints, 0, f"canonical_masks takes at most {MAX_ORBIT_POINTS} "
+            f"points, got {npoints!r}", high=MAX_ORBIT_POINTS)
+    for name, k in (("min_size", min_size), ("max_size", max_size)):
+        int_arg(k, 0, f"{name} must be an integer >= 0, got {k!r}")
 
     def table(images):
         t = array("H", [0])

@@ -22,7 +22,7 @@ from typing import Optional
 from . import kernels, linsolve
 from ._record import Record
 from .errors import BudgetExceeded, PreconditionError, UsageError
-from .matrix import int_vector
+from .matrix import int_vector, matrix_arg
 
 MINOR_SIZE_BUDGET = 16  # rows + cols admitted to full minor enumeration
 GH_ROW_BUDGET = 20  # row count admitted to the 2^m subset enumeration
@@ -34,7 +34,7 @@ METHOD_GH = "ghouila-houri"
 def apply_functional(f, m):
     """f * M as a tuple of per-column values, for an int sequence f; any
     other entry, such as 0.5 or True, raises UsageError."""
-    f = int_vector(f, "f")
+    f, m = int_vector(f, "f"), matrix_arg(m)
     if m.rows != len(f):
         raise UsageError("functional length must equal the row count")
     return tuple(sum(c * x for c, x in zip(f, col)) for col in m.columns())
@@ -74,6 +74,7 @@ def is_totally_unimodular(m, method="auto"):
     deterministic. The Ghouila-Houri method reports no minor witness.
     """
     method = _normalize_method(method)
+    matrix_arg(m)
     if method == "auto":
         method = (METHOD_MINORS if m.rows + m.cols <= MINOR_SIZE_BUDGET
                   else METHOD_GH)
@@ -105,9 +106,17 @@ def ghouila_houri_check(m):
     closed under transposition, so the criterion runs on whichever of m
     and m^T has fewer rows, and raises ``BudgetExceeded``, naming the
     shape of m, when that side has more than ``GH_ROW_BUDGET`` rows.
-    Subsets are tried by size, then in lexicographic order, and each
-    signing search fixes its first row to +1, which loses nothing since
-    negating a signing keeps its sums.
+
+    The subsets of two rows go first, then those of three, each in
+    lexicographic order, so that a small failing subset ends the check
+    at once. A pair tries the two signs of its second row, its first
+    signed +1; a triple runs the signing search. Then a depth-first walk
+    visits every subset S + {i}, i past the last row of S, from the
+    signing found for S: it tries row i signed +1, then -1, and runs the
+    signing search on S + {i} only when both take a column sum out of
+    {-1,0,1}. The walk holds one signing per level, so its memory stays
+    linear in the row count. Each signing search fixes its first row to
+    +1, which loses nothing since negating a signing keeps its sums.
 
     The search decides every column at once. With s_j the signed sum of
     the rows placed so far and r_j what is left of column j (the sum of
@@ -119,8 +128,11 @@ def ghouila_houri_check(m):
     One int holds both slacks of every column, each in a w-bit field
     biased by T - 2 (T the field's top bit), so a field reaches T exactly
     when its slack reaches 2. A step is one addition and one masked test
-    of the top bits.
+    of the top bits. A complete signing of S has r_j = 0, so its fields
+    hold s_j and -s_j, and the walk's step for row i is the search's step
+    less the row's r_j.
     """
+    matrix_arg(m)
     for i, row in enumerate(m.entries):
         for j, e in enumerate(row):
             if e not in (-1, 0, 1):
@@ -145,27 +157,56 @@ def ghouila_houri_check(m):
     top = top_bit * ones
     base = (top_bit - 2) * ones
 
-    def signable(subset):
+    def signing(subset):
+        """The fields of a complete signing of ``subset``, or None."""
         k = len(subset)
 
         def extend(t, sums):
             if t == k:
-                return True
+                return sums
             for step in steps[subset[t]]:
                 nxt = sums + step
-                if not nxt & top and extend(t + 1, nxt):
-                    return True
-            return False
+                if not nxt & top:
+                    done = extend(t + 1, nxt)
+                    if done is not None:
+                        return done
+            return None
 
         # the slacks start at -r_j, the first row is signed +1
         first = base - sum(left[i] for i in subset) + steps[subset[0]][0]
-        return not first & top and extend(1, first)
+        return None if first & top else extend(1, first)
 
-    for size in range(2, m.rows + 1):
-        for subset in combinations(range(m.rows), size):
-            if not signable(subset):
-                return TuVerdict(False, METHOD_GH)
-    return TuVerdict(True, METHOD_GH)
+    moves = [(plus - rest, minus - rest)
+             for (plus, minus), rest in zip(steps, left)]
+    for a, b in combinations(range(m.rows), 2):
+        one = base + moves[a][0]
+        if one + moves[b][0] & top and one + moves[b][1] & top:
+            return TuVerdict(False, METHOD_GH)
+    for subset in combinations(range(m.rows), 3):
+        if signing(subset) is None:
+            return TuVerdict(False, METHOD_GH)
+    last = m.rows - 1
+    chosen = []  # S, whose complete signing is ``sums``
+
+    def walk(sums, start):
+        for i in range(start, m.rows):
+            plus, minus = moves[i]
+            nxt = sums + plus
+            if nxt & top:
+                nxt = sums + minus
+                if nxt & top:
+                    nxt = signing(chosen + [i])
+                    if nxt is None:
+                        return False
+            if i < last:  # the last row's subsets have no children
+                chosen.append(i)
+                ok = walk(nxt, i + 1)
+                chosen.pop()
+                if not ok:
+                    return False
+        return True
+
+    return TuVerdict(walk(base, 0), METHOD_GH)
 
 
 def is_unimodular(m):
@@ -213,7 +254,7 @@ def polytopal_certificate(m):
     canonical one (kernel-row coefficients zero), re-verified before
     returning.
     """
-    if m.cols == 0:
+    if matrix_arg(m).cols == 0:
         # vacuous: any functional works; pick a canonical nonzero one
         return (1,) + (0,) * (m.rows - 1) if m.rows else None
     ones = (1,) * m.cols
@@ -231,7 +272,7 @@ def is_prepared(m):
     TU is decided by ``ghouila_houri_check``, so past ``GH_ROW_BUDGET``
     rows on the smaller side of m this raises its ``BudgetExceeded``.
     """
-    if not m.columns_distinct():
+    if not matrix_arg(m).columns_distinct():
         return False
     if polytopal_certificate(m) is None:
         return False

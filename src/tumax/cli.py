@@ -34,7 +34,7 @@ import sys
 
 from ._record import Record
 from .errors import BudgetExceeded, FormatError, TumaxError, UsageError
-from .matrix import int_tokens, parse_matrix_text
+from .matrix import int_arg, int_tokens, parse_matrix_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -219,6 +219,9 @@ def _parse_args(argv):
     """``_parser().parse_args(argv)``, parsed by the leaf alone when the
     first tokens of ``argv`` name one and the leaf takes all the rest;
     the namespace then gets what argparse's subparser step sets."""
+    argv = list(argv)
+    if not all(type(arg) is str for arg in argv):
+        raise UsageError(f"the command line must be strings, got {argv!r}")
     key = tuple(argv[:1])
     if key not in _LEAVES:
         key = tuple(argv[:2])
@@ -412,8 +415,7 @@ def _verify(args):
                              {"m": args.m, "mode": args.mode},
                              payload, status)
     if what == "transpose-bound":
-        if args.samples < 0:
-            raise UsageError("--samples must be >= 0")
+        int_arg(args.samples, 0, "--samples must be >= 0")
         import random
 
         from . import graphs

@@ -6,17 +6,14 @@ their equivalence test.
 
 from ._record import Record
 from .errors import UsageError
-from .matrix import IntMatrix
+from .matrix import IntMatrix, int_arg, matrix_arg
 
 
 def h(x):
     """floor((x+1)^2 / 4), with the single exceptional value h(5) = 10.
     Any ``x`` but an int >= 1, such as 2.5 or True, raises UsageError."""
-    if type(x) is not int or x < 1:
-        raise UsageError("h is defined for integers >= 1")
-    if x == 5:
-        return 10
-    return ((x + 1) * (x + 1)) // 4
+    x = int_arg(x, 1, "h is defined for integers >= 1")
+    return 10 if x == 5 else (x + 1) * (x + 1) // 4
 
 
 class BoundReport(Record):
@@ -46,11 +43,11 @@ _EXPECTED_EXCEPTIONS = {
 }
 
 _PARTS = {
-    # part: (x_min, y_min, lhs(x, y))
-    1: (1, 1, lambda x, y: h(x) + h(y)),
-    2: (2, 1, lambda x, y: h(x) + h(y + 1)),
-    3: (3, 1, lambda x, y: h(x) + h(y + 2)),
-    4: (2, 2, lambda x, y: h(x + 1) + h(y + 1)),
+    # part: (x_min, y_min, lhs(hs, x, y)) for the table hs[k] = h(k)
+    1: (1, 1, lambda hs, x, y: hs[x] + hs[y]),
+    2: (2, 1, lambda hs, x, y: hs[x] + hs[y + 1]),
+    3: (3, 1, lambda hs, x, y: hs[x] + hs[y + 2]),
+    4: (2, 2, lambda hs, x, y: hs[x + 1] + hs[y + 1]),
 }
 
 
@@ -60,14 +57,14 @@ def verify_extralemma(maximum):
     Each part collects every (x, y) in its domain with lhs > h(x+y) and
     compares the set against the known exception list.
     """
-    if maximum < 10:
-        raise UsageError("maximum must be at least 10 to cover the exceptions")
+    int_arg(maximum, 10, "maximum must be at least 10 to cover the exceptions")
+    hs = [None] + [h(k) for k in range(1, 2 * maximum + 1)]
     reports = []
     for part, (x0, y0, lhs) in _PARTS.items():
         found = []
         for x in range(x0, maximum + 1):
             for y in range(y0, maximum + 1):
-                if lhs(x, y) > h(x + y):
+                if lhs(hs, x, y) > hs[x + y]:
                     found.append((x, y))
         expected = _EXPECTED_EXCEPTIONS[part]
         reports.append(BoundReport(
@@ -88,8 +85,7 @@ def heller_family(m):
     orientations, arcs (i, j) in lexicographic order, +1 at the tail),
     extended by I, -I and the zero column.
     """
-    if m < 2:
-        raise UsageError("the family needs m >= 2")
+    int_arg(m, 2, "the family needs m >= 2")
     cols = []
     for i in range(m):
         for j in range(m):
@@ -118,9 +114,7 @@ def bipartite_extremal(m):
     K_{m/2,m/2+1}; the removed row is the last row of the second part, so
     summing the first-part rows still evaluates to 1 on every column.
     """
-    if m < 1:
-        raise UsageError("m must be >= 1")
-    if m == 5:
+    if int_arg(m, 1, "m must be >= 1") == 5:
         raise UsageError("m = 5 is the sporadic case; use sporadic_5x10()")
     if m % 2 == 1:
         a = b = (m + 1) // 2
@@ -167,11 +161,8 @@ _SPORADIC_2 = (
 
 def sporadic_5x5(variant):
     """One of the two fixed 5x5 matrices, byte-exact."""
-    if variant == 1:
-        return IntMatrix.from_rows(_SPORADIC_1)
-    if variant == 2:
-        return IntMatrix.from_rows(_SPORADIC_2)
-    raise UsageError("variant must be 1 or 2")
+    variant = int_arg(variant, 1, "variant must be 1 or 2", high=2)
+    return IntMatrix.from_rows((_SPORADIC_1, _SPORADIC_2)[variant - 1])
 
 
 def ex4_matrix():
@@ -230,7 +221,7 @@ def _equivalent_to(m_rows, t_rows):
 
 def is_sporadic(m):
     """Equivalence to either fixed 5x5 matrix under permutation and scaling."""
-    if m.rows != 5 or m.cols != 5:
+    if matrix_arg(m).rows != 5 or m.cols != 5:
         raise UsageError("is_sporadic expects a 5x5 matrix")
     if any(e < -1 or e > 1 for row in m.entries for e in row):
         return False

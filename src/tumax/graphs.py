@@ -14,7 +14,8 @@ from typing import Optional
 
 from ._record import Record
 from .errors import FormatError, PreconditionError, UsageError
-from .matrix import IntMatrix, int_pair, int_tokens, pair_list
+from .matrix import (IntMatrix, int_arg, int_pair, int_tokens, matrix_arg,
+                     pair_list)
 
 
 class ArcGraph(Record):
@@ -26,9 +27,8 @@ class ArcGraph(Record):
     @staticmethod
     def from_arcs(vertices, arcs):
         arcs = tuple(int_pair(arc, "arc") for arc in pair_list(arcs, "arcs"))
-        if type(vertices) is not int or vertices < 0:
-            raise UsageError(f"vertex count must be a nonnegative integer, "
-                             f"got {vertices!r}")
+        int_arg(vertices, 0, f"vertex count must be a nonnegative integer, "
+                f"got {vertices!r}")
         for a, b in arcs:
             if not (0 <= a < vertices and 0 <= b < vertices):
                 raise UsageError(f"arc ({a},{b}) references unknown vertex")
@@ -185,6 +185,7 @@ def transpose_extension(mprime, tree, digraph):
     replaced by v -> t; the result realizes (I | M') as a transpose of a
     network matrix again.
     """
+    matrix_arg(mprime, "mprime")
     if network_matrix(tree, digraph) != mprime.transpose():
         raise PreconditionError("realization does not reproduce the matrix")
     k = len(digraph.arcs)
@@ -332,7 +333,7 @@ def verify_transpose_row_bound(m):
     (for a single column the literal bound reads 0 while one positive row
     can exist, so such instances are recorded without comparison).
     """
-    na = m.cols
+    na = matrix_arg(m).cols
     pos = {m.row(i) for i in range(m.rows) if sum(m.row(i)) > 0}
     odd = {r for r in pos if sum(r) % 2 == 1}
     pos_bound = 3 * na - 3 if na >= 2 else None

@@ -9,7 +9,7 @@ solve f * M = w for a row vector f.
 """
 
 from .errors import UsageError
-from .matrix import IntMatrix, int_vector
+from .matrix import IntMatrix, int_vector, matrix_arg
 
 
 def _xgcd(a, b):
@@ -34,7 +34,7 @@ def row_hnf(m):
     range-checked: U is not unique when m has fewer pivots than rows, and
     can outgrow 64 bits on small inputs.
     """
-    h = [list(row) for row in m.entries]
+    h = [list(row) for row in matrix_arg(m).entries]
     u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
     r = 0
     pivots = []
@@ -77,6 +77,8 @@ def hnf_solver(h, u, pivots):
     row_hnf(m), so that one HNF of ``m`` serves every right-hand side.
     A target ``w`` is a sequence of ints; any other entry, such as 2.0 or
     True, raises UsageError."""
+    matrix_arg(h, "h")
+    matrix_arg(u, "u")
 
     def solve(w):
         w = int_vector(w, "w")
@@ -122,7 +124,7 @@ def invert_unimodular(m):
     The HNF of a matrix with determinant +-1 is the identity, so the HNF
     transform U (with U * m = I) is the inverse.
     """
-    if m.rows != m.cols:
+    if matrix_arg(m).rows != m.cols:
         raise UsageError("inverse requires a square matrix")
     h, u, pivots = row_hnf(m)
     if len(pivots) < m.rows:

@@ -32,8 +32,12 @@ def feasible_nonneg(a_rows, b):
     one of them has a positive entry in it, and the ratio test always
     finds a leaving row: phase 1 is bounded below by 0.
     """
+    a_rows = [int_vector(row, "a_rows") for row in a_rows]
+    b = int_vector(b, "b")
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
+    if len(b) != m or any(len(row) != n for row in a_rows):
+        raise UsageError("a_rows must be m rows of one length, b of length m")
     tab = []
     rhs = []
     for i in range(m):

@@ -21,12 +21,16 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+").fullmatch
 
 def int_tokens(tokens):
     """The ints that the strings ``tokens`` spell, each in ASCII
-    ``[+-]?[0-9]+``. Any other token, such as ``1_0``, ``1.0`` or a
-    non-ASCII digit, raises ValueError instead of being read as an
-    integer."""
-    if not all(map(_INT_TOKEN, tokens)):
-        raise ValueError("integer tokens are ASCII [+-]?[0-9]+")
-    return list(map(int, tokens))
+    ``[+-]?[0-9]+``. Any other token, such as ``1_0``, ``1.0``, a
+    non-ASCII digit or no str at all, raises UsageError (a ValueError)
+    instead of being read as an integer."""
+    tokens = list(tokens)
+    try:
+        if all(map(_INT_TOKEN, tokens)):
+            return list(map(int, tokens))
+    except TypeError:  # a token that is no str
+        pass
+    raise UsageError("integer tokens are ASCII [+-]?[0-9]+")
 
 
 def as_index_set(indices, size, what="index"):
@@ -55,6 +59,15 @@ def int_vector(values, name):
         if type(x) is not int:
             raise UsageError(f"{name} must hold integers, got {x!r}")
     return vec
+
+
+def int_arg(value, low, message, high=None):
+    """``value`` when it is an int in [low, high] (no upper bound when
+    ``high`` is None). Anything else, such as 2.5, True, "3" or an int out
+    of range, raises UsageError(message)."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
+    raise UsageError(message)
 
 
 def pair_list(values, name):
@@ -134,22 +147,28 @@ class IntMatrix(Record):
 
     @staticmethod
     def identity(n):
-        return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)]
-                                    for i in range(n)])
+        n = int_arg(n, 0, f"size must be a nonnegative integer, got {n!r}")
+        return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n))
+                                     for i in range(n)))
 
     @staticmethod
     def zeros(rows, cols):
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols))
-                                           for _ in range(rows)))
+        for k in (rows, cols):
+            int_arg(k, 0, f"size must be a nonnegative integer, got {k!r}")
+        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
     def __getitem__(self, pos):
         i, j = pos
         return self.entries[i][j]
 
     def row(self, i):
+        int_arg(i, -self.rows, f"row index must be in [-{self.rows}, "
+                f"{self.rows}), got {i!r}", self.rows - 1)
         return self.entries[i]
 
     def col(self, j):
+        int_arg(j, -self.cols, f"column index must be in [-{self.cols}, "
+                f"{self.cols}), got {j!r}", self.cols - 1)
         return tuple(r[j] for r in self.entries)
 
     def columns(self):
@@ -165,6 +184,7 @@ class IntMatrix(Record):
                          tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
     def hstack(self, other):
+        matrix_arg(other, "other")
         if other.rows != self.rows:
             raise UsageError("hstack needs equal row counts")
         return IntMatrix(self.rows, self.cols + other.cols,
@@ -172,6 +192,7 @@ class IntMatrix(Record):
                                for i in range(self.rows)))
 
     def vstack(self, other):
+        matrix_arg(other, "other")
         if other.cols != self.cols:
             raise UsageError("vstack needs equal column counts")
         return IntMatrix(self.rows + other.rows, self.cols,
@@ -189,6 +210,15 @@ class IntMatrix(Record):
         lines = [f"{self.rows} {self.cols}"]
         lines.extend(" ".join(str(e) for e in row) for row in self.entries)
         return "\n".join(lines) + "\n"
+
+
+def matrix_arg(m, name="m"):
+    """``m`` when it is an IntMatrix; anything else, such as a list of
+    rows, raises UsageError."""
+    if not isinstance(m, IntMatrix):
+        raise UsageError(f"{name} must be an IntMatrix, "
+                         f"got {type(m).__name__}")
+    return m
 
 
 def parse_matrix_text(text):

@@ -14,7 +14,8 @@ from .certify import _hnf_is_unimodular, is_totally_unimodular
 from .errors import BudgetExceeded, PreconditionError, UsageError
 from .families import h
 from .lp import in_convex_hull
-from .matrix import IntMatrix, int_pair, int_vector, pair_list
+from .matrix import (IntMatrix, int_arg, int_pair, int_vector, matrix_arg,
+                     pair_list)
 
 
 class PointSet(Record):
@@ -44,7 +45,7 @@ class PointSet(Record):
 
     @staticmethod
     def from_matrix_columns(m):
-        return PointSet.from_points(m.columns())
+        return PointSet.from_points(matrix_arg(m).columns())
 
     def to_matrix(self):
         return IntMatrix.from_columns(list(self.points))
@@ -139,9 +140,8 @@ def is_unimodular_polytope(ps):
 def edge_polytope(nvertices, part_a, edges):
     """Points e_i + e_j for the edges of a bipartite graph with given parts;
     a vertex count, part A or edge list not made of ints raises UsageError."""
-    if type(nvertices) is not int or nvertices < 0:
-        raise UsageError(f"vertex count must be a nonnegative integer, "
-                         f"got {nvertices!r}")
+    int_arg(nvertices, 0, f"vertex count must be a nonnegative integer, "
+            f"got {nvertices!r}")
     part_a = frozenset(int_vector(part_a, "part A"))
     if not part_a <= set(range(nvertices)):
         raise UsageError("part A references unknown vertices")
@@ -163,13 +163,15 @@ def edge_polytope(nvertices, part_a, edges):
 
 def complete_bipartite_edges(na, nb):
     """Edge list of K_{na,nb} with part A = {0..na-1}."""
+    for k in (na, nb):
+        int_arg(k, 0, f"part sizes must be nonnegative integers, got {k!r}")
     return [(i, na + j) for i in range(na) for j in range(nb)]
 
 
 def simplex_product(a, b):
     """Vertex set of the product of two standard simplices, in dimension a+b."""
-    if a < 0 or b < 0:
-        raise UsageError("simplex dimensions must be nonnegative")
+    for k in (a, b):
+        int_arg(k, 0, "simplex dimensions must be nonnegative")
 
     def verts(k):
         out = [tuple([0] * k)]
@@ -497,9 +499,7 @@ def classify_unimodular(d):
     Subset sizes are capped at the proven vertex bound h(d+1). d = 5
     exceeds desk scale; d >= 6 is out of scope.
     """
-    if d < 1:
-        raise UsageError("classification needs d >= 1")
-    if d == 5:
+    if int_arg(d, 1, "classification needs d >= 1") == 5:
         raise BudgetExceeded("d = 5 classification exceeds desk scale")
     if d > 5:
         raise UsageError("classification beyond d = 5 is not supported")

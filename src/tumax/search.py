@@ -19,7 +19,7 @@ from . import kernels
 from ._record import Record
 from .errors import UsageError
 from .families import h
-from .matrix import IntMatrix
+from .matrix import IntMatrix, int_arg
 
 DEFAULT_MAX_M = {"polytopal": 6, "heller": 3, "odd-sums": 5}
 
@@ -35,8 +35,7 @@ def candidate_columns(m, mode):
     """
     if mode not in MODES:
         raise UsageError(f"unknown search mode {mode!r}")
-    if m < 1:
-        raise UsageError("m must be >= 1")
+    int_arg(m, 1, "m must be >= 1")
     out = []
     for v in product((-1, 0, 1), repeat=m):
         s = sum(v)
@@ -108,13 +107,13 @@ def _max_columns(m, kind, min_m, mode, node_budget, max_m):
     searches beside an implicit identity block, which the witness and the
     column count include. ``node_budget`` (>= 0, None for none) caps the
     subset tests; a search that reaches it is reported incomplete."""
-    limit = DEFAULT_MAX_M[kind] if max_m is None else max_m
-    if not min_m <= m <= limit:
-        raise UsageError(f"m must be in [{min_m}, {limit}]")
+    limit = DEFAULT_MAX_M[kind] if max_m is None else int_arg(
+        max_m, min_m, f"max_m must be an integer >= {min_m}, got {max_m!r}")
+    int_arg(m, min_m, f"m must be in [{min_m}, {limit}]", high=limit)
     if mode not in ("verify", "fast"):
         raise UsageError("mode must be 'verify' or 'fast'")
-    if node_budget is not None and node_budget < 0:
-        raise UsageError("node budget must be >= 0")
+    budget = -1 if node_budget is None else int_arg(
+        node_budget, 0, "node budget must be >= 0")
     expected = (h(m) if kind == "polytopal"
                 else m * m + m + 1 if kind == "heller" else None)
     identity = 0 if kind == "heller" else m
@@ -126,7 +125,6 @@ def _max_columns(m, kind, min_m, mode, node_budget, max_m):
         perms = _index_perms(cands, m) if m <= 7 else None
         if expected is not None:
             stop_at = expected - identity
-    budget = -1 if node_budget is None else node_budget
     best, witness, nodes, complete = kernels.max_tu_subset(
         cands, perms=perms, stop_at=stop_at, node_budget=budget)
     elapsed = time.perf_counter() - start

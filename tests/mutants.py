@@ -34,6 +34,9 @@ MATRIX = "tests/test_matrix.py::"
 POLYTOPES = "tests/test_polytopes.py::"
 SUMS = "tests/test_sums.py::"
 CORPUS = CLI + "test_cli_corpus_replays_byte_for_byte"
+ERROR_BRANCHES = "tests/test_error_branches.py::test_error_type_and_text"
+PUBLIC_ARGUMENTS = ("tests/test_public_arguments.py::test_a_wrong_argument_"
+                    "raises_a_library_error_or_answers_alike")
 CLASSIFY_FROM_TU = (POLYTOPES
                     + "test_classification_reproduced_from_tu_matrices")
 # the classify golden file and CLASSIFY_FROM_TU kill no orbit-walk mutant:
@@ -273,9 +276,31 @@ MUTANTS = [
      "tests": [CLI + "test_leaf_parsers_match_the_tree"]},
     {"name": "h-takes-non-ints",
      "file": "families.py",
-     "snippet": "    if type(x) is not int or x < 1:\n",
-     "replacement": "    if x < 1:\n",
+     "snippet": "    x = int_arg(x, 1, \"h is defined for integers >= 1\")\n",
+     "replacement": "",
      "tests": ["tests/test_families.py::test_h_takes_only_ints"]},
+    {"name": "int-arg-takes-bools",
+     "file": "matrix.py",
+     "snippet": "    if type(value) is int and low <= value",
+     "replacement": "    if isinstance(value, int) and low <= value",
+     "tests": [MATRIX + "test_int_arg_takes_only_ints_in_bounds",
+               PUBLIC_ARGUMENTS]},
+    {"name": "sporadic-variant-without-its-upper-bound",
+     "file": "families.py",
+     "snippet": "\"variant must be 1 or 2\", high=2)",
+     "replacement": "\"variant must be 1 or 2\")",
+     "tests": [ERROR_BRANCHES]},
+    {"name": "matrix-arg-takes-any-value",
+     "file": "matrix.py",
+     "snippet": "    if not isinstance(m, IntMatrix):\n",
+     "replacement": "    if m is None:\n",
+     "tests": [MATRIX + "test_matrix_arg_takes_only_int_matrices",
+               ERROR_BRANCHES]},
+    {"name": "gh-walk-takes-a-sign-untested",
+     "file": "certify.py",
+     "snippet": "            nxt = sums + plus\n            if nxt & top:\n",
+     "replacement": "            nxt = sums + plus\n            if False:\n",
+     "tests": [CERTIFY + "test_gh_walk_matches_the_minor_table_oracle"]},
     {"name": "no-broken-pipe-catch",
      "file": "cli.py",
      "snippet": "    except BrokenPipeError:",

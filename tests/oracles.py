@@ -59,9 +59,15 @@ def is_tu_bruteforce(rows_data):
 
 
 def is_tu_by_minor_table(rows_data):
-    """``is_tu_bruteforce`` for wider matrices: the square minors of each
-    order are expanded along their last column from a table of the
-    minors one order lower, so each minor takes at most k products."""
+    """``is_tu_bruteforce`` for wider matrices."""
+    return violating_order(rows_data) is None
+
+
+def violating_order(rows_data):
+    """The least order of a square minor outside {-1, 0, 1}, or None. The
+    minors of each order are expanded along their last column from a
+    table of the minors one order lower, so each takes at most k
+    products."""
     r = len(rows_data)
     c = len(rows_data[0]) if r else 0
     lower = {((), ()): 1}
@@ -77,10 +83,10 @@ def is_tu_by_minor_table(rows_data):
                         minor = lower[(rset[:pos] + rset[pos + 1:], rest)]
                         d += e * minor if (k - 1 - pos) % 2 == 0 else -e * minor
                 if not -1 <= d <= 1:
-                    return False
+                    return k
                 table[(rset, cset)] = d
         lower = table
-    return True
+    return None
 
 
 def max_tu_subset_reference(m, cands, perms=None, stop_at=-1,

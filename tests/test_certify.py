@@ -1,7 +1,9 @@
 """certify surface: TU oracles, unimodularity, certificates, preparedness."""
 
 import random
+from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -22,6 +24,7 @@ from tumax.families import (
     sporadic_5x10,
 )
 from tumax.matrix import IntMatrix
+from tumax.polytopes import simplex_product
 
 from helpers import (
     OVERFLOW_POLYTOPAL_ROWS,
@@ -36,6 +39,7 @@ from oracles import (
     matmul,
     rank_fractions,
     rational_row_solution,
+    violating_order,
 )
 
 
@@ -153,6 +157,67 @@ def test_gh_matches_the_minor_table_oracle():
         assert ghouila_houri_check(m).is_tu == expected, m
         seen[expected] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def _planted_cycle(rng, rows, cols):
+    """A TU matrix of ``rows`` x ``cols`` (both >= 4) with k >= 4 of its
+    columns replaced by a signed k-cycle on k of its rows, zero elsewhere.
+    The cycle's determinant is +-2 while each of its proper row subsets
+    has a signing, so the least violating minor is often of order k."""
+    data = random_tu_matrix(rng, rows, cols).to_lists()
+    k = rng.randint(4, min(rows, cols))
+    rset, cset = rng.sample(range(rows), k), rng.sample(range(cols), k)
+    diag = [rng.choice((-1, 1)) for _ in range(k)]
+    off = [rng.choice((-1, 1)) for _ in range(k - 1)]
+    # det = prod(diag) + (-1)^(k-1) prod(off): make both terms equal
+    off.append(prod(diag) * (-1) ** (k - 1) * prod(off))
+    for row in data:
+        for j in cset:
+            row[j] = 0
+    for t in range(k):
+        data[rset[t]][cset[t]] = diag[t]
+        data[rset[t]][cset[(t + 1) % k]] = off[t]
+    return IntMatrix.from_rows(data)
+
+
+def test_gh_walk_matches_the_minor_table_oracle():
+    """The subset walk against the minor-table oracle on seeded matrices
+    of 0-9 rows and columns: random sign matrices, TU matrices with one
+    sign flipped, and planted signed cycles of 4-9 rows. A negative whose
+    least violating minor has order 4 or more passes every subset of at
+    most three rows, so only the walk can find it; such negatives make
+    up a fixed part of the cases."""
+    rng = random.Random(61)
+    cases = []
+    for _ in range(150):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        cases.append(random_sign_matrix(rng, rows, cols) if rows
+                     else IntMatrix(0, cols, ()))
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append(_flip_one_sign(rng, random_tu_matrix(rng, rows, cols)))
+        cases += [_planted_cycle(rng, rng.randint(4, 9), rng.randint(4, 9))
+                  for _ in range(2)]
+    orders = Counter()
+    for m in cases:
+        order = violating_order(m.to_lists())
+        assert ghouila_houri_check(m).is_tu == (order is None), m
+        orders["TU" if order is None else min(order, 4)] += 1
+    assert orders["TU"] >= 150 and orders[4] >= 150, orders
+
+
+def test_gh_decides_the_17_row_n_of_delta1_x_delta17():
+    """Delta_1 x Delta_17 is unimodular: the N of its homogenized vertex
+    matrix has 17 rows on its smaller side, so the walk visits all 2^17
+    row subsets."""
+    ps = simplex_product(1, 17)
+    n = len(ps.points)
+    hnf, _, pivots = linsolve.row_hnf(
+        IntMatrix(ps.dim + 1, n, ((1,) * n,) + tuple(zip(*ps.points))))
+    nblock = hnf.submatrix(range(hnf.rows),
+                           [j for j in range(n) if j not in pivots])
+    assert min(nblock.rows, nblock.cols) == 17
+    assert ghouila_houri_check(nblock).is_tu
+    assert is_unimodular(ps.to_matrix().vstack(IntMatrix(1, n, ((1,) * n,))))
 
 
 def test_gh_reports_the_first_entry_outside_the_signs_at_any_height():

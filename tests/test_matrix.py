@@ -9,7 +9,7 @@ import pytest
 
 from tumax.errors import FormatError, UsageError
 from tumax.kernels import det_entries, rank_entries
-from tumax.matrix import IntMatrix, parse_matrix_text
+from tumax.matrix import IntMatrix, int_arg, matrix_arg, parse_matrix_text
 
 from oracles import det_cofactor, rank_fractions
 
@@ -139,6 +139,46 @@ def test_index_sets_take_only_ints():
     with pytest.raises(UsageError) as info:
         m.submatrix([1], [False])
     assert str(info.value) == "column set must contain integers, got False"
+
+
+@pytest.mark.parametrize("value, low, high, ok", [
+    (3, 0, None, True), (0, 0, None, True), (2, 1, 2, True), (-1, -1, 5, True),
+    (-1, 0, None, False), (3, 1, 2, False), (True, 0, None, False),
+    (False, 0, None, False), (2.5, 0, None, False), (3.0, 0, None, False),
+    ("3", 0, None, False), (None, 0, None, False)])
+def test_int_arg_takes_only_ints_in_bounds(value, low, high, ok):
+    """An int in [low, high] comes back as it is; a bool, a float, a str,
+    None or an int out of range raises UsageError with the caller's text."""
+    if ok:
+        assert int_arg(value, low, "no", high) is value
+        return
+    with pytest.raises(UsageError) as info:
+        int_arg(value, low, "the caller's text", high)
+    assert str(info.value) == "the caller's text"
+
+
+def test_matrix_arg_takes_only_int_matrices():
+    m = IntMatrix.identity(2)
+    assert matrix_arg(m) is m
+    for bad, name in (([[1, 0], [0, 1]], "list"), (m.entries, "tuple"),
+                      (None, "NoneType")):
+        with pytest.raises(UsageError) as info:
+            matrix_arg(bad, "mprime")
+        assert str(info.value) == f"mprime must be an IntMatrix, got {name}"
+
+
+def test_row_and_col_take_int_indices_as_tuples_do():
+    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert (m.row(-2), m.row(1), m.col(-1), m.col(0)) == (
+        (1, 2, 3), (4, 5, 6), (3, 6), (1, 4))
+    for call, bad, text in (
+            (m.row, 2, "row index must be in [-2, 2), got 2"),
+            (m.row, True, "row index must be in [-2, 2), got True"),
+            (m.col, -4, "column index must be in [-3, 3), got -4"),
+            (m.col, 1.0, "column index must be in [-3, 3), got 1.0")):
+        with pytest.raises(UsageError) as info:
+            call(bad)
+        assert str(info.value) == text
 
 
 def test_rank_zero_and_identity():
